@@ -24,16 +24,12 @@ from .core import (
     Vec3,
     rebin_cells,
     vec3,
-    voxel_of,
 )
 from .diffusion import (
     TraversalMode,
-    TridiagonalSystem,
     apply_cell_exchange,
     compute_gradients,
     lod_step,
-    refresh_nonempty_list,
-    thomas_solve,
 )
 from .errors import (
     CapacityError,
@@ -69,7 +65,6 @@ from .mechanics import (
     ScheduleKind,
     check_binning_exact,
     integrate_positions,
-    pair_velocity_contribution,
     update_velocities,
 )
 from .metrics import (
@@ -105,7 +100,6 @@ from .smallvec import (
     AllocationMode,
     InPlaceVectorOps,
     TempAllocVectorOps,
-    axpy_into,
     vector_ops,
 )
 

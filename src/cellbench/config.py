@@ -12,8 +12,9 @@ solver/gradient traversal, mechanics schedule, and cell storage order.
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .core import CartesianMesh
 from .diffusion import TraversalMode
@@ -161,6 +162,12 @@ class RunConfig:
     out: str = "runs"
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
+        if not all(math.isfinite(v) for v in self.seed_box):
+            raise ConfigError(f"seed box must be finite, got {self.seed_box}")
         if min(self.nx, self.ny, self.nz) < 1:
             raise ConfigError("mesh dimensions must be >= 1")
         if min(self.dx, self.dy, self.dz) <= 0:

@@ -9,7 +9,7 @@ the slowest-varying axis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,10 +25,6 @@ POSITION_EPS = 1e-6
 
 def vec3(x: float = 0.0, y: float = 0.0, z: float = 0.0) -> Vec3:
     return [float(x), float(y), float(z)]
-
-
-def vec3_finite(v) -> bool:
-    return math.isfinite(v[0]) and math.isfinite(v[1]) and math.isfinite(v[2])
 
 
 @dataclass(frozen=True)
@@ -102,10 +98,6 @@ class CartesianMesh:
         position[2] = min(max(position[2], oz + POSITION_EPS), uz - POSITION_EPS)
 
 
-def voxel_of(position, mesh: CartesianMesh) -> int:
-    return mesh.voxel_of(position)
-
-
 class Microenvironment:
     """Per-substrate density and gradient fields plus diffusion/decay rates.
 
@@ -152,9 +144,6 @@ class Cell:
     position: Vec3
     velocity: Vec3
     radius: float = 8.0
-    repulsion: float = 10.0
-    adhesion: float = 0.4
-    adhesion_multiplier: float = 1.25
     division_rate: float = 0.0
     voxel_index: int = -1
 
@@ -169,7 +158,8 @@ class CellContainer:
     The storage order of `cells` is semantically significant: it is the memory
     layout whose locality the storage-order strategies manipulate.  `agent`
     maps a voxel index to the ids of the cells inside it; `nonempty_voxels` is
-    the ascending list of voxels with at least one cell.
+    the ascending list of voxels with at least one cell.  Only `rebin_cells`
+    writes the spatial index.
     """
 
     def __init__(self, mesh: CartesianMesh):

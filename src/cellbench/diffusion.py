@@ -18,63 +18,18 @@ the schedule affects only load balance, not results.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .core import CartesianMesh, CellContainer, Microenvironment
-from .errors import DomainError, NumericError
+from .errors import DomainError
 from .parallel import RegionRecord, WorkerPool
 
 
 class TraversalMode(enum.Enum):
     OUTER_LOOP = "outer"
     COLLAPSED = "collapsed"
-
-
-@dataclass
-class TridiagonalSystem:
-    """Row-wise coefficients: sub[0] and sup[n-1] are ignored padding."""
-
-    sub: np.ndarray
-    diag: np.ndarray
-    sup: np.ndarray
-    rhs: np.ndarray
-
-    def __post_init__(self):
-        self.sub = np.asarray(self.sub, dtype=np.float64)
-        self.diag = np.asarray(self.diag, dtype=np.float64)
-        self.sup = np.asarray(self.sup, dtype=np.float64)
-        self.rhs = np.asarray(self.rhs, dtype=np.float64)
-        n = self.diag.shape[0]
-        if n < 1:
-            raise DomainError("tridiagonal system needs n >= 1")
-        if self.sub.shape != (n,) or self.sup.shape != (n,) or self.rhs.shape != (n,):
-            raise DomainError("sub, diag, sup, rhs must share one length")
-
-
-def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
-    """Single-system elimination; the batched sweep kernel below is the hot path."""
-    n = sys.diag.shape[0]
-    cp = np.empty(n)
-    dp = np.empty(n)
-    denom = sys.diag[0]
-    if denom == 0.0:
-        raise NumericError("zero pivot in tridiagonal elimination")
-    cp[0] = sys.sup[0] / denom
-    dp[0] = sys.rhs[0] / denom
-    for i in range(1, n):
-        denom = sys.diag[i] - sys.sub[i] * cp[i - 1]
-        if denom == 0.0:
-            raise NumericError("zero pivot in tridiagonal elimination")
-        cp[i] = sys.sup[i] / denom
-        dp[i] = (sys.rhs[i] - sys.sub[i] * dp[i - 1]) / denom
-    x = np.empty(n)
-    x[n - 1] = dp[n - 1]
-    for i in range(n - 2, -1, -1):
-        x[i] = dp[i] - cp[i] * x[i + 1]
-    return x
 
 
 @lru_cache(maxsize=64)
@@ -113,33 +68,22 @@ def _solve_rows(rows: np.ndarray, lo: int, hi: int, inv: np.ndarray,
 
 
 def _sweep(rows: np.ndarray, n_items: int, rows_per_item: int, inv, gamma, r,
-           pool: WorkerPool, collect=None) -> RegionRecord:
-    if collect is None:
-        def body(lo, hi, ctx):
-            _solve_rows(rows, lo * rows_per_item, hi * rows_per_item, inv, gamma, r)
-    else:
-        def body(lo, hi, ctx):
-            _solve_rows(rows, lo * rows_per_item, hi * rows_per_item, inv, gamma, r)
-            collect(lo * rows_per_item, hi * rows_per_item, ctx)
+           pool: WorkerPool) -> RegionRecord:
+    def body(lo, hi, ctx):
+        _solve_rows(rows, lo * rows_per_item, hi * rows_per_item, inv, gamma, r)
     return pool.run_static(n_items, body)
 
 
 def lod_step(micro: Microenvironment, mesh: CartesianMesh, dt: float,
-             mode: TraversalMode, pool: WorkerPool,
-             container: CellContainer | None = None) -> list[RegionRecord]:
+             mode: TraversalMode, pool: WorkerPool) -> list[RegionRecord]:
     """One operator-split step: implicit x, y, z sweeps with decay split λ/3 each.
 
-    When a container is given, the z sweep also refreshes its non-empty voxel
-    list: each worker tests the voxels of its own lines against the agent
-    index while it already owns them, so no separate mesh pass happens.
     Returns one dispatch record per sweep per substrate.
     """
     if dt <= 0.0:
         raise DomainError("diffusion step needs dt > 0")
     nx, ny, nz = mesh.nx, mesh.ny, mesh.nz
     records = []
-    found: list[list[int]] = [[] for _ in range(pool.workers)]
-    last_substrate = micro.substrate_count - 1
     for s in range(micro.substrate_count):
         lam3 = dt * micro.decay[s] / 3.0
         grid = micro.grid_view(s)
@@ -163,39 +107,16 @@ def lod_step(micro: Microenvironment, mesh: CartesianMesh, dt: float,
             records.append(_sweep(scratch, nz * nx, 1, inv, gamma, r, pool))
         grid[:] = scratch.reshape(nz, nx, ny).transpose(0, 2, 1)
 
-        # z sweep: scratch in (y, x, z) order; line (y, x) holds the voxels
-        # iy*nx + ix + (nx*ny)*iz, so the row index doubles as the voxel base.
+        # z sweep: serial transpose to (y, x, z) scratch, solve, copy back.
         r = dt * micro.diffusion[s] / (mesh.dz * mesh.dz)
         inv, gamma = _line_factors(nz, r, lam3)
         scratch = grid.transpose(1, 2, 0).copy().reshape(ny * nx, nz)
-        collect = None
-        if container is not None and s == last_substrate:
-            agent = container.agent
-            stride = nx * ny
-
-            def collect(row_lo, row_hi, ctx, agent=agent, stride=stride):
-                mine = found[ctx.index]
-                for base in range(row_lo, row_hi):
-                    for v in range(base, base + stride * nz, stride):
-                        if agent.get(v):
-                            mine.append(v)
         if mode is TraversalMode.OUTER_LOOP:
-            records.append(_sweep(scratch, ny, nx, inv, gamma, r, pool, collect))
+            records.append(_sweep(scratch, ny, nx, inv, gamma, r, pool))
         else:
-            records.append(_sweep(scratch, ny * nx, 1, inv, gamma, r, pool, collect))
+            records.append(_sweep(scratch, ny * nx, 1, inv, gamma, r, pool))
         grid[:] = scratch.reshape(ny, nx, nz).transpose(2, 0, 1)
-
-    if container is not None:
-        merged = [v for per_worker in found for v in per_worker]
-        merged.sort()
-        container.nonempty_voxels = merged
     return records
-
-
-def refresh_nonempty_list(container: CellContainer, mesh: CartesianMesh | None = None) -> list[int]:
-    """Standalone recompute of the non-empty voxel list from the agent index."""
-    container.nonempty_voxels = sorted(v for v, ids in container.agent.items() if ids)
-    return container.nonempty_voxels
 
 
 def apply_cell_exchange(micro: Microenvironment, container: CellContainer, dt: float,

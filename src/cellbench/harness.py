@@ -78,9 +78,7 @@ def write_timings_csv(path: str, result: RunResult, run_id: str) -> None:
                     ])
 
 
-def region_timing(result: RunResult, region: str) -> RegionTiming:
-    """Whole-run aggregate timing of one region."""
-    total = result.region_totals(region)
+def _timing(region: str, total) -> RegionTiming:
     return RegionTiming(
         region=region,
         busy=tuple(total.busy),
@@ -89,44 +87,43 @@ def region_timing(result: RunResult, region: str) -> RegionTiming:
     )
 
 
+def region_timing(result: RunResult, region: str) -> RegionTiming:
+    """Whole-run aggregate timing of one region."""
+    return _timing(region, result.region_totals(region))
+
+
+def _active_timings(totals: dict) -> dict:
+    """Timings of the regions with busy time, plus their "all" aggregate."""
+    timings = {region: _timing(region, total) for region, total in totals.items()
+               if max(total.busy) > 0.0}
+    if timings:
+        timings["all"] = aggregate_timings(list(timings.values()), region="all")
+    return timings
+
+
 def efficiency_rows(result: RunResult, run_id: str,
                     base: RunResult | None = None) -> list[dict]:
     """Per-region efficiency report rows; regions with no busy time are skipped."""
-    strat = result.config.strategy
+    axes = dict(zip(("allocation", "traversal", "schedule", "storage"),
+                    result.config.strategy.literal().split("/")))
+    totals = {region: result.region_totals(region) for region in REGIONS}
+    alloc = {region: sum(total.alloc_events) for region, total in totals.items()}
+    alloc["all"] = sum(alloc.values())
+    base_timings = {}
+    if base is not None:
+        base_timings = _active_timings(
+            {region: base.region_totals(region) for region in REGIONS})
     rows = []
-    step_region = [region_timing(result, region) for region in REGIONS]
-    per_run = [t for t in step_region if max(t.busy) > 0.0]
-    all_timing = aggregate_timings(per_run, region="all") if per_run else None
-    for timing in step_region + ([all_timing] if all_timing else []):
-        if timing is None or max(timing.busy) == 0.0:
-            continue
-        base_timing = None
-        if base is not None:
-            if timing.region == "all":
-                per_base = [
-                    t for t in (region_timing(base, r) for r in REGIONS)
-                    if max(t.busy) > 0.0
-                ]
-                base_timing = aggregate_timings(per_base, region="all") if per_base else None
-            else:
-                candidate = region_timing(base, timing.region)
-                base_timing = candidate if max(candidate.busy) > 0.0 else None
+    for region, timing in _active_timings(totals).items():
         try:
-            report = efficiency_report(timing, base_timing)
+            report = efficiency_report(timing, base_timings.get(region))
         except UndefinedMetricError:
             continue
-        total = (result.region_totals(timing.region)
-                 if timing.region != "all" else None)
-        alloc = (sum(total.alloc_events) if total is not None
-                 else sum(sum(result.region_totals(r).alloc_events) for r in REGIONS))
         rows.append({
             "run_id": run_id,
             "region": report.region,
             "workers": report.workers,
-            "allocation": strat.literal().split("/")[0],
-            "traversal": strat.literal().split("/")[1],
-            "schedule": strat.literal().split("/")[2],
-            "storage": strat.literal().split("/")[3],
+            **axes,
             "lb": f"{report.load_balance:.6f}",
             "comm_eff": f"{report.communication_efficiency:.6f}",
             "par_eff": f"{report.parallel_efficiency:.6f}",
@@ -137,7 +134,7 @@ def efficiency_rows(result: RunResult, run_id: str,
             "mean_busy_s": f"{report.mean_busy:.9f}",
             "max_busy_s": f"{report.max_busy:.9f}",
             "elapsed_s": f"{report.elapsed:.9f}",
-            "alloc_events": alloc,
+            "alloc_events": alloc[region],
         })
     return rows
 

@@ -26,10 +26,9 @@ Both voxel schedules visit voxels in ascending index order inside a chunk.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
-from .core import CartesianMesh, CellContainer, Cell, Vec3
+from .core import CartesianMesh, CellContainer
 from .errors import ContainerStateError, DomainError
 from .parallel import RegionRecord, WorkerPool
 from .smallvec import AllocationMode, vector_ops
@@ -94,25 +93,6 @@ def check_binning_exact(container: CellContainer, mesh: CartesianMesh,
             f"voxel edge {min(mesh.dx, mesh.dy, mesh.dz)} shorter than the "
             f"interaction reach {reach}; neighbor binning would miss pairs"
         )
-
-
-def pair_velocity_contribution(ci: Cell, cj: Cell, params: InteractionParams) -> Vec3:
-    """Velocity contribution of cj on ci; zero outside the adhesion range."""
-    if ci.id == cj.id:
-        raise DomainError("pair contribution needs two distinct cells")
-    pi, pj = ci.position, cj.position
-    dx = pj[0] - pi[0]
-    dy = pj[1] - pi[1]
-    dz = pj[2] - pi[2]
-    d = math.sqrt(dx * dx + dy * dy + dz * dz)
-    contact = ci.radius + cj.radius
-    reach = params.adhesion_multiplier * contact
-    if d < EPS_SKIP or d >= reach:
-        return [0.0, 0.0, 0.0]
-    rep = -params.repulsion * (1.0 - d / contact) ** 2 if d < contact else 0.0
-    adh = params.adhesion * (1.0 - d / reach) ** 2
-    coef = (rep + adh) / d
-    return [coef * dx, coef * dy, coef * dz]
 
 
 def _voxel_candidates(agent: dict, mesh: CartesianMesh, v: int) -> list[int]:

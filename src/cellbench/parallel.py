@@ -41,7 +41,6 @@ class WorkerStats:
     iterations: int = 0
     claims: int = 0
     alloc_events: int = 0
-    dealloc_events: int = 0
 
 
 @dataclass
@@ -213,4 +212,4 @@ class WorkerPool:
                 stats.busy += clock() - t0
                 stats.iterations += hi - lo
                 stats.claims += 1
-        stats.alloc_events, stats.dealloc_events = ctx.counter.snapshot()
+        stats.alloc_events = ctx.counter.alloc_events

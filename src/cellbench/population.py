@@ -116,9 +116,6 @@ def attempt_divisions(container: CellContainer, seed: int, dt: float,
         daughter = container.new_cell(
             pos,
             radius=parent.radius,
-            repulsion=parent.repulsion,
-            adhesion=parent.adhesion,
-            adhesion_multiplier=parent.adhesion_multiplier,
             division_rate=parent.division_rate,
         )
         daughter.velocity[0] = parent.velocity[0]

@@ -1,11 +1,10 @@
 """The step loop: diffusion substeps, mechanics, divisions, storage policy.
 
 One mechanics step runs, in order: per diffusion substep, the cell exchange
-and the operator-split solve (which also refreshes the non-empty voxel list
-inside its z sweep); then a gradient refresh; the velocity update under the
-configured schedule and allocation mode; position integration; a serial
-rebin; the serial division pass; and, for the voxel-sorted storage policy, a
-periodic resort.  Every region is timed per worker every step, including the
+and the operator-split solve; then a gradient refresh; the velocity update
+under the configured schedule and allocation mode; position integration; a
+serial rebin; the serial division pass; and, for the voxel-sorted storage
+policy, a periodic resort.  Every region is timed per worker every step, including the
 serial ones (attributed to worker 0) and the skipped ones (all-zero rows), so
 the timing output always has the same shape.
 
@@ -49,7 +48,7 @@ REGIONS = (
 class RegionAccum:
     """Per-step per-region totals: per-worker stats plus wall elapsed."""
 
-    __slots__ = ("busy", "iterations", "claims", "alloc_events", "dealloc_events",
+    __slots__ = ("busy", "iterations", "claims", "alloc_events",
                  "elapsed", "schedulable_chunks")
 
     def __init__(self, workers: int):
@@ -57,7 +56,6 @@ class RegionAccum:
         self.iterations = [0] * workers
         self.claims = [0] * workers
         self.alloc_events = [0] * workers
-        self.dealloc_events = [0] * workers
         self.elapsed = 0.0
         self.schedulable_chunks = 0
 
@@ -67,7 +65,6 @@ class RegionAccum:
             self.iterations[w] += stats.iterations
             self.claims[w] += stats.claims
             self.alloc_events[w] += stats.alloc_events
-            self.dealloc_events[w] += stats.dealloc_events
         self.schedulable_chunks += record.schedulable_chunks
 
     def add_serial(self, seconds: float, iterations: int = 0) -> None:
@@ -108,9 +105,6 @@ def seed_cells(container: CellContainer, cfg: RunConfig) -> None:
         container.new_cell(
             pos,
             radius=cfg.cell_radius,
-            repulsion=cfg.repulsion,
-            adhesion=cfg.adhesion,
-            adhesion_multiplier=cfg.adhesion_multiplier,
             division_rate=cfg.division_rate,
         )
     rebin_cells(container)
@@ -136,7 +130,6 @@ class RunResult:
                 total.iterations[w] += acc.iterations[w]
                 total.claims[w] += acc.claims[w]
                 total.alloc_events[w] += acc.alloc_events[w]
-                total.dealloc_events[w] += acc.dealloc_events[w]
             total.elapsed += acc.elapsed
             total.schedulable_chunks += acc.schedulable_chunks
         return total
@@ -177,7 +170,7 @@ def run_simulation(cfg: RunConfig, record_locality: bool = False) -> RunResult:
 
                 t0 = clock()
                 for rec in lod_step(micro, mesh, cfg.dt_diffusion,
-                                    strat.traversal, pool, container=container):
+                                    strat.traversal, pool):
                     accs["solver"].add_record(rec)
                 accs["solver"].elapsed += clock() - t0
 

@@ -12,8 +12,7 @@ named-result binding (``assign``), which makes the accounting portable and
 exactly testable.  The temporary-allocating mode still performs real dynamic
 acquisitions (a new list per event), so wall-clock allocation overhead is also
 observable.  Scalar-valued operators (dot, norm) record no events in either
-mode.  Deallocation events mirror allocation events because every temporary
-created by this layer dies within the region that created it.
+mode.
 """
 
 from __future__ import annotations
@@ -28,27 +27,15 @@ class AllocationMode(enum.Enum):
 
 
 class AllocationCounter:
-    """Per-worker event counter; merge totals at region end, never share live."""
+    """Per-worker event counter; read at region end, never shared live."""
 
-    __slots__ = ("alloc_events", "dealloc_events")
+    __slots__ = ("alloc_events",)
 
     def __init__(self):
         self.alloc_events = 0
-        self.dealloc_events = 0
 
     def reset(self) -> None:
         self.alloc_events = 0
-        self.dealloc_events = 0
-
-    def snapshot(self) -> tuple:
-        return (self.alloc_events, self.dealloc_events)
-
-    @staticmethod
-    def merge(counters) -> tuple:
-        """Total (alloc, dealloc) events over per-worker counters."""
-        alloc = sum(c.alloc_events for c in counters)
-        dealloc = sum(c.dealloc_events for c in counters)
-        return (alloc, dealloc)
 
 
 class TempAllocVectorOps:
@@ -65,21 +52,15 @@ class TempAllocVectorOps:
         self.counter = counter
 
     def add(self, a, b, out=None):
-        c = self.counter
-        c.alloc_events += 1
-        c.dealloc_events += 1
+        self.counter.alloc_events += 1
         return [a[0] + b[0], a[1] + b[1], a[2] + b[2]]
 
     def sub(self, a, b, out=None):
-        c = self.counter
-        c.alloc_events += 1
-        c.dealloc_events += 1
+        self.counter.alloc_events += 1
         return [a[0] - b[0], a[1] - b[1], a[2] - b[2]]
 
     def scale(self, s, a, out=None):
-        c = self.counter
-        c.alloc_events += 1
-        c.dealloc_events += 1
+        self.counter.alloc_events += 1
         return [s * a[0], s * a[1], s * a[2]]
 
     def dot(self, a, b) -> float:
@@ -90,9 +71,7 @@ class TempAllocVectorOps:
 
     def assign(self, dst, src) -> None:
         """Bind a result to a named destination: one fresh copy, one event."""
-        c = self.counter
-        c.alloc_events += 1
-        c.dealloc_events += 1
+        self.counter.alloc_events += 1
         tmp = [src[0], src[1], src[2]]
         dst[0] = tmp[0]
         dst[1] = tmp[1]
@@ -146,14 +125,3 @@ def vector_ops(mode: AllocationMode, counter: AllocationCounter):
         return InPlaceVectorOps(counter)
     raise ValueError(f"unknown allocation mode {mode!r}")
 
-
-def axpy_into(out, a: float, v1, v2) -> None:
-    """out = a * (v1 + v2) into caller storage; allocation-free in every mode.
-
-    Evaluation order matches the operator form (sum first, then scaling), so
-    the result is bit-identical to the temporary-allocating evaluation of
-    ``scale(a, add(v1, v2))``.
-    """
-    out[0] = a * (v1[0] + v2[0])
-    out[1] = a * (v1[1] + v2[1])
-    out[2] = a * (v1[2] + v2[2])

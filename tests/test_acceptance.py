@@ -40,7 +40,7 @@ from cellbench import (
 )
 
 from conftest import make_container
-from test_diffusion import dense_solve, random_diag_dominant
+from test_diffusion import line_solve_worst_error
 
 
 # --------------------------------------------------------------- criterion 1
@@ -160,13 +160,7 @@ def test_criterion_3_efficiency_identities():
 
 def test_criterion_4_numerical_oracles(pool2):
     """Dense-solve oracle 1e-12; mass 1e-10/100 steps; decay 1e-14; exact gradients."""
-    rng = np.random.default_rng(42)
-    worst = 0.0
-    for _ in range(200):
-        sys = random_diag_dominant(rng, int(rng.integers(1, 17)))
-        x = cb.thomas_solve(sys)
-        d = dense_solve(sys)
-        worst = max(worst, float(np.max(np.abs(x - d) / np.maximum(np.abs(d), 1.0))))
+    worst = line_solve_worst_error(np.random.default_rng(42))
     assert worst <= 1e-12
 
     mesh = cb.CartesianMesh(8, 8, 8)
@@ -202,6 +196,11 @@ def test_criterion_4_numerical_oracles(pool2):
 
 # --------------------------------------------------------------- criterion 5
 
+#: The checksum every combination must reproduce: the benchmark's `crowded`
+#: workload at its default seed 11.
+CRIT5_GOLDEN = "33a3c906a3b45fe49cd3c9d4ab25909f"
+
+
 def test_criterion_5_strategy_determinism_matrix():
     """All 128 strategy/worker combos produce one bit-identical checksum."""
     t0 = time.perf_counter()
@@ -226,6 +225,8 @@ def test_criterion_5_strategy_determinism_matrix():
     unique = set(checksums.values())
     dt = time.perf_counter() - t0
     assert len(unique) == 1, f"{len(unique)} distinct checksums: {unique}"
+    # pinned, so a change that shifts every combination alike fails too
+    assert unique == {CRIT5_GOLDEN}
     assert dt < 600.0
     print(f"criterion 5: PASS - 128/128 combos checksum "
           f"{next(iter(unique))[:16]}..., {dt:.1f}s")
@@ -238,6 +239,8 @@ CRIT6 = dict(
     division_rate=0.13,
     seed_box=(20.0, 20.0, 20.0, 180.0, 180.0, 180.0),
 )
+CRIT6_GOLDEN = "da3d741ab6b31cb4e6efa5f8034952bf"
+CRIT6_GOLDEN_CELLS = 238
 
 
 def test_criterion_6_growth_and_locality():
@@ -250,6 +253,7 @@ def test_criterion_6_growth_and_locality():
     rb = run_simulation(sorted_cfg)
     assert ra.final_cell_count >= 3 * 60
     assert ra.checksum == rb.checksum  # same physical trajectory
+    assert (ra.checksum, ra.final_cell_count) == (CRIT6_GOLDEN, CRIT6_GOLDEN_CELLS)
 
     l_append = cb.locality_metric(ra.container, append_cfg.interaction_params())
     l_sorted = cb.locality_metric(rb.container, sorted_cfg.interaction_params())

@@ -64,6 +64,15 @@ def test_unknown_set_key_is_a_config_error(cfg_file, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("setting", [
+    "cells.radius=nan", "mesh.dx=nan", "forces.adhesion=inf",
+    "cells.box=10,10,10,nan,90,90",
+])
+def test_non_finite_value_is_a_config_error(cfg_file, capsys, setting):
+    assert run_cli("run", "--config", cfg_file, "--set", setting) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_malformed_set_flag(cfg_file, capsys):
     assert run_cli("run", "--config", cfg_file, "--set", "steps") == 2
 

@@ -6,69 +6,68 @@ import pytest
 import cellbench as cb
 from cellbench import (
     DomainError,
-    NumericError,
     TraversalMode,
-    TridiagonalSystem,
     WorkerPool,
     apply_cell_exchange,
     compute_gradients,
     lod_step,
-    refresh_nonempty_list,
-    thomas_solve,
 )
+from cellbench.diffusion import _line_factors, _solve_rows
 
 from conftest import make_container
 
 
-def random_diag_dominant(rng, n):
-    sub = rng.uniform(-1.0, 1.0, n)
-    sup = rng.uniform(-1.0, 1.0, n)
-    sub[0] = sup[-1] = 0.0
-    diag = np.abs(sub) + np.abs(sup) + rng.uniform(0.5, 2.0, n)
-    signs = rng.choice([-1.0, 1.0], n)
-    return TridiagonalSystem(sub, diag * signs, sup, rng.uniform(-10.0, 10.0, n))
+def dense_line_matrix(n, r, lam3):
+    """The no-flux line system a sweep solves, as a dense matrix."""
+    if n == 1:
+        return np.array([[1.0 + lam3]])
+    a = np.diag(np.full(n, 1.0 + lam3 + 2.0 * r))
+    a -= r * (np.eye(n, k=1) + np.eye(n, k=-1))
+    a[0, 0] = a[-1, -1] = 1.0 + lam3 + r
+    return a
 
 
-def dense_solve(sys):
-    n = sys.diag.shape[0]
-    a = np.diag(sys.diag)
-    if n > 1:
-        a += np.diag(sys.sub[1:], -1) + np.diag(sys.sup[:-1], 1)
-    return np.linalg.solve(a, sys.rhs)
+def line_solve(rows, r, lam3):
+    """The sweep kernel: factors for the line length, then an in-place solve."""
+    out = np.array(rows, dtype=np.float64)
+    inv, gamma = _line_factors(out.shape[1], r, lam3)
+    _solve_rows(out, 0, out.shape[0], inv, gamma, r)
+    return out
 
 
-# ---------------------------------------------------------------- thomas
+def line_solve_worst_error(rng, trials=200):
+    """Worst relative deviation of the line solve from a dense solve.
+
+    Line lengths 1..16 cover the n=1 special case of `_line_factors`.
+    """
+    worst = 0.0
+    for _ in range(trials):
+        n = int(rng.integers(1, 17))
+        r = float(rng.uniform(0.0, 30.0))
+        lam3 = float(rng.uniform(0.0, 0.5))
+        rows = rng.uniform(-10.0, 10.0, (3, n))
+        got = line_solve(rows, r, lam3)
+        want = np.linalg.solve(dense_line_matrix(n, r, lam3), rows.T).T
+        rel = np.abs(got - want) / np.maximum(np.abs(want), 1.0)
+        worst = max(worst, float(rel.max()))
+    return worst
+
+
+# ---------------------------------------------------------------- line solve
 
 def test_thomas_decoupled_system():
-    sys = TridiagonalSystem(np.zeros(4), np.full(4, 2.0), np.zeros(4),
-                            np.full(4, 4.0))
-    assert thomas_solve(sys).tolist() == [2.0, 2.0, 2.0, 2.0]
+    # without diffusion coupling each entry only decays: x = b / (1 + lam3)
+    got = line_solve(np.full((2, 4), 4.0), r=0.0, lam3=1.0)
+    assert got.tolist() == [[2.0] * 4, [2.0] * 4]
 
 
 def test_thomas_single_row():
-    sys = TridiagonalSystem([0.0], [5.0], [0.0], [10.0])
-    assert thomas_solve(sys).tolist() == [2.0]
+    # a one-voxel line has no neighbour terms, whatever r is
+    assert line_solve([[10.0]], r=7.0, lam3=4.0).tolist() == [[2.0]]
 
 
 def test_thomas_matches_dense_oracle():
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        sys = random_diag_dominant(rng, int(rng.integers(1, 17)))
-        np.testing.assert_allclose(thomas_solve(sys), dense_solve(sys),
-                                   rtol=1e-12, atol=1e-12)
-
-
-def test_thomas_zero_pivot_raises():
-    sys = TridiagonalSystem([0.0, 1.0], [1.0, 1.0], [1.0, 0.0], [1.0, 1.0])
-    with pytest.raises(NumericError):
-        thomas_solve(sys)
-
-
-def test_tridiagonal_shape_validation():
-    with pytest.raises(DomainError):
-        TridiagonalSystem([0.0], [1.0, 1.0], [0.0], [1.0])
-    with pytest.raises(DomainError):
-        TridiagonalSystem([], [], [], [])
+    assert line_solve_worst_error(np.random.default_rng(7)) <= 1e-12
 
 
 # ---------------------------------------------------------------- lod step
@@ -173,25 +172,10 @@ def test_degenerate_single_voxel_axis(pool2):
 
 # ---------------------------------------------------------------- non-empty list
 
-def test_fused_refresh_matches_standalone(pool2):
-    mesh = cb.CartesianMesh(4, 4, 4)
-    micro = uniform_micro(mesh, 1000.0, 0.1)
-    cont = make_container(mesh, [(10.0, 10.0, 10.0), (70.0, 70.0, 70.0),
-                                 (30.0, 50.0, 10.0)])
-    cont.nonempty_voxels = []  # stale on purpose
-    lod_step(micro, mesh, 0.1, TraversalMode.OUTER_LOOP, pool2, container=cont)
-    oracle = sorted(v for v, ids in cont.agent.items() if ids)
-    assert cont.nonempty_voxels == oracle
-
-    cont.nonempty_voxels = [999]
-    assert refresh_nonempty_list(cont) == oracle
-    assert cont.nonempty_voxels == oracle
-
-
 def test_nonempty_list_is_ascending_regardless_of_insertion_order(small_mesh):
-    cont = cb.CellContainer(small_mesh)
-    cont.agent = {50: [0], 3: [1]}
-    assert refresh_nonempty_list(cont) == [3, 50]
+    cont = make_container(small_mesh, [(70.0, 70.0, 70.0), (10.0, 10.0, 10.0),
+                                       (30.0, 10.0, 10.0)])
+    assert cont.nonempty_voxels == [0, 1, 63]
 
 
 # ---------------------------------------------------------------- exchange
