@@ -49,7 +49,6 @@ from .harness import (
     SweepResult,
     efficiency_rows,
     ensure_out_dir,
-    region_timing,
     run_id_for,
     sweep,
     uniform_chunk_benchmark,

@@ -4,7 +4,9 @@ Subcommands: `run` (one simulation, timing + efficiency reports), `sweep`
 (strategy x workers matrix with repeats and speedup tables), `verify`
 (bit-identity check between two strategies), and `model` (the analytic
 chunk-count load-balance table).  Exit codes: 0 success, 2 configuration
-error, 3 verification failure, 4 capacity exceeded.
+error, 3 verification failure, 4 capacity exceeded.  Code 2 also covers a
+parameter the model rejects once the run starts (`DomainError`, e.g. a cell
+too large for the voxel binning) and a field gone non-finite (`NumericError`).
 """
 
 from __future__ import annotations
@@ -21,7 +23,13 @@ from .config import (
     load_config,
     parse_strategy_literal,
 )
-from .errors import CapacityError, ConfigError, VerificationFailure
+from .errors import (
+    CapacityError,
+    ConfigError,
+    DomainError,
+    NumericError,
+    VerificationFailure,
+)
 from .harness import (
     SPREAD_WARN,
     efficiency_rows,
@@ -183,7 +191,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
+    except (ConfigError, DomainError, NumericError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except VerificationFailure as exc:

@@ -33,6 +33,9 @@ _TRAVERSAL = {
 }
 _TIMINGS_MODES = ("full", "aggregate", "off")
 
+#: Most diffusion substeps one mechanics step may ask for.
+MAX_SUBSTEPS = 1_000_000
+
 _GRAIN_RE = re.compile(r"^([a-z_]+)(?:\((\d+)\))?$")
 
 
@@ -174,6 +177,10 @@ class RunConfig:
             raise ConfigError("voxel spacing must be > 0")
         if self.cell_count < 0:
             raise ConfigError("cell count must be >= 0")
+        if self.cell_radius <= 0:
+            raise ConfigError("cell radius must be > 0")
+        if min(self.secretion, self.uptake, self.saturation) < 0:
+            raise ConfigError("secretion, uptake and saturation must be >= 0")
         if self.cell_cap < 1:
             raise ConfigError("cell cap must be >= 1")
         if self.steps < 0:
@@ -197,6 +204,9 @@ class RunConfig:
     @property
     def substeps(self) -> int:
         ratio = self.dt_mechanics / self.dt_diffusion
+        if not ratio < MAX_SUBSTEPS + 0.5:  # an infinite ratio fails here too
+            raise ConfigError(f"dt.mechanics / dt.diffusion = {ratio:g} exceeds "
+                              f"{MAX_SUBSTEPS} diffusion substeps per step")
         n = max(1, round(ratio))
         if abs(ratio - n) > 1e-9 * n:
             raise ConfigError(

@@ -168,7 +168,6 @@ class CellContainer:
         self.by_id: dict[int, Cell] = {}
         self.agent: dict[int, list[int]] = {}
         self.nonempty_voxels: list[int] = []
-        self.storage_index: dict[int, int] = {}
         self.next_id = 0
         self.positions_dirty = False
 
@@ -182,14 +181,6 @@ class CellContainer:
         self.by_id[cell.id] = cell
         self.positions_dirty = True
         return cell
-
-    def append_cell(self, cell: Cell) -> None:
-        if cell.id in self.by_id:
-            raise DomainError(f"duplicate cell id {cell.id}")
-        self.next_id = max(self.next_id, cell.id + 1)
-        self.cells.append(cell)
-        self.by_id[cell.id] = cell
-        self.positions_dirty = True
 
     def check_consistent(self) -> None:
         """Verify the container invariants; raises AssertionError on violation."""
@@ -206,15 +197,14 @@ class CellContainer:
 
 
 def rebin_cells(container: CellContainer, mesh: CartesianMesh | None = None) -> CellContainer:
-    """Rebuild the per-voxel agent lists, storage index, and non-empty list.
+    """Rebuild the per-voxel agent lists and the non-empty list.
 
     Serial; the single place where the spatial index is brought back in sync
     with positions after moves or divisions.
     """
     mesh = mesh or container.mesh
     agent: dict[int, list[int]] = {}
-    storage_index: dict[int, int] = {}
-    for idx, cell in enumerate(container.cells):
+    for cell in container.cells:
         v = mesh.voxel_of(cell.position)
         cell.voxel_index = v
         bucket = agent.get(v)
@@ -222,9 +212,7 @@ def rebin_cells(container: CellContainer, mesh: CartesianMesh | None = None) -> 
             agent[v] = [cell.id]
         else:
             bucket.append(cell.id)
-        storage_index[cell.id] = idx
     container.agent = agent
-    container.storage_index = storage_index
     container.nonempty_voxels = sorted(agent)
     container.positions_dirty = False
     return container

@@ -50,52 +50,31 @@ def write_timings_csv(path: str, result: RunResult, run_id: str) -> None:
     mode = result.config.timings
     if mode == "off":
         return
-    workers = result.config.workers
+    if mode == "aggregate":
+        steps = [("all", {region: result.region_totals(region) for region in REGIONS})]
+    else:
+        steps = enumerate(result.step_records)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([
             "run_id", "step", "region", "worker",
             "busy_s", "iterations", "alloc_events", "claims",
         ])
-        if mode == "aggregate":
+        for step, records in steps:
             for region in REGIONS:
-                total = result.region_totals(region)
-                for w in range(workers):
-                    writer.writerow([
-                        run_id, "all", region, w,
-                        f"{total.busy[w]:.9f}", total.iterations[w],
-                        total.alloc_events[w], total.claims[w],
-                    ])
-            return
-        for step, accs in enumerate(result.step_records):
-            for region in REGIONS:
-                acc = accs[region]
-                for w in range(workers):
+                for w, stats in enumerate(records[region].workers):
                     writer.writerow([
                         run_id, step, region, w,
-                        f"{acc.busy[w]:.9f}", acc.iterations[w],
-                        acc.alloc_events[w], acc.claims[w],
+                        f"{stats.busy:.9f}", stats.iterations,
+                        stats.alloc_events, stats.claims,
                     ])
-
-
-def _timing(region: str, total) -> RegionTiming:
-    return RegionTiming(
-        region=region,
-        busy=tuple(total.busy),
-        elapsed=total.elapsed,
-        iterations=tuple(total.iterations),
-    )
-
-
-def region_timing(result: RunResult, region: str) -> RegionTiming:
-    """Whole-run aggregate timing of one region."""
-    return _timing(region, result.region_totals(region))
 
 
 def _active_timings(totals: dict) -> dict:
     """Timings of the regions with busy time, plus their "all" aggregate."""
-    timings = {region: _timing(region, total) for region, total in totals.items()
-               if max(total.busy) > 0.0}
+    timings = {region: timing_from_record(region, total)
+               for region, total in totals.items()
+               if max(w.busy for w in total.workers) > 0.0}
     if timings:
         timings["all"] = aggregate_timings(list(timings.values()), region="all")
     return timings
@@ -107,7 +86,7 @@ def efficiency_rows(result: RunResult, run_id: str,
     axes = dict(zip(("allocation", "traversal", "schedule", "storage"),
                     result.config.strategy.literal().split("/")))
     totals = {region: result.region_totals(region) for region in REGIONS}
-    alloc = {region: sum(total.alloc_events) for region, total in totals.items()}
+    alloc = {region: total.total_alloc_events for region, total in totals.items()}
     alloc["all"] = sum(alloc.values())
     base_timings = {}
     if base is not None:

@@ -173,10 +173,14 @@ def update_velocities(container: CellContainer, mesh: CartesianMesh,
                 memo[cell.voxel_index] = cand
             _cell_velocity(cell, cand, by_id, params, ops, w1, w2)
 
+    kind = schedule.kind
+    voxels = (range(mesh.voxel_count) if kind is ScheduleKind.VOXEL
+              else container.nonempty_voxels)
+
     def voxel_body(lo, hi, ctx):
         ops, w1, w2 = _worker_ops(ctx, alloc_mode)
         get = agent.get
-        for v in range(lo, hi):
+        for v in voxels[lo:hi]:
             bucket = get(v)
             if not bucket:
                 continue
@@ -184,24 +188,12 @@ def update_velocities(container: CellContainer, mesh: CartesianMesh,
             for cid in bucket:
                 _cell_velocity(by_id[cid], cand, by_id, params, ops, w1, w2)
 
-    nonempty = container.nonempty_voxels
-
-    def nonempty_body(lo, hi, ctx):
-        ops, w1, w2 = _worker_ops(ctx, alloc_mode)
-        for v in nonempty[lo:hi]:
-            cand = _voxel_candidates(agent, mesh, v)
-            for cid in agent[v]:
-                _cell_velocity(by_id[cid], cand, by_id, params, ops, w1, w2)
-
-    kind = schedule.kind
     if kind is ScheduleKind.CELL_STATIC:
         return pool.run_static(len(cells), cell_body)
     if kind is ScheduleKind.CELL_DYNAMIC:
         return pool.run_dynamic(len(cells), schedule.grain, cell_body)
-    if kind is ScheduleKind.VOXEL:
-        return pool.run_dynamic(mesh.voxel_count, schedule.grain, voxel_body)
-    if kind is ScheduleKind.NONEMPTY_VOXEL:
-        return pool.run_dynamic(len(nonempty), schedule.grain, nonempty_body)
+    if kind in (ScheduleKind.VOXEL, ScheduleKind.NONEMPTY_VOXEL):
+        return pool.run_dynamic(len(voxels), schedule.grain, voxel_body)
     raise DomainError(f"unknown schedule kind {kind!r}")
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 from .smallvec import AllocationCounter
 
@@ -42,16 +42,33 @@ class WorkerStats:
     claims: int = 0
     alloc_events: int = 0
 
+    def add(self, other: WorkerStats) -> None:
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+
 
 @dataclass
 class RegionRecord:
-    """One parallel dispatch: iteration space, schedulable chunks, per-worker stats."""
+    """Items, schedulable chunks and per-worker stats of one parallel dispatch,
+    or, summed with `add`, of a region over one step or a whole run."""
 
     items: int
     schedulable_chunks: int
     elapsed: float
     workers: list[WorkerStats]
     claim_log: list | None = None
+
+    @classmethod
+    def empty(cls, workers: int) -> RegionRecord:
+        return cls(items=0, schedulable_chunks=0, elapsed=0.0,
+                   workers=[WorkerStats() for _ in range(workers)])
+
+    def add(self, other: RegionRecord) -> None:
+        """Sum items, chunks and per-worker stats; `elapsed` is the caller's."""
+        self.items += other.items
+        self.schedulable_chunks += other.schedulable_chunks
+        for mine, theirs in zip(self.workers, other.workers, strict=True):
+            mine.add(theirs)
 
     @property
     def total_alloc_events(self) -> int:

@@ -137,13 +137,14 @@ def locality_metric(container: CellContainer,
     """Mean storage-index distance between interacting cells.
 
     For each cell with at least one in-range neighbor, take the mean
-    |storage_index(i) - storage_index(j)| over those neighbors; the metric is
-    the mean over such cells, 0.0 when no interacting pair exists.
+    |index(i) - index(j)| over those neighbors, where index is the position in
+    `container.cells`; the metric is the mean over such cells, 0.0 when no
+    interacting pair exists.
     """
     mesh = container.mesh
     agent = container.agent
     by_id = container.by_id
-    sidx = container.storage_index
+    sidx = {cell.id: idx for idx, cell in enumerate(container.cells)}
     m_a = params.adhesion_multiplier
     per_cell: list[float] = []
     for cell in container.cells:

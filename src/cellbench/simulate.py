@@ -24,7 +24,7 @@ from .config import RunConfig
 from .core import CellContainer, Microenvironment, rebin_cells
 from .diffusion import apply_cell_exchange, compute_gradients, lod_step
 from .mechanics import check_binning_exact, integrate_positions, update_velocities
-from .parallel import WorkerPool
+from .parallel import RegionRecord, WorkerPool
 from .population import (
     StorageKind,
     attempt_divisions,
@@ -45,32 +45,19 @@ REGIONS = (
 )
 
 
-class RegionAccum:
-    """Per-step per-region totals: per-worker stats plus wall elapsed."""
+def _add_timed(record: RegionRecord, t0: float, dispatches) -> None:
+    """Add one region call's pool records and its wall time since t0."""
+    for dispatch in dispatches:
+        record.add(dispatch)
+    record.elapsed += time.perf_counter() - t0
 
-    __slots__ = ("busy", "iterations", "claims", "alloc_events",
-                 "elapsed", "schedulable_chunks")
 
-    def __init__(self, workers: int):
-        self.busy = [0.0] * workers
-        self.iterations = [0] * workers
-        self.claims = [0] * workers
-        self.alloc_events = [0] * workers
-        self.elapsed = 0.0
-        self.schedulable_chunks = 0
-
-    def add_record(self, record) -> None:
-        for w, stats in enumerate(record.workers):
-            self.busy[w] += stats.busy
-            self.iterations[w] += stats.iterations
-            self.claims[w] += stats.claims
-            self.alloc_events[w] += stats.alloc_events
-        self.schedulable_chunks += record.schedulable_chunks
-
-    def add_serial(self, seconds: float, iterations: int = 0) -> None:
-        self.busy[0] += seconds
-        self.iterations[0] += iterations
-        self.elapsed += seconds
+def _serial(workers: int, seconds: float, iterations: int) -> RegionRecord:
+    """Record of a serial region: worker 0 was busy for all of it."""
+    record = RegionRecord.empty(workers)
+    record.items = record.workers[0].iterations = iterations
+    record.elapsed = record.workers[0].busy = seconds
+    return record
 
 
 def state_checksum(container: CellContainer) -> str:
@@ -116,22 +103,16 @@ class RunResult:
     container: CellContainer
     micro: Microenvironment
     checksum: str
-    step_records: list  # one {region: RegionAccum} dict per step
+    step_records: list  # one {region: RegionRecord} dict per step
     wall_seconds: float
     final_cell_count: int
     locality: list = field(default_factory=list)  # (step, L) when recorded
 
-    def region_totals(self, region: str) -> RegionAccum:
-        total = RegionAccum(self.config.workers)
+    def region_totals(self, region: str) -> RegionRecord:
+        total = RegionRecord.empty(self.config.workers)
         for step in self.step_records:
-            acc = step[region]
-            for w in range(len(total.busy)):
-                total.busy[w] += acc.busy[w]
-                total.iterations[w] += acc.iterations[w]
-                total.claims[w] += acc.claims[w]
-                total.alloc_events[w] += acc.alloc_events[w]
-            total.elapsed += acc.elapsed
-            total.schedulable_chunks += acc.schedulable_chunks
+            total.add(step[region])
+            total.elapsed += step[region].elapsed
         return total
 
 
@@ -157,57 +138,49 @@ def run_simulation(cfg: RunConfig, record_locality: bool = False) -> RunResult:
     pool = WorkerPool(cfg.workers)
     try:
         for step in range(cfg.steps):
-            accs = {region: RegionAccum(cfg.workers) for region in REGIONS}
+            records = {region: RegionRecord.empty(cfg.workers) for region in REGIONS}
 
             for _ in range(substeps):
                 t0 = clock()
-                rec = apply_cell_exchange(
-                    micro, container, cfg.dt_diffusion,
-                    cfg.secretion, cfg.uptake, cfg.saturation, pool=pool,
-                )
-                accs["exchange"].add_record(rec)
-                accs["exchange"].elapsed += clock() - t0
+                rec = apply_cell_exchange(micro, container, cfg.dt_diffusion, cfg.secretion,
+                                          cfg.uptake, cfg.saturation, pool=pool)
+                _add_timed(records["exchange"], t0, [rec])
 
                 t0 = clock()
-                for rec in lod_step(micro, mesh, cfg.dt_diffusion,
-                                    strat.traversal, pool):
-                    accs["solver"].add_record(rec)
-                accs["solver"].elapsed += clock() - t0
+                recs = lod_step(micro, mesh, cfg.dt_diffusion, strat.traversal, pool)
+                _add_timed(records["solver"], t0, recs)
 
             t0 = clock()
-            for rec in compute_gradients(micro, mesh, strat.traversal, pool):
-                accs["gradients"].add_record(rec)
-            accs["gradients"].elapsed += clock() - t0
+            recs = compute_gradients(micro, mesh, strat.traversal, pool)
+            _add_timed(records["gradients"], t0, recs)
 
             t0 = clock()
             rec = update_velocities(container, mesh, params, strat.schedule,
                                     pool, strat.allocation)
-            accs["velocity"].add_record(rec)
-            accs["velocity"].elapsed += clock() - t0
+            _add_timed(records["velocity"], t0, [rec])
 
             t0 = clock()
             rec = integrate_positions(container, mesh, cfg.dt_mechanics, pool)
-            accs["integrate"].add_record(rec)
-            accs["integrate"].elapsed += clock() - t0
+            _add_timed(records["integrate"], t0, [rec])
 
             t0 = clock()
             rebin_cells(container)
-            accs["rebin"].add_serial(clock() - t0, iterations=len(container))
+            records["rebin"] = _serial(cfg.workers, clock() - t0, len(container))
 
             t0 = clock()
             daughters = attempt_divisions(container, cfg.seed, cfg.dt_mechanics,
                                           mesh, step, cap=cfg.cell_cap)
-            accs["divide"].add_serial(clock() - t0, iterations=len(daughters))
+            records["divide"] = _serial(cfg.workers, clock() - t0, len(daughters))
 
             if sorted_storage and (step + 1) % resort_every == 0:
                 t0 = clock()
                 sort_cells_by_voxel(container)
-                accs["resort"].add_serial(clock() - t0, iterations=len(container))
+                records["resort"] = _serial(cfg.workers, clock() - t0, len(container))
 
             if record_locality:
                 locality.append((step, locality_metric(container, params)))
 
-            step_records.append(accs)
+            step_records.append(records)
             micro.check_state()
     finally:
         pool.shutdown()

@@ -31,7 +31,6 @@ from cellbench import (
     lod_step,
     parallel_efficiency,
     parse_strategy_literal,
-    region_timing,
     run_simulation,
     scalabilities,
     uniform_chunk_benchmark,
@@ -125,7 +124,7 @@ def test_criterion_3_efficiency_identities():
     ))
     checked = 0
     for region in cb.REGIONS:
-        t = region_timing(result, region)
+        t = cb.timing_from_record(region, result.region_totals(region))
         if max(t.busy) == 0.0:
             continue
         assert parallel_efficiency(t) == load_balance(t) * communication_efficiency(t)
@@ -269,8 +268,7 @@ def test_criterion_6_growth_and_locality():
         n_before = len(cont)
         daughters = cb.attempt_divisions(cont, append_cfg.seed,
                                          append_cfg.dt_mechanics, mesh, step)
-        got = [cont.storage_index[d.id] for d in daughters]
-        assert got == list(range(n_before, n_before + len(daughters)))
+        assert cont.cells[n_before:] == daughters
         total_daughters += len(daughters)
     assert total_daughters == ra.final_cell_count - 60
 

@@ -3,10 +3,15 @@
 `bench/` rebinds module-level names of the package to time each layer.  A
 renamed or deleted name, or a layer that stops going through the module
 name, would silently drop out of the traced breakdown; these tests fail
-instead.  The bench modules are imported from their files, unedited.
+instead.  `bench/run.py` also reads fields of a run's result (the
+step records, the pool records, the report writers); a change to those
+types fails here rather than in the benchmark pipeline.  The bench modules
+are imported from their files, unedited.
 """
 
+import dataclasses
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -27,6 +32,16 @@ def load_bench_module(name):
 
 tracing = load_bench_module("tracing")
 workloads = load_bench_module("workloads")
+sys.path.insert(0, str(BENCH))  # run.py imports its siblings by name
+bench_run = load_bench_module("run")
+
+
+def two_step_config():
+    return cb.RunConfig(
+        nx=5, ny=5, nz=5, cell_count=30, steps=2, seed=3,
+        seed_box=(10.0, 10.0, 10.0, 90.0, 90.0, 90.0),
+        strategy=cb.parse_strategy_literal("inplace/outer/cell_static/sorted(1)"),
+    )
 
 
 @pytest.mark.parametrize("module, attr", [(m, a) for m, a, _ in tracing.WRAPPED],
@@ -36,11 +51,7 @@ def test_every_wrapped_name_resolves(module, attr):
 
 
 def test_traced_run_records_every_layer():
-    cfg = cb.RunConfig(
-        nx=5, ny=5, nz=5, cell_count=30, steps=2, seed=3,
-        seed_box=(10.0, 10.0, 10.0, 90.0, 90.0, 90.0),
-        strategy=cb.parse_strategy_literal("inplace/outer/cell_static/sorted(1)"),
-    )
+    cfg = two_step_config()
     tracer = tracing.Tracer(cb)
     traced = tracer.run(cfg)
     required = set(workloads.ALWAYS_RUN)
@@ -50,3 +61,22 @@ def test_traced_run_records_every_layer():
     # the wrappers are restored and change nothing
     assert cb.simulate.lod_step is cb.diffusion.lod_step
     assert traced.checksum == cb.run_simulation(cfg).checksum
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_bench_run_reads_finite_numbers_from_a_run(tmp_path, workers):
+    cfg = dataclasses.replace(two_step_config(), workers=workers)
+    ledger = bench_run.Ledger()
+    sample = bench_run.untraced_run(cb, cfg, ledger, None)
+    assert ledger.problems == []
+    assert len(sample["step_s"]) == cfg.steps
+    tracer = bench_run.Tracer(cb)
+    result = tracer.run(cfg)
+    traced = bench_run.traced_sample(cb, tracer, cfg, result)
+    report = bench_run.report_seconds(cb, cfg, result, tmp_path)
+    numbers = [sample["wall_s"], sample["cpu_s"], sample["loop_overhead_s"],
+               *sample["step_s"], *traced["times"].values(),
+               *traced["counts"].values(), report]
+    assert all(math.isfinite(x) for x in numbers)
+    assert traced["counts"]["parallel.claims"] > 0
+    assert (tmp_path / "timings.csv").exists() and (tmp_path / "efficiency.csv").exists()

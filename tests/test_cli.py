@@ -73,6 +73,25 @@ def test_non_finite_value_is_a_config_error(cfg_file, capsys, setting):
     assert "must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("settings", [
+    ["substrate.uptake=-1000"],
+    ["substrate.decay=-1"],
+    ["forces.multiplier=0.5"],
+    ["forces.repulsion=-1"],
+    ["cells.radius=15"],  # reach 37.5 um > 20 um voxel edge
+    ["cells.radius=-3"],
+    ["substrate.secretion=-1"],
+    ["substrate.saturation=-1"],
+    ["substrate.secretion=1e300", "substrate.saturation=1e300"],  # field overflows
+], ids=" ".join)
+def test_out_of_domain_value_is_a_config_error(cfg_file, tmp_path, capsys, settings):
+    argv = ["run", "--config", cfg_file, "--out", str(tmp_path / "o"), "--set", "steps=1"]
+    for setting in settings:
+        argv += ["--set", setting]
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
 def test_malformed_set_flag(cfg_file, capsys):
     assert run_cli("run", "--config", cfg_file, "--set", "steps") == 2
 

@@ -1,5 +1,7 @@
 """Config file parsing, strategy literals, and override layering."""
 
+from pathlib import Path
+
 import pytest
 
 import cellbench as cb
@@ -17,6 +19,7 @@ from cellbench import (
     parse_config_text,
     parse_strategy_literal,
 )
+from cellbench.config import MAX_SUBSTEPS
 
 
 # ---------------------------------------------------------------- literals
@@ -151,6 +154,27 @@ def test_diffusion_step_cannot_exceed_mechanics_step():
         RunConfig(dt_mechanics=0.1, dt_diffusion=0.2)
 
 
+def test_substep_count_is_bounded():
+    # constructing the config is the whole check: a run would never end
+    assert RunConfig(dt_mechanics=MAX_SUBSTEPS * 0.125, dt_diffusion=0.125).substeps \
+        == MAX_SUBSTEPS
+    for dt_mechanics, dt_diffusion in [((MAX_SUBSTEPS + 1) * 0.125, 0.125),
+                                       (1e300, 0.1), (1e300, 1e-300)]:
+        with pytest.raises(ConfigError, match="substeps"):
+            RunConfig(dt_mechanics=dt_mechanics, dt_diffusion=dt_diffusion)
+
+
+@pytest.mark.parametrize("field", ["cell_radius", "secretion", "uptake", "saturation"])
+def test_negative_cell_and_exchange_parameters_raise(field):
+    with pytest.raises(ConfigError):
+        RunConfig(**{field: -3.0})
+    if field == "cell_radius":
+        with pytest.raises(ConfigError):
+            RunConfig(cell_radius=0.0)
+    else:
+        RunConfig(**{field: 0.0})
+
+
 def test_basic_field_validation():
     with pytest.raises(ConfigError):
         RunConfig(nx=0)
@@ -173,3 +197,21 @@ def test_mesh_and_params_builders():
     mesh = cfg.mesh()
     assert (mesh.nx, mesh.ny, mesh.nz) == (5, 6, 7)
     assert cfg.interaction_params().repulsion == 3.0
+
+
+def test_readme_lists_the_true_defaults():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("Keys and defaults:\n\n```\n", 1)[1].split("```", 1)[0]
+    documented = {}
+    for line in block.splitlines():
+        keys, sep, rest = line.partition("=")
+        if sep:  # the strategy.* keys point at the strategy table instead
+            for key in keys.split("/"):
+                documented[key.strip()] = rest.split()[0]
+    actual = dict(line.split(" = ", 1) for line in format_config(RunConfig()).splitlines())
+    # these default to empty; the README shows their format instead
+    for key in ("cells.box", "sweep.strategies"):
+        assert actual.pop(key) == ""
+        documented.pop(key)
+    actual = {k: v for k, v in actual.items() if not k.startswith("strategy.")}
+    assert documented == actual

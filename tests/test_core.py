@@ -138,7 +138,7 @@ def test_new_cell_assigns_sequential_ids(small_mesh):
     assert cont.by_id[a.id] is a
     assert cont.positions_dirty
     cb.rebin_cells(cont)
-    assert cont.storage_index[b.id] == 1
+    assert cont.cells.index(b) == 1
     assert not cont.positions_dirty
 
 
@@ -166,7 +166,7 @@ def test_rebin_preserves_storage_order_within_voxel(small_mesh):
     cont.cells.reverse()
     cb.rebin_cells(cont)
     assert cont.agent[a.voxel_index] == [b.id, a.id]
-    assert cont.storage_index == {b.id: 0, a.id: 1}
+    assert [c.id for c in cont.cells] == [b.id, a.id]
 
 
 def test_check_consistent_detects_stale_bin(small_mesh):

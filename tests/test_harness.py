@@ -1,7 +1,10 @@
 """Report writers, sweep bookkeeping, and the equivalence verifier."""
 
 import csv
+import dataclasses
+import hashlib
 import os
+import time
 
 import pytest
 
@@ -233,3 +236,99 @@ def test_ensure_out_dir(tmp_path):
     target = tmp_path / "a" / "b"
     assert ensure_out_dir(str(target)) == str(target)
     assert os.path.isdir(target)
+
+
+# ---------------------------------------------------------------- accounting pin
+
+class TickClock:
+    """Deterministic stand-in for time.perf_counter: each call advances one
+    dyadic tick, so every sum of durations is exact in any order."""
+
+    def __init__(self):
+        self.ticks = 0
+
+    def __call__(self):
+        self.ticks += 1
+        return self.ticks / 1024.0
+
+
+ACCOUNTING_RUNS = {
+    "cell_static": dict(),
+    "cell_dynamic": dict(strategy=parse_strategy_literal(
+        "temp/outer/cell_dynamic(4)/append")),
+    "voxel": dict(strategy=parse_strategy_literal(
+        "inplace/collapsed/voxel(8)/append")),
+    "nonempty_voxel": dict(strategy=parse_strategy_literal(
+        "temp/outer/nonempty_voxel(4)/append")),
+    "divide_sorted": dict(division_rate=0.4, steps=4, strategy=parse_strategy_literal(
+        "temp/collapsed/cell_static/sorted(2)")),
+    "no_cells": dict(cell_count=0),
+}
+
+#: sha256 prefixes of the report files of each run under TickClock.
+ACCOUNTING_DIGESTS = {
+    "cell_static": {
+        "timings_full": "515705d8d6306882",
+        "timings_aggregate": "1507447ea99ebf9c",
+        "efficiency": "48e5ae2a7c893a8c",
+        "efficiency_base": "77bf9db4df72fbbc",
+    },
+    "cell_dynamic": {
+        "timings_full": "f351de0fdd2022bb",
+        "timings_aggregate": "3eb3ffec1e329504",
+        "efficiency": "d83917860e5d1b11",
+        "efficiency_base": "a8550862e8ccd7e2",
+    },
+    "voxel": {
+        "timings_full": "bd115552f45aa023",
+        "timings_aggregate": "87d6fa4aec6bc966",
+        "efficiency": "e20a313f7a808080",
+        "efficiency_base": "5333a20011148fb2",
+    },
+    "nonempty_voxel": {
+        "timings_full": "a231086634ed7433",
+        "timings_aggregate": "c5b4954c30c80595",
+        "efficiency": "2140d5b28ebc003f",
+        "efficiency_base": "b6e604ff9c38b3ed",
+    },
+    "divide_sorted": {
+        "timings_full": "0b2d87098ad0571b",
+        "timings_aggregate": "278e75e0a4bd8a6a",
+        "efficiency": "cdb5529949aee392",
+        "efficiency_base": "61ce305345360f4b",
+    },
+    "no_cells": {
+        "timings_full": "bb30d202c31e174b",
+        "timings_aggregate": "1f02321f2cffe60f",
+        "efficiency": "ebd3eb267044bac8",
+        "efficiency_base": "c323bda7823b9927",
+    },
+}
+
+
+def _report_digests(tmp_path, result, base):
+    def digest(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+
+    out = {}
+    for mode in ("full", "aggregate"):
+        view = dataclasses.replace(
+            result, config=dataclasses.replace(result.config, timings=mode))
+        path = tmp_path / f"timings-{mode}.csv"
+        write_timings_csv(str(path), view, "pin")
+        out[f"timings_{mode}"] = digest(path)
+    for name, against in (("efficiency", None), ("efficiency_base", base)):
+        path = tmp_path / f"{name}.csv"
+        write_efficiency_csv(str(path), efficiency_rows(result, "pin", base=against))
+        out[name] = digest(path)
+    return out
+
+
+@pytest.mark.parametrize("name", list(ACCOUNTING_RUNS))
+def test_report_files_are_pinned_under_a_deterministic_clock(tmp_path, monkeypatch, name):
+    # one worker only: with more, which thread reads the shared clock next
+    # depends on which claims the next chunk
+    monkeypatch.setattr(time, "perf_counter", TickClock())
+    base = run_simulation(tiny_config(timings="full"))
+    result = run_simulation(tiny_config(timings="full", **ACCOUNTING_RUNS[name]))
+    assert _report_digests(tmp_path, result, base) == ACCOUNTING_DIGESTS[name]

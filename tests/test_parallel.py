@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cellbench import AllocationMode, WorkerPool, static_ranges, vector_ops
+from cellbench import (
+    AllocationMode,
+    RegionRecord,
+    WorkerPool,
+    WorkerStats,
+    static_ranges,
+    vector_ops,
+)
 
 
 # ---------------------------------------------------------------- splits
@@ -135,6 +142,21 @@ def test_allocation_events_are_harvested_per_worker():
         # counters reset at every dispatch: an allocation-free body reads zero
         record = pool.run_static(6, lambda lo, hi, ctx: None)
         assert record.total_alloc_events == 0
+
+
+def test_records_sum_every_worker_field_but_not_elapsed():
+    a = RegionRecord(items=4, schedulable_chunks=2, elapsed=1.0,
+                     workers=[WorkerStats(0.5, 3, 1, 7), WorkerStats(0.25, 1, 1, 0)])
+    b = RegionRecord(items=6, schedulable_chunks=3, elapsed=2.0,
+                     workers=[WorkerStats(0.125, 2, 2, 1), WorkerStats(1.0, 4, 1, 2)])
+    total = RegionRecord.empty(2)
+    total.add(a)
+    total.add(b)
+    assert (total.items, total.schedulable_chunks, total.elapsed) == (10, 5, 0.0)
+    assert total.workers == [WorkerStats(0.625, 5, 3, 8), WorkerStats(1.25, 5, 2, 2)]
+    assert a.workers[0] == WorkerStats(0.5, 3, 1, 7)  # the summands are unchanged
+    with pytest.raises(ValueError):
+        total.add(RegionRecord.empty(3))  # worker counts must match
 
 
 # ---------------------------------------------------------------- errors

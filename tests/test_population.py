@@ -73,7 +73,7 @@ def test_certain_division_doubles_the_population(small_mesh):
     # fresh ids above every existing id, assigned in parent-id order
     assert [d.id for d in daughters] == list(range(6, 12))
     # appended at the end: the highest storage indices, in order
-    assert [cont.storage_index[d.id] for d in daughters] == list(range(6, 12))
+    assert cont.cells[6:] == daughters
 
 
 def test_daughter_copies_parent_and_sits_half_radius_away(small_mesh):
@@ -159,7 +159,7 @@ def test_sort_cells_by_voxel_orders_storage(small_mesh):
     cb.rebin_cells(cont)
     sort_cells_by_voxel(cont)
     assert [x.id for x in cont.cells] == [b.id, c.id, a.id]
-    assert cont.storage_index[a.id] == 2
+    assert cont.cells[2] is a
     cont.check_consistent()
     # idempotent
     sort_cells_by_voxel(cont)

@@ -55,13 +55,13 @@ def test_worker_count_does_not_change_the_checksum():
 def test_every_region_is_recorded_every_step():
     result = run_simulation(tiny_config())
     assert len(result.step_records) == 4
-    for accs in result.step_records:
-        assert set(accs) == set(REGIONS)
+    for records in result.step_records:
+        assert set(records) == set(REGIONS)
         # inactive regions still report, as zeros
-        assert sum(accs["divide"].iterations) == 0
-        assert accs["resort"].elapsed == 0.0
-        assert sum(accs["velocity"].iterations) == 30
-        assert sum(accs["rebin"].iterations) == 30
+        assert records["divide"].total_iterations == 0
+        assert records["resort"].elapsed == 0.0
+        assert records["velocity"].total_iterations == 30
+        assert records["rebin"].total_iterations == 30
 
 
 def test_division_growth_is_accounted():
@@ -69,8 +69,8 @@ def test_division_growth_is_accounted():
     result = run_simulation(cfg)
     assert result.final_cell_count > 30
     assert result.final_cell_count == len(result.container.cells)
-    divided = sum(sum(accs["divide"].iterations)
-                  for accs in result.step_records)
+    divided = sum(records["divide"].total_iterations
+                  for records in result.step_records)
     assert divided == result.final_cell_count - 30
 
 
@@ -78,10 +78,10 @@ def test_substeps_multiply_solver_dispatches():
     cfg = tiny_config(dt_mechanics=0.2, dt_diffusion=0.1, steps=1)
     assert cfg.substeps == 2
     result = run_simulation(cfg)
-    accs = result.step_records[0]
+    records = result.step_records[0]
     # outer traversal on a 5^3 mesh: 5 + 5 + 5 slabs per sweep pass
-    assert accs["solver"].schedulable_chunks == 2 * 15
-    assert accs["gradients"].schedulable_chunks == 5  # once per step
+    assert records["solver"].schedulable_chunks == 2 * 15
+    assert records["gradients"].schedulable_chunks == 5  # once per step
 
 
 def test_resort_cadence_follows_the_period():
@@ -90,8 +90,8 @@ def test_resort_cadence_follows_the_period():
         strategy=cb.parse_strategy_literal("inplace/outer/cell_static/sorted(2)"),
     )
     result = run_simulation(cfg)
-    active = [i for i, accs in enumerate(result.step_records)
-              if sum(accs["resort"].iterations) > 0]
+    active = [i for i, records in enumerate(result.step_records)
+              if records["resort"].total_iterations > 0]
     assert active == [1, 3]
 
 
@@ -104,8 +104,8 @@ def test_locality_recording():
 def test_region_totals_accumulate_across_steps():
     result = run_simulation(tiny_config())
     total = result.region_totals("velocity")
-    assert sum(total.iterations) == 4 * 30
-    assert total.elapsed >= max(total.busy)
+    assert total.total_iterations == 4 * 30
+    assert total.elapsed >= max(w.busy for w in total.workers)
 
 
 def test_binning_guard_blocks_oversized_cells():
