@@ -4,9 +4,12 @@ Subcommands: `run` (one simulation, timing + efficiency reports), `sweep`
 (strategy x workers matrix with repeats and speedup tables), `verify`
 (bit-identity check between two strategies), and `model` (the analytic
 chunk-count load-balance table).  Exit codes: 0 success, 2 configuration
-error, 3 verification failure, 4 capacity exceeded.  Code 2 also covers a
-parameter the model rejects once the run starts (`DomainError`, e.g. a cell
-too large for the voxel binning) and a field gone non-finite (`NumericError`).
+error, 3 verification failure, 4 capacity exceeded, 5 internal error.  Code 2
+also covers a parameter the model rejects once the run starts (`DomainError`,
+e.g. a cell too large for the voxel binning) and a field gone non-finite
+(`NumericError`).  Code 5 is any other package error (`ContainerStateError`,
+`InconsistentTraceError`, `UndefinedMetricError`): a broken invariant of the
+program, not of the input.  Each error prints one line on stderr.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .config import (
 )
 from .errors import (
     CapacityError,
+    CellBenchError,
     ConfigError,
     DomainError,
     NumericError,
@@ -48,6 +52,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_VERIFY = 3
 EXIT_CAPACITY = 4
+EXIT_INTERNAL = 5
 
 
 def _parse_sets(pairs: list[str]) -> dict:
@@ -200,6 +205,9 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
+    except CellBenchError as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

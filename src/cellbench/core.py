@@ -9,7 +9,7 @@ the slowest-varying axis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,6 +33,8 @@ class CartesianMesh:
 
     Voxel boxes are half-open per axis, [lo, hi), so every in-bounds point maps
     to exactly one voxel and points on the global upper faces are rejected.
+    `neighbour_table` caches `neighbours(v)` for the voxels asked about so far;
+    it takes no part in equality, hashing or repr.
     """
 
     nx: int
@@ -42,6 +44,8 @@ class CartesianMesh:
     dy: float = 20.0
     dz: float = 20.0
     origin: tuple = (0.0, 0.0, 0.0)
+    neighbour_table: dict = field(default_factory=dict, init=False,
+                                  compare=False, repr=False)
 
     def __post_init__(self):
         if min(self.nx, self.ny, self.nz) < 1:
@@ -69,6 +73,27 @@ class CartesianMesh:
         ix = v % self.nx
         rest = v // self.nx
         return (ix, rest % self.ny, rest // self.ny)
+
+    def neighbours(self, v: int) -> tuple:
+        """Ascending flat indices of the Moore 3x3x3 neighbourhood of v, v included.
+
+        The neighbourhood is clipped at the mesh faces.  Entries are computed on
+        first request only; an eager table for a large mesh would cost tens of
+        MiB for voxels no cell ever enters.  Two workers filling the same entry
+        at once compute the same tuple, so the race is harmless.
+        """
+        hood = self.neighbour_table.get(v)
+        if hood is None:
+            nx, ny = self.nx, self.ny
+            ix, iy, iz = self.unflatten(v)
+            hood = tuple(
+                x + nx * (y + ny * z)
+                for z in range(max(iz - 1, 0), min(iz + 2, self.nz))
+                for y in range(max(iy - 1, 0), min(iy + 2, ny))
+                for x in range(max(ix - 1, 0), min(ix + 2, nx))
+            )
+            self.neighbour_table[v] = hood
+        return hood
 
     def voxel_of(self, position) -> int:
         """Flat voxel index of an in-bounds position; DomainError otherwise."""

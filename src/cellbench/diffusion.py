@@ -18,12 +18,13 @@ the schedule affects only load balance, not results.
 from __future__ import annotations
 
 import enum
+import math
 from functools import lru_cache
 
 import numpy as np
 
 from .core import CartesianMesh, CellContainer, Microenvironment
-from .errors import DomainError
+from .errors import DomainError, NumericError
 from .parallel import RegionRecord, WorkerPool
 
 
@@ -127,7 +128,9 @@ def apply_cell_exchange(micro: Microenvironment, container: CellContainer, dt: f
 
     Within a voxel, cells apply in ascending id order, so the result does not
     depend on the container's storage order.  Voxels are independent, so the
-    non-empty list parallelizes without conflicts.
+    non-empty list parallelizes without conflicts.  A density that leaves the
+    finite range raises `NumericError` before it is written, so no later
+    region of the step computes with it.
     """
     if dt <= 0.0:
         raise DomainError("exchange needs dt > 0")
@@ -147,6 +150,8 @@ def apply_cell_exchange(micro: Microenvironment, container: CellContainer, dt: f
                 if den <= 0.0:
                     raise DomainError("exchange denominator must stay positive")
                 rho = (rho + f * secretion * saturation) / den
+            if not math.isfinite(rho):
+                raise NumericError(f"substrate density in voxel {v} left the finite range")
             dens[v] = rho
 
     if pool is None:

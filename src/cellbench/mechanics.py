@@ -8,9 +8,10 @@ the result bit-identical across schedules, worker counts, storage orders, and
 allocation modes: the strategies may only move work around, never change it.
 
 Candidate neighbors come from the container's voxel bins over the Moore
-3x3x3 neighborhood.  Binning is exact, not approximate, provided the voxel
-edge is at least the largest interaction range (checked by
-`check_binning_exact` at run start).
+3x3x3 neighborhood, whose voxel indices are read from the mesh's lazily
+cached neighbour table (`CartesianMesh.neighbours`).  Binning is exact, not
+approximate, provided the voxel edge is at least the largest interaction
+range (checked by `check_binning_exact` at run start).
 
 Schedules:
 * CellStatic       -- even contiguous split of the cell vector;
@@ -97,18 +98,12 @@ def check_binning_exact(container: CellContainer, mesh: CartesianMesh,
 
 def _voxel_candidates(agent: dict, mesh: CartesianMesh, v: int) -> list[int]:
     """Ascending ids of all cells in the 3x3x3 voxel neighborhood of v."""
-    nx, ny, nz = mesh.nx, mesh.ny, mesh.nz
-    ix, iy, iz = mesh.unflatten(v)
     ids: list[int] = []
     get = agent.get
-    for z in range(max(iz - 1, 0), min(iz + 2, nz)):
-        zoff = nx * ny * z
-        for y in range(max(iy - 1, 0), min(iy + 2, ny)):
-            yoff = zoff + nx * y
-            for x in range(max(ix - 1, 0), min(ix + 2, nx)):
-                bucket = get(yoff + x)
-                if bucket:
-                    ids.extend(bucket)
+    for u in mesh.neighbours(v):
+        bucket = get(u)
+        if bucket:
+            ids.extend(bucket)
     ids.sort()
     return ids
 

@@ -5,8 +5,10 @@ renamed or deleted name, or a layer that stops going through the module
 name, would silently drop out of the traced breakdown; these tests fail
 instead.  `bench/run.py` also reads fields of a run's result (the
 step records, the pool records, the report writers); a change to those
-types fails here rather than in the benchmark pipeline.  The bench modules
-are imported from their files, unedited.
+types fails here rather than in the benchmark pipeline.  The gated
+workloads must reproduce their pinned golden values, so a change that shifts
+every strategy alike fails here too.  The bench modules are imported from
+their files, unedited.
 """
 
 import dataclasses
@@ -61,6 +63,14 @@ def test_traced_run_records_every_layer():
     # the wrappers are restored and change nothing
     assert cb.simulate.lod_step is cb.diffusion.lod_step
     assert traced.checksum == cb.run_simulation(cfg).checksum
+
+
+@pytest.mark.parametrize("name", ["mesh", "growth"])
+def test_workload_reproduces_its_golden_values(name):
+    wl = workloads.WORKLOADS[name]
+    result = cb.run_simulation(wl.config(cb, wl.run_seed(cb, wl.default_seed)))
+    assert result.checksum == wl.golden_checksum
+    assert result.final_cell_count == wl.golden_cells
 
 
 @pytest.mark.parametrize("workers", [1, 2])

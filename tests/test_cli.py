@@ -2,11 +2,18 @@
 
 import subprocess
 import sys
+import warnings
 
 import pytest
 
 import cellbench.cli as cli
-from cellbench import EquivalenceReport, load_config
+from cellbench import (
+    ContainerStateError,
+    EquivalenceReport,
+    InconsistentTraceError,
+    UndefinedMetricError,
+    load_config,
+)
 
 CFG_TEXT = """
 mesh.nx = 5
@@ -90,6 +97,30 @@ def test_out_of_domain_value_is_a_config_error(cfg_file, tmp_path, capsys, setti
         argv += ["--set", setting]
     assert run_cli(*argv) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_overflowing_exchange_stops_before_numpy_sees_it(cfg_file, tmp_path, capsys):
+    # the exchange raises at the first non-finite density, so neither the
+    # solver nor the gradients ever compute with inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli("run", "--config", cfg_file, "--out", str(tmp_path / "o"),
+                       "--set", "substrate.secretion=1e300",
+                       "--set", "substrate.saturation=1e300")
+    assert code == 2
+    assert "left the finite range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [ContainerStateError, InconsistentTraceError,
+                                   UndefinedMetricError], ids=lambda e: e.__name__)
+def test_other_package_errors_are_internal_errors(cfg_file, capsys, monkeypatch, error):
+    def broken(args):
+        raise error("invariant broken")
+
+    monkeypatch.setattr(cli, "_cmd_run", broken)
+    assert run_cli("run", "--config", cfg_file) == 5
+    err = capsys.readouterr().err
+    assert err == f"internal error: {error.__name__}: invariant broken\n"
 
 
 def test_malformed_set_flag(cfg_file, capsys):

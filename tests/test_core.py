@@ -47,6 +47,16 @@ def test_flatten_is_bijective(nx, ny, nz):
     assert seen == set(range(mesh.voxel_count))
 
 
+def test_neighbour_table_is_not_part_of_mesh_identity():
+    mesh = cb.CartesianMesh(3, 2, 1)
+    assert mesh.neighbours(0) == (0, 1, 3, 4)
+    assert mesh.neighbour_table == {0: (0, 1, 3, 4)}
+    fresh = cb.CartesianMesh(3, 2, 1)
+    assert fresh.neighbour_table == {}
+    assert mesh == fresh and hash(mesh) == hash(fresh)
+    assert repr(mesh) == repr(fresh)
+
+
 def test_voxel_of_half_open_boxes():
     mesh = cb.CartesianMesh(3, 3, 3)
     # Lower face belongs to the voxel, upper face to the next one.

@@ -185,6 +185,38 @@ def test_schedule_validation():
     assert MechanicsSchedule.cell_dynamic().grain == 16
 
 
+# ---------------------------------------------------------------- neighbour walk
+
+def _moore_adjacent(mesh, u, v):
+    return all(abs(a - b) <= 1 for a, b in zip(mesh.unflatten(u), mesh.unflatten(v)))
+
+
+@given(
+    st.integers(1, 5), st.integers(1, 5), st.integers(1, 5),
+    st.lists(st.tuples(*[st.floats(0.0, 1.0)] * 3), max_size=24),
+)
+def test_neighbour_table_and_candidates_match_brute_force(nx, ny, nz, fractions):
+    # every voxel of a mesh up to 5 per axis: each face, edge and corner,
+    # and the n=1 axes whose neighbourhood is clipped on both sides
+    from cellbench.mechanics import _voxel_candidates
+
+    mesh = cb.CartesianMesh(nx, ny, nz)
+    ux, uy, uz = mesh.upper
+    positions = []
+    for fx, fy, fz in fractions:
+        p = [fx * ux, fy * uy, fz * uz]
+        mesh.clamp_inside(p)
+        positions.append(p)
+    cont = make_container(mesh, positions)
+    for v in range(mesh.voxel_count):
+        hood = [u for u in range(mesh.voxel_count) if _moore_adjacent(mesh, u, v)]
+        brute = [c.id for c in cont.cells
+                 if _moore_adjacent(mesh, mesh.voxel_of(c.position), v)]
+        assert _voxel_candidates(cont.agent, mesh, v) == brute
+        assert mesh.neighbour_table[v] == tuple(hood)
+    assert sorted(mesh.neighbour_table) == list(range(mesh.voxel_count))
+
+
 # ---------------------------------------------------------------- accounting
 
 def temp_event_oracle(cont, mesh, params):

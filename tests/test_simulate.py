@@ -74,6 +74,32 @@ def test_division_growth_is_accounted():
     assert divided == result.final_cell_count - 30
 
 
+@pytest.mark.parametrize("strategy", ["inplace/outer/cell_static/append",
+                                      "temp/collapsed/voxel(64)/sorted(3)"])
+def test_neighbour_table_holds_only_voxels_that_held_cells(monkeypatch, strategy):
+    # 64^3 = 262,144 voxels; the table may grow only with the voxels cells
+    # actually occupied, whatever the schedule walks
+    ever_nonempty = set()
+
+    def recording(rebin):
+        def rebin_and_record(container, mesh=None):
+            out = rebin(container, mesh)
+            ever_nonempty.update(container.nonempty_voxels)
+            return out
+        return rebin_and_record
+
+    for module in (cb.simulate, cb.population):
+        monkeypatch.setattr(module, "rebin_cells", recording(module.rebin_cells))
+    cfg = RunConfig(nx=64, ny=64, nz=64, cell_count=6, steps=8, seed=3,
+                    division_rate=0.5, seed_box=(20.0, 20.0, 20.0, 100.0, 100.0, 100.0),
+                    strategy=cb.parse_strategy_literal(strategy))
+    result = run_simulation(cfg, record_locality=True)
+    assert result.final_cell_count > 6
+    table = result.container.mesh.neighbour_table
+    assert 0 < len(table) <= len(ever_nonempty)
+    assert set(table) <= ever_nonempty
+
+
 def test_substeps_multiply_solver_dispatches():
     cfg = tiny_config(dt_mechanics=0.2, dt_diffusion=0.1, steps=1)
     assert cfg.substeps == 2
