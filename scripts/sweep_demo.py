@@ -41,9 +41,10 @@ def main() -> int:
     cfg = RunConfig(
         cell_count=args.cells, steps=args.steps, seed=args.seed,
         seed_box=(20.0, 20.0, 20.0, 300.0, 300.0, 300.0),
+        sweep_strategies=tuple(STRATEGIES), sweep_workers=tuple(args.workers),
+        sweep_repeats=args.repeats,
     )
-    result = sweep(cfg, strategies=STRATEGIES, workers_list=args.workers,
-                   repeats=args.repeats)
+    result = sweep(cfg)
 
     ensure_out_dir(args.out)
     tsv = os.path.join(args.out, "speedup.tsv")

@@ -96,13 +96,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _load(args)
-    repeats = args.repeats or None
-    workers = [int(w) for w in args.workers.split(",")] if args.workers else None
-    strategies = ([s.strip() for s in args.strategies.split(";") if s.strip()]
-                  if args.strategies else None)
-    result = sweep(cfg, strategies=strategies, workers_list=workers,
-                   repeats=repeats, baseline=args.baseline)
+    matrix = {"sweep.workers": args.workers, "sweep.repeats": args.repeats,
+              "sweep.strategies": args.strategies}
+    cfg = build_config({k: v for k, v in matrix.items() if v is not None}, base=_load(args))
+    result = sweep(cfg, baseline=args.baseline)
     out = ensure_out_dir(cfg.out)
     write_efficiency_csv(os.path.join(out, "efficiency.csv"), result.efficiency_rows)
     write_speedup_tsv(os.path.join(out, "speedup.tsv"), result)
@@ -168,10 +165,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run a strategy x workers matrix")
     common(p_sweep)
-    p_sweep.add_argument("--repeats", type=int, default=0,
-                         help="runs per cell (default from config)")
-    p_sweep.add_argument("--workers", help="comma list, e.g. 1,2,4,8")
-    p_sweep.add_argument("--strategies", help="semicolon-separated strategy literals")
+    p_sweep.add_argument("--repeats", help="runs per cell (overrides sweep.repeats)")
+    p_sweep.add_argument("--workers",
+                         help="comma list, e.g. 1,2,4,8 (overrides sweep.workers)")
+    p_sweep.add_argument("--strategies", help="semicolon-separated strategy literals "
+                                              "(overrides sweep.strategies)")
     p_sweep.add_argument("--baseline", help="baseline strategy literal")
     p_sweep.set_defaults(fn=_cmd_sweep)
 

@@ -35,6 +35,10 @@ _TIMINGS_MODES = ("full", "aggregate", "off")
 
 #: Most diffusion substeps one mechanics step may ask for.
 MAX_SUBSTEPS = 1_000_000
+#: Most worker threads one run may start.
+MAX_WORKERS = 256
+#: Most mesh voxels (nx * ny * nz); a density field this large is 128 MiB.
+MAX_VOXELS = 2 ** 24
 
 _GRAIN_RE = re.compile(r"^([a-z_]+)(?:\((\d+)\))?$")
 
@@ -173,6 +177,9 @@ class RunConfig:
             raise ConfigError(f"seed box must be finite, got {self.seed_box}")
         if min(self.nx, self.ny, self.nz) < 1:
             raise ConfigError("mesh dimensions must be >= 1")
+        if self.nx * self.ny * self.nz > MAX_VOXELS:
+            raise ConfigError(f"mesh has {self.nx * self.ny * self.nz} voxels, "
+                              f"more than {MAX_VOXELS}")
         if min(self.dx, self.dy, self.dz) <= 0:
             raise ConfigError("voxel spacing must be > 0")
         if self.cell_count < 0:
@@ -183,12 +190,16 @@ class RunConfig:
             raise ConfigError("secretion, uptake and saturation must be >= 0")
         if self.cell_cap < 1:
             raise ConfigError("cell cap must be >= 1")
+        if self.cell_count > self.cell_cap:
+            raise ConfigError(f"cell count {self.cell_count} exceeds the cell cap {self.cell_cap}")
         if self.steps < 0:
             raise ConfigError("step count must be >= 0")
-        if self.workers < 1 or any(w < 1 for w in self.sweep_workers):
-            raise ConfigError("worker counts must be >= 1")
+        if not all(1 <= w <= MAX_WORKERS for w in (self.workers, *self.sweep_workers)):
+            raise ConfigError(f"worker counts must be in 1..{MAX_WORKERS}")
         if self.sweep_repeats < 1:
             raise ConfigError("sweep repeats must be >= 1")
+        for literal in self.sweep_strategies:
+            parse_strategy_literal(literal)  # fails before the sweep runs any cell
         if self.dt_mechanics <= 0 or self.dt_diffusion <= 0:
             raise ConfigError("time steps must be > 0")
         if self.timings not in _TIMINGS_MODES:

@@ -8,11 +8,13 @@ to elementwise recurrences over a batch of lines.  All batch operations are
 elementwise, which makes the field bit-identical however the lines are split
 across workers or grouped by the traversal mode.
 
-Traversal modes fix the schedulable chunk granularity of each sweep:
-OuterLoop hands out one outermost-axis slab per chunk (nz chunks on the x and
-y sweeps, ny on the z sweep), Collapsed hands out one grid line per chunk
-(nz*ny, nz*nx, ny*nx respectively).  Chunks never share output elements, so
-the schedule affects only load balance, not results.
+The traversal mode sets only the chunk size, i.e. how many grid lines (or
+gradient rows) one schedulable chunk holds; the per-chunk kernel is the same
+under both modes.  OuterLoop hands out one outermost-axis slab per chunk (nz
+chunks on the x and y sweeps, ny on the z sweep, nz for gradients), Collapsed
+hands out one grid line per chunk (nz*ny, nz*nx, ny*nx respectively, nz*ny
+for gradients).  Chunks never share output elements, so the schedule affects
+only load balance, not results.
 """
 
 from __future__ import annotations
@@ -31,6 +33,10 @@ from .parallel import RegionRecord, WorkerPool
 class TraversalMode(enum.Enum):
     OUTER_LOOP = "outer"
     COLLAPSED = "collapsed"
+
+    def lines_per_chunk(self, middle: int) -> int:
+        """Lines per chunk: a whole slab of `middle` lines, or a single line."""
+        return middle if self is TraversalMode.OUTER_LOOP else 1
 
 
 @lru_cache(maxsize=64)
@@ -68,11 +74,11 @@ def _solve_rows(rows: np.ndarray, lo: int, hi: int, inv: np.ndarray,
         d[:, i] += gamma[i] * d[:, i + 1]
 
 
-def _sweep(rows: np.ndarray, n_items: int, rows_per_item: int, inv, gamma, r,
+def _sweep(lines: np.ndarray, lines_per_item: int, inv, gamma, r,
            pool: WorkerPool) -> RegionRecord:
     def body(lo, hi, ctx):
-        _solve_rows(rows, lo * rows_per_item, hi * rows_per_item, inv, gamma, r)
-    return pool.run_static(n_items, body)
+        _solve_rows(lines, lo * lines_per_item, hi * lines_per_item, inv, gamma, r)
+    return pool.run_static(lines.shape[0] // lines_per_item, body)
 
 
 def lod_step(micro: Microenvironment, mesh: CartesianMesh, dt: float,
@@ -83,47 +89,34 @@ def lod_step(micro: Microenvironment, mesh: CartesianMesh, dt: float,
     """
     if dt <= 0.0:
         raise DomainError("diffusion step needs dt > 0")
-    nx, ny, nz = mesh.nx, mesh.ny, mesh.nz
+    # Per sweep: the transpose of the (z, y, x) grid that puts the swept axis
+    # last, its inverse (None for x, whose lines are rows of the density array
+    # and are solved in place), and the mesh spacing along the axis.  The y and
+    # z lines are solved in a contiguous scratch copy that is written back.
+    axes = (((0, 1, 2), None, mesh.dx),
+            ((0, 2, 1), (0, 2, 1), mesh.dy),
+            ((1, 2, 0), (2, 0, 1), mesh.dz))
     records = []
     for s in range(micro.substrate_count):
         lam3 = dt * micro.decay[s] / 3.0
         grid = micro.grid_view(s)
-
-        # x sweep: lines are contiguous rows of the flat array.
-        rows = micro.densities[s].reshape(nz * ny, nx)
-        r = dt * micro.diffusion[s] / (mesh.dx * mesh.dx)
-        inv, gamma = _line_factors(nx, r, lam3)
-        if mode is TraversalMode.OUTER_LOOP:
-            records.append(_sweep(rows, nz, ny, inv, gamma, r, pool))
-        else:
-            records.append(_sweep(rows, nz * ny, 1, inv, gamma, r, pool))
-
-        # y sweep: serial transpose to (z, x, y) scratch, solve, copy back.
-        r = dt * micro.diffusion[s] / (mesh.dy * mesh.dy)
-        inv, gamma = _line_factors(ny, r, lam3)
-        scratch = grid.transpose(0, 2, 1).copy().reshape(nz * nx, ny)
-        if mode is TraversalMode.OUTER_LOOP:
-            records.append(_sweep(scratch, nz, nx, inv, gamma, r, pool))
-        else:
-            records.append(_sweep(scratch, nz * nx, 1, inv, gamma, r, pool))
-        grid[:] = scratch.reshape(nz, nx, ny).transpose(0, 2, 1)
-
-        # z sweep: serial transpose to (y, x, z) scratch, solve, copy back.
-        r = dt * micro.diffusion[s] / (mesh.dz * mesh.dz)
-        inv, gamma = _line_factors(nz, r, lam3)
-        scratch = grid.transpose(1, 2, 0).copy().reshape(ny * nx, nz)
-        if mode is TraversalMode.OUTER_LOOP:
-            records.append(_sweep(scratch, ny, nx, inv, gamma, r, pool))
-        else:
-            records.append(_sweep(scratch, ny * nx, 1, inv, gamma, r, pool))
-        grid[:] = scratch.reshape(ny, nx, nz).transpose(2, 0, 1)
+        for transpose, inverse, h in axes:
+            lines = grid.transpose(transpose)
+            if inverse is not None:
+                lines = lines.copy()
+            n_outer, n_middle, n = lines.shape
+            r = dt * micro.diffusion[s] / (h * h)
+            inv, gamma = _line_factors(n, r, lam3)
+            records.append(_sweep(lines.reshape(n_outer * n_middle, n),
+                                  mode.lines_per_chunk(n_middle), inv, gamma, r, pool))
+            if inverse is not None:
+                grid[...] = lines.transpose(inverse)
     return records
 
 
 def apply_cell_exchange(micro: Microenvironment, container: CellContainer, dt: float,
                         secretion: float, uptake: float, saturation: float,
-                        substrate: int = 0,
-                        pool: WorkerPool | None = None) -> RegionRecord | None:
+                        pool: WorkerPool, substrate: int = 0) -> RegionRecord:
     """Implicit per-cell secretion/uptake against each cell's voxel density.
 
     Within a voxel, cells apply in ascending id order, so the result does not
@@ -154,9 +147,6 @@ def apply_cell_exchange(micro: Microenvironment, container: CellContainer, dt: f
                 raise NumericError(f"substrate density in voxel {v} left the finite range")
             dens[v] = rho
 
-    if pool is None:
-        body(0, len(voxels), None)
-        return None
     return pool.run_static(len(voxels), body)
 
 
@@ -164,41 +154,35 @@ def compute_gradients(micro: Microenvironment, mesh: CartesianMesh,
                       mode: TraversalMode, pool: WorkerPool) -> list[RegionRecord]:
     """Central-difference gradients; boundary-face components are zero.
 
-    OuterLoop chunks are z slabs (vectorized over the slab); Collapsed chunks
-    are single (z, y) rows.  Writes stay inside the chunk's own voxels and the
-    density field is read-only here, so both paths commute with any worker
-    split and produce identical values.
+    One kernel computes the x, y and z differences vectorized over a run of
+    consecutive (z, y) rows; the traversal mode sets only how many rows one
+    chunk holds (ny under OuterLoop, 1 under Collapsed).  Writes stay inside
+    the chunk's own rows and the density field is read-only here, so the
+    values are identical for every chunk size and worker split.
     """
     nx, ny, nz = mesh.nx, mesh.ny, mesh.nz
+    n_rows = nz * ny
     sx, sy, sz = 0.5 / mesh.dx, 0.5 / mesh.dy, 0.5 / mesh.dz
+    rows_per_item = mode.lines_per_chunk(ny)
     records = []
     for s in range(micro.substrate_count):
-        d = micro.grid_view(s)
-        g = micro.gradients[s].reshape(nz, ny, nx, 3)
+        d = micro.densities[s].reshape(n_rows, nx)
+        g = micro.gradients[s].reshape(n_rows, nx, 3)
 
-        if mode is TraversalMode.OUTER_LOOP:
-            def body(lo, hi, ctx, d=d, g=g):
-                slab = g[lo:hi]
-                slab[...] = 0.0
-                if nx > 2:
-                    slab[:, :, 1:-1, 0] = (d[lo:hi, :, 2:] - d[lo:hi, :, :-2]) * sx
-                if ny > 2:
-                    slab[:, 1:-1, :, 1] = (d[lo:hi, 2:, :] - d[lo:hi, :-2, :]) * sy
-                zlo, zhi = max(lo, 1), min(hi, nz - 1)
-                if zhi > zlo:
-                    g[zlo:zhi, :, :, 2] = (d[zlo + 1:zhi + 1] - d[zlo - 1:zhi - 1]) * sz
-            records.append(pool.run_static(nz, body))
-        else:
-            def body(lo, hi, ctx, d=d, g=g):
-                for row in range(lo, hi):
-                    z, y = divmod(row, ny)
-                    line = g[z, y]
-                    line[...] = 0.0
-                    if nx > 2:
-                        line[1:-1, 0] = (d[z, y, 2:] - d[z, y, :-2]) * sx
-                    if 0 < y < ny - 1:
-                        line[:, 1] = (d[z, y + 1, :] - d[z, y - 1, :]) * sy
-                    if 0 < z < nz - 1:
-                        line[:, 2] = (d[z + 1, y, :] - d[z - 1, y, :]) * sz
-            records.append(pool.run_static(nz * ny, body))
+        def body(lo, hi, ctx, d=d, g=g):
+            lo, hi = lo * rows_per_item, hi * rows_per_item
+            g[lo:hi] = 0.0
+            g[lo:hi, 1:-1, 0] = (d[lo:hi, 2:] - d[lo:hi, :-2]) * sx
+            # row z*ny + y has its y neighbours one row away; the rows of the
+            # y = 0 and y = ny - 1 faces take a difference across a z boundary
+            # here and are zeroed again below
+            ylo, yhi = max(lo, 1), min(hi, n_rows - 1)
+            if yhi > ylo:
+                g[ylo:yhi, :, 1] = (d[ylo + 1:yhi + 1] - d[ylo - 1:yhi - 1]) * sy
+            g[lo + -lo % ny:hi:ny, :, 1] = 0.0
+            g[lo + (ny - 1 - lo) % ny:hi:ny, :, 1] = 0.0
+            zlo, zhi = max(lo, ny), min(hi, n_rows - ny)
+            if zhi > zlo:
+                g[zlo:zhi, :, 2] = (d[zlo + ny:zhi + ny] - d[zlo - ny:zhi - ny]) * sz
+        records.append(pool.run_static(n_rows // rows_per_item, body))
     return records

@@ -182,13 +182,12 @@ class SweepResult:
         return base.median / cur.median
 
 
-def sweep(cfg: RunConfig, strategies: list[str] | None = None,
-          workers_list: list[int] | None = None, repeats: int | None = None,
-          baseline: str | None = None) -> SweepResult:
-    """Run the strategy x workers matrix; failures are recorded, not raised."""
-    strategies = list(strategies or cfg.sweep_strategies or [cfg.strategy.literal()])
-    workers_list = list(workers_list or cfg.sweep_workers)
-    repeats = repeats or cfg.sweep_repeats
+def sweep(cfg: RunConfig, baseline: str | None = None) -> SweepResult:
+    """Run the config's matrix: `sweep_strategies` (or the config's own
+    strategy) x `sweep_workers`, `sweep_repeats` runs per cell.  Failures are
+    recorded, not raised."""
+    strategies = list(cfg.sweep_strategies or [cfg.strategy.literal()])
+    repeats = cfg.sweep_repeats
     baseline = baseline or strategies[0]
     if baseline not in strategies:
         strategies.insert(0, baseline)
@@ -197,7 +196,7 @@ def sweep(cfg: RunConfig, strategies: list[str] | None = None,
     for literal in strategies:
         strategy = parse_strategy_literal(literal)
         strat_base: RunResult | None = None
-        for workers in sorted(workers_list):
+        for workers in sorted(cfg.sweep_workers):
             cell = SweepCell(strategy=literal, workers=workers)
             cells.append(cell)
             run_cfg = replace(cfg, strategy=strategy, workers=workers)

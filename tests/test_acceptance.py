@@ -328,9 +328,10 @@ def test_criterion_8_reproducibility_and_spread():
     cfg = RunConfig(
         nx=5, ny=5, nz=5, cell_count=30, steps=3, seed=3,
         seed_box=(10.0, 10.0, 10.0, 90.0, 90.0, 90.0),
+        sweep_strategies=("inplace/outer/cell_static/append",),
+        sweep_workers=(1, 2, 4), sweep_repeats=3,
     )
-    result = cb.sweep(cfg, strategies=["inplace/outer/cell_static/append"],
-                      workers_list=[1, 2, 4], repeats=3)
+    result = cb.sweep(cfg)
     assert all(c.ok for c in result.cells), [c.error for c in result.cells]
     unique = {c.checksum for c in result.cells}
     assert len(unique) == 1  # repeats AND worker counts agree

@@ -90,6 +90,7 @@ def test_non_finite_value_is_a_config_error(cfg_file, capsys, setting):
     ["substrate.secretion=-1"],
     ["substrate.saturation=-1"],
     ["substrate.secretion=1e300", "substrate.saturation=1e300"],  # field overflows
+    ["cells.cap=20"],  # below the 30 seeded cells
 ], ids=" ".join)
 def test_out_of_domain_value_is_a_config_error(cfg_file, tmp_path, capsys, settings):
     argv = ["run", "--config", cfg_file, "--out", str(tmp_path / "o"), "--set", "steps=1"]
@@ -153,6 +154,23 @@ def test_sweep_outputs(cfg_file, tmp_path, capsys):
     assert stdout.count("\tok") == 4
     assert (tmp_path / "sw" / "efficiency.csv").exists()
     assert (tmp_path / "sw" / "speedup.tsv").exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--workers", "a"),
+    ("--workers", "1,0"),
+    ("--repeats", "0"),
+    ("--repeats", "-1"),
+    ("--repeats", "a"),
+    ("--strategies", "temp/sideways/cell_static/append"),
+])
+def test_bad_sweep_matrix_is_a_config_error(cfg_file, tmp_path, capsys, flag, value):
+    code = run_cli("sweep", "--config", cfg_file, "--out", str(tmp_path / "sw"),
+                   flag, value)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ")
+    assert captured.out == ""  # no matrix row was run or printed
 
 
 # ---------------------------------------------------------------- verify

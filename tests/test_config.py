@@ -19,7 +19,7 @@ from cellbench import (
     parse_config_text,
     parse_strategy_literal,
 )
-from cellbench.config import MAX_SUBSTEPS
+from cellbench.config import MAX_SUBSTEPS, MAX_VOXELS, MAX_WORKERS
 
 
 # ---------------------------------------------------------------- literals
@@ -162,6 +162,26 @@ def test_substep_count_is_bounded():
                                        (1e300, 0.1), (1e300, 1e-300)]:
         with pytest.raises(ConfigError, match="substeps"):
             RunConfig(dt_mechanics=dt_mechanics, dt_diffusion=dt_diffusion)
+
+
+@pytest.mark.parametrize("over", [
+    dict(workers=MAX_WORKERS + 1),
+    dict(workers=100_000),
+    dict(sweep_workers=(1, MAX_WORKERS + 1)),
+    dict(nx=MAX_VOXELS + 1, ny=1, nz=1),
+    dict(nx=100_000, ny=100_000, nz=100_000),  # 1e15 voxels
+    dict(cell_count=11, cell_cap=10),
+], ids=lambda over: " ".join(f"{k}={v}" for k, v in over.items()))
+def test_run_size_is_bounded(over):
+    # constructing the config is the whole check: no run and no pool starts
+    with pytest.raises(ConfigError):
+        RunConfig(**over)
+
+
+def test_run_size_limits_are_inclusive():
+    cfg = RunConfig(workers=MAX_WORKERS, sweep_workers=(1, MAX_WORKERS),
+                    nx=MAX_VOXELS // 4, ny=2, nz=2, cell_count=10, cell_cap=10)
+    assert cfg.mesh().voxel_count == MAX_VOXELS
 
 
 @pytest.mark.parametrize("field", ["cell_radius", "secretion", "uptake", "saturation"])

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import cellbench as cb
 from cellbench import (
@@ -72,6 +74,22 @@ def test_thomas_matches_dense_oracle():
 
 # ---------------------------------------------------------------- lod step
 
+# 1..6 voxels per axis covers the n=1 and n=2 axes, where a line has no
+# interior and a gradient has no interior voxel along that axis
+axis_sizes = st.integers(1, 6)
+meshes = st.builds(cb.CartesianMesh, axis_sizes, axis_sizes, axis_sizes)
+traversals = st.sampled_from(TraversalMode)
+worker_counts = st.sampled_from([1, 2, 3])
+
+
+def expected_chunks(mesh, mode):
+    """Schedulable chunks of the x, y, z sweeps and of the gradients."""
+    nx, ny, nz = mesh.nx, mesh.ny, mesh.nz
+    if mode is TraversalMode.OUTER_LOOP:
+        return [nz, nz, ny], nz
+    return [nz * ny, nz * nx, ny * nx], nz * ny
+
+
 def uniform_micro(mesh, diffusion, decay, value=38.0):
     return cb.Microenvironment(mesh, [diffusion], [decay], [value])
 
@@ -130,35 +148,29 @@ def test_lod_rejects_bad_dt(pool2):
         lod_step(micro, mesh, 0.0, TraversalMode.OUTER_LOOP, pool2)
 
 
-def test_traversal_and_worker_count_do_not_change_the_field():
-    mesh = cb.CartesianMesh(6, 5, 4)
+@given(mesh=meshes, mode=traversals, workers=worker_counts)
+def test_traversal_and_worker_count_do_not_change_the_field(mesh, mode, workers):
     runs = []
-    for mode, workers in [
-        (TraversalMode.OUTER_LOOP, 1),
-        (TraversalMode.OUTER_LOOP, 4),
-        (TraversalMode.COLLAPSED, 1),
-        (TraversalMode.COLLAPSED, 3),
-    ]:
+    for m, w in [(TraversalMode.OUTER_LOOP, 1), (mode, workers)]:
         micro = random_micro(mesh, diffusion=90000.0, decay=0.4)
-        with WorkerPool(workers) as pool:
+        with WorkerPool(w) as pool:
             for _ in range(5):
-                lod_step(micro, mesh, 0.1, mode, pool)
+                lod_step(micro, mesh, 0.1, m, pool)
         runs.append(micro.densities.copy())
-    for other in runs[1:]:
-        assert np.array_equal(runs[0], other)
+    assert np.array_equal(runs[0], runs[1])
 
 
-def test_sweep_chunk_granularity_contract(pool2):
+@given(mesh=meshes, mode=traversals, workers=worker_counts)
+def test_sweep_chunk_granularity_contract(mesh, mode, workers):
     # OuterLoop schedules outermost-axis slabs; Collapsed schedules grid lines.
-    mesh = cb.CartesianMesh(3, 4, 5)
     micro = uniform_micro(mesh, 1000.0, 0.1)
-    outer = lod_step(micro, mesh, 0.1, TraversalMode.OUTER_LOOP, pool2)
-    assert [r.schedulable_chunks for r in outer] == [5, 5, 4]
-    collapsed = lod_step(micro, mesh, 0.1, TraversalMode.COLLAPSED, pool2)
-    assert [r.schedulable_chunks for r in collapsed] == [20, 15, 12]
-    # both traverse every grid line of each sweep exactly once
-    assert [r.total_iterations for r in outer] == [5, 5, 4]
-    assert [r.total_iterations for r in collapsed] == [20, 15, 12]
+    with WorkerPool(workers) as pool:
+        records = lod_step(micro, mesh, 0.1, mode, pool)
+    chunks, _ = expected_chunks(mesh, mode)
+    assert [r.schedulable_chunks for r in records] == chunks
+    # each sweep traverses every chunk exactly once
+    assert [r.items for r in records] == chunks
+    assert [r.total_iterations for r in records] == chunks
 
 
 def test_degenerate_single_voxel_axis(pool2):
@@ -189,42 +201,42 @@ def exchange_fixture(value=38.0):
     return mesh, micro, cont
 
 
-def test_exchange_noop_without_rates():
+def test_exchange_noop_without_rates(pool2):
     _, micro, cont = exchange_fixture()
     before = micro.densities.copy()
     apply_cell_exchange(micro, cont, 0.01, secretion=0.0, uptake=0.0,
-                        saturation=38.0)
+                        saturation=38.0, pool=pool2)
     assert np.array_equal(micro.densities, before)
 
 
-def test_exchange_saturated_secretion_is_a_fixed_point():
+def test_exchange_saturated_secretion_is_a_fixed_point(pool2):
     _, micro, cont = exchange_fixture(value=38.0)
     apply_cell_exchange(micro, cont, 0.01, secretion=4.2, uptake=0.0,
-                        saturation=38.0)
+                        saturation=38.0, pool=pool2)
     np.testing.assert_allclose(micro.densities[0], 38.0, rtol=1e-14)
 
 
-def test_exchange_uptake_decreases_and_stays_nonnegative():
+def test_exchange_uptake_decreases_and_stays_nonnegative(pool2):
     _, micro, cont = exchange_fixture(value=38.0)
     occupied = sorted(cont.nonempty_voxels)
     for _ in range(500):
         apply_cell_exchange(micro, cont, 0.05, secretion=0.0, uptake=40.0,
-                            saturation=38.0)
+                            saturation=38.0, pool=pool2)
     assert micro.densities[0][occupied].max() < 38.0
     assert micro.densities[0].min() >= 0.0
     untouched = np.setdiff1d(np.arange(64), occupied)
     assert np.all(micro.densities[0][untouched] == 38.0)
 
 
-def test_exchange_secretion_moves_toward_saturation():
+def test_exchange_secretion_moves_toward_saturation(pool2):
     _, micro, cont = exchange_fixture(value=1.0)
     v = cont.nonempty_voxels[0]
     apply_cell_exchange(micro, cont, 0.1, secretion=5.0, uptake=0.0,
-                        saturation=38.0)
+                        saturation=38.0, pool=pool2)
     assert 1.0 < micro.densities[0][v] < 38.0
 
 
-def test_exchange_is_storage_order_independent():
+def test_exchange_is_storage_order_independent(pool2):
     mesh = cb.CartesianMesh(4, 4, 4)
     results = []
     for reverse in (False, True):
@@ -238,7 +250,7 @@ def test_exchange_is_storage_order_independent():
             cont.cells.reverse()
         cb.rebin_cells(cont)
         apply_cell_exchange(micro, cont, 0.05, secretion=3.0, uptake=7.0,
-                            saturation=38.0)
+                            saturation=38.0, pool=pool2)
         results.append(micro.densities.copy())
     assert np.array_equal(results[0], results[1])
 
@@ -246,27 +258,28 @@ def test_exchange_is_storage_order_independent():
 def test_exchange_parallel_matches_serial(pool2):
     mesh = cb.CartesianMesh(4, 4, 4)
     fields = []
-    for pool in (None, pool2):
-        micro = uniform_micro(mesh, 1000.0, 0.0, 25.0)
-        cont = make_container(mesh, [
-            (10.0, 10.0, 10.0), (30.0, 30.0, 30.0), (50.0, 50.0, 50.0),
-            (70.0, 10.0, 50.0),
-        ])
-        record = apply_cell_exchange(micro, cont, 0.02, secretion=2.0,
-                                     uptake=3.0, saturation=38.0, pool=pool)
-        fields.append(micro.densities.copy())
+    with WorkerPool(1) as pool1:
+        for pool in (pool1, pool2):
+            micro = uniform_micro(mesh, 1000.0, 0.0, 25.0)
+            cont = make_container(mesh, [
+                (10.0, 10.0, 10.0), (30.0, 30.0, 30.0), (50.0, 50.0, 50.0),
+                (70.0, 10.0, 50.0),
+            ])
+            record = apply_cell_exchange(micro, cont, 0.02, secretion=2.0,
+                                         uptake=3.0, saturation=38.0, pool=pool)
+            fields.append(micro.densities.copy())
     assert np.array_equal(fields[0], fields[1])
-    assert record is not None and record.items == 4
+    assert record.items == 4
 
 
-def test_exchange_rejects_nonpositive_denominator():
+def test_exchange_rejects_nonpositive_denominator(pool2):
     _, micro, cont = exchange_fixture()
     with pytest.raises(DomainError):
         apply_cell_exchange(micro, cont, 1.0, secretion=0.0, uptake=-8.0,
-                            saturation=38.0)
+                            saturation=38.0, pool=pool2)
     with pytest.raises(DomainError):
         apply_cell_exchange(micro, cont, 0.0, secretion=1.0, uptake=0.0,
-                            saturation=38.0)
+                            saturation=38.0, pool=pool2)
 
 
 def test_exchange_empty_container(pool2):
@@ -274,8 +287,10 @@ def test_exchange_empty_container(pool2):
     micro = uniform_micro(mesh, 1000.0, 0.0)
     cont = cb.CellContainer(mesh)
     before = micro.densities.copy()
-    apply_cell_exchange(micro, cont, 0.1, 1.0, 1.0, 38.0)
-    apply_cell_exchange(micro, cont, 0.1, 1.0, 1.0, 38.0, pool=pool2)
+    with WorkerPool(1) as pool1:
+        for pool in (pool1, pool2):
+            assert apply_cell_exchange(micro, cont, 0.1, 1.0, 1.0, 38.0,
+                                       pool=pool).items == 0
     assert np.array_equal(micro.densities, before)
 
 
@@ -305,28 +320,31 @@ def test_gradient_of_linear_field_is_exact_interior(pool2):
     assert np.all(grads[..., 2] == 0.0)
 
 
-def test_gradient_modes_and_workers_agree_bitwise():
-    mesh = cb.CartesianMesh(6, 5, 4)
-    outputs = []
-    for mode, workers in [
-        (TraversalMode.OUTER_LOOP, 1),
-        (TraversalMode.OUTER_LOOP, 3),
-        (TraversalMode.COLLAPSED, 1),
-        (TraversalMode.COLLAPSED, 4),
-    ]:
-        micro = random_micro(mesh, 1000.0, 0.0, seed=9)
-        with WorkerPool(workers) as pool:
-            records = compute_gradients(micro, mesh, mode, pool)
-        outputs.append(micro.gradients.copy())
-    for other in outputs[1:]:
-        assert np.array_equal(outputs[0], other)
-    assert records[0].schedulable_chunks == 5 * 4  # collapsed: one (z,y) row each
+def gradient_oracle(micro, mesh):
+    """Whole-grid central differences, zero on the boundary faces."""
+    d = micro.grid_view(0)
+    g = np.zeros((mesh.nz, mesh.ny, mesh.nx, 3))
+    g[:, :, 1:-1, 0] = (d[:, :, 2:] - d[:, :, :-2]) * (0.5 / mesh.dx)
+    g[:, 1:-1, :, 1] = (d[:, 2:, :] - d[:, :-2, :]) * (0.5 / mesh.dy)
+    g[1:-1, :, :, 2] = (d[2:] - d[:-2]) * (0.5 / mesh.dz)
+    return g.reshape(mesh.voxel_count, 3)
 
 
-def test_gradient_chunk_granularity(pool2):
-    mesh = cb.CartesianMesh(3, 4, 5)
+@given(mesh=meshes, mode=traversals, workers=worker_counts)
+def test_gradient_modes_and_workers_agree_bitwise(mesh, mode, workers):
+    micro = random_micro(mesh, 1000.0, 0.0, seed=9)
+    micro.gradients[...] = np.nan  # every component must be written
+    with WorkerPool(workers) as pool:
+        compute_gradients(micro, mesh, mode, pool)
+    assert np.array_equal(micro.gradients[0], gradient_oracle(micro, mesh))
+
+
+@given(mesh=meshes, mode=traversals, workers=worker_counts)
+def test_gradient_chunk_granularity(mesh, mode, workers):
+    # OuterLoop schedules z slabs; Collapsed schedules single (z, y) rows.
     micro = uniform_micro(mesh, 1000.0, 0.0)
-    outer = compute_gradients(micro, mesh, TraversalMode.OUTER_LOOP, pool2)
-    collapsed = compute_gradients(micro, mesh, TraversalMode.COLLAPSED, pool2)
-    assert outer[0].schedulable_chunks == 5
-    assert collapsed[0].schedulable_chunks == 20
+    with WorkerPool(workers) as pool:
+        records = compute_gradients(micro, mesh, mode, pool)
+    _, chunks = expected_chunks(mesh, mode)
+    assert [r.schedulable_chunks for r in records] == [chunks]
+    assert [r.items for r in records] == [chunks]

@@ -119,10 +119,9 @@ def test_efficiency_csv_roundtrip(tmp_path):
 # ---------------------------------------------------------------- sweep
 
 def test_sweep_matrix_and_speedups(tmp_path):
-    cfg = tiny_config()
     literals = ["inplace/outer/cell_static/append",
                 "temp/collapsed/nonempty_voxel(8)/sorted(2)"]
-    result = sweep(cfg, strategies=literals, workers_list=[1, 2], repeats=2)
+    result = sweep(tiny_config(sweep_strategies=tuple(literals)))
     assert len(result.cells) == 4
     assert all(c.ok for c in result.cells)
     # one checksum across strategies and worker counts
@@ -148,9 +147,10 @@ def test_sweep_matrix_and_speedups(tmp_path):
 
 
 def test_sweep_records_failures_instead_of_raising():
-    cfg = tiny_config(cell_radius=9.0)  # breaks the binning guard
-    result = sweep(cfg, strategies=["inplace/outer/cell_static/append"],
-                   workers_list=[1], repeats=1)
+    cfg = tiny_config(cell_radius=9.0,  # breaks the binning guard
+                      sweep_strategies=("inplace/outer/cell_static/append",),
+                      sweep_workers=(1,), sweep_repeats=1)
+    result = sweep(cfg)
     cell = result.cells[0]
     assert not cell.ok
     assert "DomainError" in cell.error
@@ -158,10 +158,9 @@ def test_sweep_records_failures_instead_of_raising():
 
 
 def test_sweep_inserts_missing_baseline():
-    cfg = tiny_config(steps=1)
-    result = sweep(cfg, strategies=["temp/outer/cell_static/append"],
-                   workers_list=[1], repeats=1,
-                   baseline="inplace/outer/cell_static/append")
+    cfg = tiny_config(steps=1, sweep_strategies=("temp/outer/cell_static/append",),
+                      sweep_workers=(1,), sweep_repeats=1)
+    result = sweep(cfg, baseline="inplace/outer/cell_static/append")
     strategies = [c.strategy for c in result.cells]
     assert strategies[0] == "inplace/outer/cell_static/append"
     assert "temp/outer/cell_static/append" in strategies

@@ -1,0 +1,27 @@
+"""Each example script under scripts/ runs to exit 0 on tiny arguments."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("script, args", [
+    ("sweep_demo.py", ["--cells", "20", "--steps", "2", "--workers", "1", "2",
+                       "--repeats", "1", "--out", "sweep_demo"]),
+    ("locality_experiment.py", ["--cells", "20", "--steps", "5"]),
+    ("chunk_model_stairs.py", ["--max-workers", "4"]),
+])
+def test_script_runs(tmp_path, script, args):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout
