@@ -67,12 +67,9 @@ from .mechanics import (
     update_velocities,
 )
 from .metrics import (
-    CounterProvider,
     EfficiencyReport,
-    NullCounterProvider,
     RegionTiming,
     Scalabilities,
-    SyntheticCounterProvider,
     aggregate_timings,
     chunk_lb_model,
     chunk_speedup_model,

@@ -122,12 +122,15 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _side(base: RunConfig, literal: str, workers: str | None) -> RunConfig:
+    cfg = replace(base, strategy=parse_strategy_literal(literal))
+    return cfg if workers is None else build_config({"workers": workers}, base=cfg)
+
+
 def _cmd_verify(args) -> int:
     cfg = _load(args)
-    cfg_a = replace(cfg, strategy=parse_strategy_literal(args.strategy_a),
-                    workers=args.workers_a or cfg.workers)
-    cfg_b = replace(cfg, strategy=parse_strategy_literal(args.strategy_b),
-                    workers=args.workers_b or cfg.workers)
+    cfg_a = _side(cfg, args.strategy_a, args.workers_a)
+    cfg_b = _side(cfg, args.strategy_b, args.workers_b)
     report = verify_equivalence(cfg_a, cfg_b)
     print(f"A {args.strategy_a} (workers={cfg_a.workers})  checksum {report.checksum_a}")
     print(f"B {args.strategy_b} (workers={cfg_b.workers})  checksum {report.checksum_b}")
@@ -139,6 +142,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_model(args) -> int:
     n = args.chunks
+    if n < 1 or args.max_workers < 1:
+        raise ConfigError("model needs --chunks >= 1 and --max-workers >= 1")
     print("workers\tchunks_per_worker\tmodel_lb\tmodel_speedup")
     for t in range(1, args.max_workers + 1):
         lb = chunk_lb_model(n, t)
@@ -178,8 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("-A", "--strategy-a", required=True,
                           help="strategy literal, e.g. temp/outer/cell_static/append")
     p_verify.add_argument("-B", "--strategy-b", required=True)
-    p_verify.add_argument("--workers-a", type=int)
-    p_verify.add_argument("--workers-b", type=int)
+    p_verify.add_argument("--workers-a", help="side A workers (overrides workers)")
+    p_verify.add_argument("--workers-b", help="side B workers (overrides workers)")
     p_verify.set_defaults(fn=_cmd_verify)
 
     p_model = sub.add_parser("model", help="print the chunk-count load-balance table")

@@ -7,14 +7,21 @@ tool can generate them.  CLI `--set key=value` pairs override file entries.
 Strategy literals name one point of the optimization space in a single
 slash-joined token, e.g. ``temp/outer/cell_static/append`` or
 ``inplace/collapsed/nonempty_voxel(16)/sorted(50)``: allocation mode,
-solver/gradient traversal, mechanics schedule, and cell storage order.
+solver/gradient traversal, mechanics schedule, and cell storage order.  Each
+part is spelled by its enum value, with ``(n)`` for the schedule grain or the
+resort period.  `STRATEGY_PARTS` and `CONFIG_KEYS` are the one place that
+spells a part or a key: parsing, `StrategyConfig.literal()` and
+`format_config` all read them.
 """
 
 from __future__ import annotations
 
+import enum
 import math
 import re
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
+from functools import partial, reduce
+from typing import Any, Callable, NamedTuple
 
 from .core import CartesianMesh
 from .diffusion import TraversalMode
@@ -23,14 +30,6 @@ from .mechanics import InteractionParams, MechanicsSchedule, ScheduleKind
 from .population import DEFAULT_CELL_CAP, StorageKind, StorageOrder
 from .smallvec import AllocationMode
 
-_ALLOCATION = {
-    "temp": AllocationMode.TEMPORARY_ALLOCATING,
-    "inplace": AllocationMode.IN_PLACE,
-}
-_TRAVERSAL = {
-    "outer": TraversalMode.OUTER_LOOP,
-    "collapsed": TraversalMode.COLLAPSED,
-}
 _TIMINGS_MODES = ("full", "aggregate", "off")
 
 #: Most diffusion substeps one mechanics step may ask for.
@@ -40,59 +39,62 @@ MAX_WORKERS = 256
 #: Most mesh voxels (nx * ny * nz); a density field this large is 128 MiB.
 MAX_VOXELS = 2 ** 24
 
-_GRAIN_RE = re.compile(r"^([a-z_]+)(?:\((\d+)\))?$")
+_SIZED_RE = re.compile(r"^([a-z_]+)(?:\((\d+)\))?$")
 
 
-def parse_allocation(text: str) -> AllocationMode:
+def _parse_enum(kind: type[enum.Enum], text: str):
     try:
-        return _ALLOCATION[text.strip()]
-    except KeyError:
-        raise ConfigError(f"allocation mode must be temp or inplace, got {text!r}") from None
-
-
-def parse_traversal(text: str) -> TraversalMode:
-    try:
-        return _TRAVERSAL[text.strip()]
-    except KeyError:
-        raise ConfigError(f"traversal must be outer or collapsed, got {text!r}") from None
-
-
-def parse_schedule(text: str) -> MechanicsSchedule:
-    m = _GRAIN_RE.match(text.strip())
-    if not m:
-        raise ConfigError(f"unparseable schedule {text!r}")
-    name, grain = m.group(1), m.group(2)
-    try:
-        kind = ScheduleKind(name)
+        return kind(text.strip())
     except ValueError:
-        raise ConfigError(f"unknown schedule {name!r}") from None
-    if kind is ScheduleKind.CELL_STATIC:
-        if grain is not None:
-            raise ConfigError("cell_static takes no grain size")
-        return MechanicsSchedule(kind)
-    try:
-        return MechanicsSchedule(kind, int(grain)) if grain else MechanicsSchedule(kind)
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from None
+        accepted = ", ".join(member.value for member in kind)
+        raise ConfigError(f"must be one of {accepted}, got {text!r}") from None
 
 
-def parse_storage(text: str) -> StorageOrder:
-    m = _GRAIN_RE.match(text.strip())
-    if not m:
-        raise ConfigError(f"unparseable storage order {text!r}")
-    name, every = m.group(1), m.group(2)
+def _format_enum(member: enum.Enum) -> str:
+    return member.value
+
+
+def _sized(cls, bare: enum.Enum):
+    """Parser and formatter of `name` / `name(n)` values of `cls`.
+
+    `name` is a kind, `n` the second field of `cls`; every kind but `bare`
+    takes `n` and falls back to the field default without it.
+    """
+    size = fields(cls)[1].name
+
+    def parse(text: str):
+        m = _SIZED_RE.match(text.strip())
+        if not m:
+            raise ConfigError(f"expected name or name(n), got {text!r}")
+        kind, n = _parse_enum(type(bare), m.group(1)), m.group(2)
+        if kind is bare and n is not None:
+            raise ConfigError(f"{bare.value} takes no number")
+        try:
+            return cls(kind, int(n)) if n else cls(kind)
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from None
+
+    def fmt(value) -> str:
+        kind = value.kind.value
+        return kind if value.kind is bare else f"{kind}({getattr(value, size)})"
+
+    return parse, fmt
+
+
+#: part -> (parser, formatter) of each strategy part, in literal order.
+STRATEGY_PARTS = {
+    "allocation": (partial(_parse_enum, AllocationMode), _format_enum),
+    "traversal": (partial(_parse_enum, TraversalMode), _format_enum),
+    "schedule": _sized(MechanicsSchedule, ScheduleKind.CELL_STATIC),
+    "storage": _sized(StorageOrder, StorageKind.APPEND_ORDER),
+}
+
+
+def _convert(name: str, parse: Callable[[str], Any], text: str):
     try:
-        kind = StorageKind(name)
-    except ValueError:
-        raise ConfigError(f"unknown storage order {name!r}") from None
-    if kind is StorageKind.APPEND_ORDER:
-        if every is not None:
-            raise ConfigError("append order takes no resort period")
-        return StorageOrder(kind)
-    try:
-        return StorageOrder(kind, int(every)) if every else StorageOrder(kind)
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from None
+        return parse(text)
+    except (TypeError, ValueError) as exc:  # ConfigError is a ValueError
+        raise ConfigError(f"bad value for {name}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -101,35 +103,21 @@ class StrategyConfig:
 
     allocation: AllocationMode = AllocationMode.IN_PLACE
     traversal: TraversalMode = TraversalMode.OUTER_LOOP
-    schedule: MechanicsSchedule = field(default_factory=MechanicsSchedule.cell_static)
-    storage: StorageOrder = field(default_factory=StorageOrder.append_order)
+    schedule: MechanicsSchedule = MechanicsSchedule(ScheduleKind.CELL_STATIC)
+    storage: StorageOrder = StorageOrder(StorageKind.APPEND_ORDER)
 
     def literal(self) -> str:
-        alloc = "temp" if self.allocation is AllocationMode.TEMPORARY_ALLOCATING else "inplace"
-        trav = "outer" if self.traversal is TraversalMode.OUTER_LOOP else "collapsed"
-        if self.schedule.kind is ScheduleKind.CELL_STATIC:
-            sched = "cell_static"
-        else:
-            sched = f"{self.schedule.kind.value}({self.schedule.grain})"
-        if self.storage.kind is StorageKind.APPEND_ORDER:
-            store = "append"
-        else:
-            store = f"sorted({self.storage.every})"
-        return f"{alloc}/{trav}/{sched}/{store}"
+        return "/".join(fmt(getattr(self, part)) for part, (_, fmt) in STRATEGY_PARTS.items())
 
 
 def parse_strategy_literal(text: str) -> StrategyConfig:
-    parts = text.strip().split("/")
-    if len(parts) != 4:
-        raise ConfigError(
-            f"strategy literal needs allocation/traversal/schedule/storage, got {text!r}"
-        )
-    return StrategyConfig(
-        allocation=parse_allocation(parts[0]),
-        traversal=parse_traversal(parts[1]),
-        schedule=parse_schedule(parts[2]),
-        storage=parse_storage(parts[3]),
-    )
+    tokens = text.strip().split("/")
+    if len(tokens) != len(STRATEGY_PARTS):
+        raise ConfigError(f"strategy literal needs {'/'.join(STRATEGY_PARTS)}, got {text!r}")
+    return StrategyConfig(**{
+        part: _convert(part, parse, token)
+        for (part, (parse, _)), token in zip(STRATEGY_PARTS.items(), tokens)
+    })
 
 
 @dataclass(frozen=True)
@@ -161,7 +149,7 @@ class RunConfig:
     steps: int = 100
     seed: int = 42
     workers: int = 1
-    strategy: StrategyConfig = field(default_factory=StrategyConfig)
+    strategy: StrategyConfig = StrategyConfig()
     sweep_workers: tuple = (1, 2, 4, 8)
     sweep_repeats: int = 5
     sweep_strategies: tuple = ()
@@ -194,6 +182,8 @@ class RunConfig:
             raise ConfigError(f"cell count {self.cell_count} exceeds the cell cap {self.cell_cap}")
         if self.steps < 0:
             raise ConfigError("step count must be >= 0")
+        if not self.sweep_workers:
+            raise ConfigError("sweep worker list must not be empty")
         if not all(1 <= w <= MAX_WORKERS for w in (self.workers, *self.sweep_workers)):
             raise ConfigError(f"worker counts must be in 1..{MAX_WORKERS}")
         if self.sweep_repeats < 1:
@@ -233,65 +223,60 @@ class RunConfig:
         return InteractionParams(self.repulsion, self.adhesion, self.adhesion_multiplier)
 
 
-def _parse_workers_list(value: str) -> tuple:
-    try:
-        parsed = tuple(int(p) for p in value.replace(",", " ").split())
-    except ValueError:
-        raise ConfigError(f"worker list must be comma-separated ints, got {value!r}") from None
-    if not parsed:
-        raise ConfigError("worker list must not be empty")
-    return parsed
+def _numbers(convert: Callable[[str], Any]) -> Callable[[str], tuple]:
+    """Parser of a comma- or space-separated list of numbers."""
+    return lambda text: tuple(convert(p) for p in text.replace(",", " ").split())
 
 
-def _parse_box(value: str) -> tuple:
-    parts = value.replace(",", " ").split()
-    if not parts:
-        return ()
-    try:
-        box = tuple(float(p) for p in parts)
-    except ValueError:
-        raise ConfigError(f"seed box must be six numbers, got {value!r}") from None
-    return box
+def _joined(sep: str) -> Callable[[tuple], str]:
+    return lambda values: sep.join(str(v) for v in values)
 
 
-_SETTERS = {
-    "mesh.nx": ("nx", int),
-    "mesh.ny": ("ny", int),
-    "mesh.nz": ("nz", int),
-    "mesh.dx": ("dx", float),
-    "mesh.dy": ("dy", float),
-    "mesh.dz": ("dz", float),
-    "substrate.diffusion": ("diffusion", float),
-    "substrate.decay": ("decay", float),
-    "substrate.initial": ("initial_density", float),
-    "substrate.secretion": ("secretion", float),
-    "substrate.uptake": ("uptake", float),
-    "substrate.saturation": ("saturation", float),
-    "cells.count": ("cell_count", int),
-    "cells.radius": ("cell_radius", float),
-    "cells.division_rate": ("division_rate", float),
-    "cells.cap": ("cell_cap", int),
-    "cells.box": ("seed_box", _parse_box),
-    "forces.repulsion": ("repulsion", float),
-    "forces.adhesion": ("adhesion", float),
-    "forces.multiplier": ("adhesion_multiplier", float),
-    "dt.mechanics": ("dt_mechanics", float),
-    "dt.diffusion": ("dt_diffusion", float),
-    "steps": ("steps", int),
-    "seed": ("seed", int),
-    "workers": ("workers", int),
-    "strategy.allocation": ("strategy.allocation", parse_allocation),
-    "strategy.traversal": ("strategy.traversal", parse_traversal),
-    "strategy.schedule": ("strategy.schedule", parse_schedule),
-    "strategy.storage": ("strategy.storage", parse_storage),
-    "sweep.workers": ("sweep_workers", _parse_workers_list),
-    "sweep.repeats": ("sweep_repeats", int),
-    "sweep.strategies": (
+class _Key(NamedTuple):
+    field: str  # RunConfig field, or strategy.<part>
+    parse: Callable[[str], Any]
+    format: Callable[[Any], str] = str
+
+
+#: key -> (field, parser, formatter) of every config key, in the order
+#: `format_config` writes them.
+CONFIG_KEYS = {
+    "mesh.nx": _Key("nx", int),
+    "mesh.ny": _Key("ny", int),
+    "mesh.nz": _Key("nz", int),
+    "mesh.dx": _Key("dx", float),
+    "mesh.dy": _Key("dy", float),
+    "mesh.dz": _Key("dz", float),
+    "substrate.diffusion": _Key("diffusion", float),
+    "substrate.decay": _Key("decay", float),
+    "substrate.initial": _Key("initial_density", float),
+    "substrate.secretion": _Key("secretion", float),
+    "substrate.uptake": _Key("uptake", float),
+    "substrate.saturation": _Key("saturation", float),
+    "cells.count": _Key("cell_count", int),
+    "cells.radius": _Key("cell_radius", float),
+    "cells.division_rate": _Key("division_rate", float),
+    "cells.cap": _Key("cell_cap", int),
+    "cells.box": _Key("seed_box", _numbers(float), _joined(",")),
+    "forces.repulsion": _Key("repulsion", float),
+    "forces.adhesion": _Key("adhesion", float),
+    "forces.multiplier": _Key("adhesion_multiplier", float),
+    "dt.mechanics": _Key("dt_mechanics", float),
+    "dt.diffusion": _Key("dt_diffusion", float),
+    "steps": _Key("steps", int),
+    "seed": _Key("seed", int),
+    "workers": _Key("workers", int),
+    **{f"strategy.{part}": _Key(f"strategy.{part}", parse, fmt)
+       for part, (parse, fmt) in STRATEGY_PARTS.items()},
+    "sweep.workers": _Key("sweep_workers", _numbers(int), _joined(",")),
+    "sweep.repeats": _Key("sweep_repeats", int),
+    "sweep.strategies": _Key(
         "sweep_strategies",
-        lambda v: tuple(s.strip() for s in v.split(";") if s.strip()),
+        lambda text: tuple(s.strip() for s in text.split(";") if s.strip()),
+        _joined(";"),
     ),
-    "timings": ("timings", str),
-    "out": ("out", str),
+    "timings": _Key("timings", str),
+    "out": _Key("out", str),
 }
 
 
@@ -315,16 +300,10 @@ def build_config(entries: dict, base: RunConfig | None = None) -> RunConfig:
     plain: dict = {}
     strategy_updates: dict = {}
     for key, value in entries.items():
-        setter = _SETTERS.get(key)
-        if setter is None:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-        name, convert = setter
-        try:
-            converted = convert(value) if convert is not str else value
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad value for {key}: {value!r} ({exc})") from None
+        name, parse, _ = CONFIG_KEYS[key]
+        converted = _convert(key, parse, value)
         if name.startswith("strategy."):
             strategy_updates[name.split(".", 1)[1]] = converted
         else:
@@ -350,41 +329,5 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
 
 def format_config(cfg: RunConfig) -> str:
     """Resolved config in the same flat format, for archiving next to outputs."""
-    strat = cfg.strategy
-    lines = [
-        f"mesh.nx = {cfg.nx}",
-        f"mesh.ny = {cfg.ny}",
-        f"mesh.nz = {cfg.nz}",
-        f"mesh.dx = {cfg.dx}",
-        f"mesh.dy = {cfg.dy}",
-        f"mesh.dz = {cfg.dz}",
-        f"substrate.diffusion = {cfg.diffusion}",
-        f"substrate.decay = {cfg.decay}",
-        f"substrate.initial = {cfg.initial_density}",
-        f"substrate.secretion = {cfg.secretion}",
-        f"substrate.uptake = {cfg.uptake}",
-        f"substrate.saturation = {cfg.saturation}",
-        f"cells.count = {cfg.cell_count}",
-        f"cells.radius = {cfg.cell_radius}",
-        f"cells.division_rate = {cfg.division_rate}",
-        f"cells.cap = {cfg.cell_cap}",
-        f"cells.box = {','.join(str(v) for v in cfg.seed_box)}",
-        f"forces.repulsion = {cfg.repulsion}",
-        f"forces.adhesion = {cfg.adhesion}",
-        f"forces.multiplier = {cfg.adhesion_multiplier}",
-        f"dt.mechanics = {cfg.dt_mechanics}",
-        f"dt.diffusion = {cfg.dt_diffusion}",
-        f"steps = {cfg.steps}",
-        f"seed = {cfg.seed}",
-        f"workers = {cfg.workers}",
-        f"strategy.allocation = {'temp' if strat.allocation is AllocationMode.TEMPORARY_ALLOCATING else 'inplace'}",
-        f"strategy.traversal = {'outer' if strat.traversal is TraversalMode.OUTER_LOOP else 'collapsed'}",
-        f"strategy.schedule = {strat.literal().split('/')[2]}",
-        f"strategy.storage = {strat.literal().split('/')[3]}",
-        f"sweep.workers = {','.join(str(w) for w in cfg.sweep_workers)}",
-        f"sweep.repeats = {cfg.sweep_repeats}",
-        f"sweep.strategies = {';'.join(cfg.sweep_strategies)}",
-        f"timings = {cfg.timings}",
-        f"out = {cfg.out}",
-    ]
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {fmt(reduce(getattr, name.split('.'), cfg))}\n"
+                   for key, (name, _, fmt) in CONFIG_KEYS.items())

@@ -54,22 +54,6 @@ class MechanicsSchedule:
         if self.grain < 1:
             raise DomainError("schedule grain must be >= 1")
 
-    @staticmethod
-    def cell_static() -> "MechanicsSchedule":
-        return MechanicsSchedule(ScheduleKind.CELL_STATIC)
-
-    @staticmethod
-    def cell_dynamic(grain: int = 16) -> "MechanicsSchedule":
-        return MechanicsSchedule(ScheduleKind.CELL_DYNAMIC, grain)
-
-    @staticmethod
-    def voxel(grain: int = 16) -> "MechanicsSchedule":
-        return MechanicsSchedule(ScheduleKind.VOXEL, grain)
-
-    @staticmethod
-    def nonempty_voxel(grain: int = 16) -> "MechanicsSchedule":
-        return MechanicsSchedule(ScheduleKind.NONEMPTY_VOXEL, grain)
-
 
 @dataclass(frozen=True)
 class InteractionParams:

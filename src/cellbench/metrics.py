@@ -4,9 +4,10 @@ The model is multiplicative: parallel efficiency splits into load balance
 (mean busy over max busy) and communication efficiency (max busy over region
 wall time, absorbing fork/join and scheduling overhead).  Against a base-case
 run, computation scalability splits further into instruction, IPC, and
-frequency scalability when a counter provider supplies per-worker
-instruction/cycle deltas; without counters only the time-based computation
-scalability is defined.
+frequency scalability when both timings carry per-worker (instructions,
+cycles) deltas in `RegionTiming.counters`; without counters only the
+time-based computation scalability is defined.  The simulation itself
+records no counters, so its reports leave the counter-based columns empty.
 
 `chunk_lb_model` is the closed-form load balance of statically even-split
 uniform chunks: N/(T*ceil(N/T)).  It predicts the staircase scalability of
@@ -16,9 +17,8 @@ profile after collapsing to thousands of chunks.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import DomainError, InconsistentTraceError, UndefinedMetricError
 
@@ -217,50 +217,3 @@ def chunk_speedup_model(n_chunks: int, workers: int) -> float:
     per_worker = -(-n_chunks // workers)
     return n_chunks / per_worker
 
-
-# -- counter providers ---------------------------------------------------------
-
-
-class CounterProvider(ABC):
-    """Source of per-worker (instructions, cycles) deltas for a region."""
-
-    @property
-    @abstractmethod
-    def provides_counters(self) -> bool: ...
-
-    @abstractmethod
-    def read(self, region: str, workers: int) -> Optional[Counters]: ...
-
-
-class NullCounterProvider(CounterProvider):
-    """No hardware access: yields absent counters, never zeros."""
-
-    @property
-    def provides_counters(self) -> bool:
-        return False
-
-    def read(self, region: str, workers: int) -> Optional[Counters]:
-        return None
-
-
-class SyntheticCounterProvider(CounterProvider):
-    """Test injection: counters from a dict keyed by region, or a callable."""
-
-    def __init__(self, source):
-        if not callable(source):
-            mapping = dict(source)
-            source = lambda region, workers: mapping.get(region)
-        self._source = source
-
-    @property
-    def provides_counters(self) -> bool:
-        return True
-
-    def read(self, region: str, workers: int) -> Optional[Counters]:
-        got = self._source(region, workers)
-        if got is None:
-            return None
-        counters = tuple((int(i), int(c)) for i, c in got)
-        if len(counters) != workers:
-            raise InconsistentTraceError("synthetic counters must cover all workers")
-        return counters

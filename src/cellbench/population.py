@@ -65,14 +65,6 @@ class StorageOrder:
         if self.every < 1:
             raise DomainError("resort period must be >= 1")
 
-    @staticmethod
-    def append_order() -> "StorageOrder":
-        return StorageOrder(StorageKind.APPEND_ORDER)
-
-    @staticmethod
-    def voxel_sorted(every: int = 50) -> "StorageOrder":
-        return StorageOrder(StorageKind.VOXEL_SORTED, every)
-
 
 def attempt_divisions(container: CellContainer, seed: int, dt: float,
                       mesh: CartesianMesh, step: int,

@@ -22,8 +22,8 @@ import math
 
 
 class AllocationMode(enum.Enum):
-    TEMPORARY_ALLOCATING = "temporary_allocating"
-    IN_PLACE = "in_place"
+    TEMPORARY_ALLOCATING = "temp"
+    IN_PLACE = "inplace"
 
 
 class AllocationCounter:

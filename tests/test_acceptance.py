@@ -23,6 +23,7 @@ from cellbench import (
     MechanicsSchedule,
     RegionTiming,
     RunConfig,
+    ScheduleKind,
     TraversalMode,
     WorkerPool,
     chunk_lb_model,
@@ -65,7 +66,7 @@ def test_criterion_1_allocation_accounting():
         cont = make_container(mesh, positions, radius=8.0)
         with WorkerPool(2) as pool:
             record = update_velocities(cont, mesh, InteractionParams(),
-                                       MechanicsSchedule.cell_static(), pool,
+                                       MechanicsSchedule(ScheduleKind.CELL_STATIC), pool,
                                        alloc_mode=mode)
         region_events[mode] = record.total_alloc_events
         assert any(v != [0.0, 0.0, 0.0] for v in

@@ -50,6 +50,17 @@ def test_model_table(capsys):
     assert table[11][3] == table[12][3]  # shared ceiling, shared plateau
 
 
+
+@pytest.mark.parametrize("flag, value", [("--max-workers", "-1"), ("--max-workers", "0"),
+                                         ("--chunks", "0")])
+def test_bad_model_flag_is_a_config_error(capsys, flag, value):
+    assert run_cli("model", flag, value) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # not even the header
+    assert captured.err.startswith("config error: ")
+    assert captured.err.count("\n") == 1
+
+
 # ---------------------------------------------------------------- run
 
 def test_run_writes_reports(cfg_file, tmp_path, capsys):
@@ -64,6 +75,26 @@ def test_run_writes_reports(cfg_file, tmp_path, capsys):
     resolved = load_config(str(tmp_path / "out" / "config.resolved.txt"))
     assert resolved.steps == 1  # --set wins over the file
     assert resolved.out == out
+
+
+def test_resolved_config_reproduces_the_run(cfg_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    settings = ["strategy.allocation=temp", "strategy.traversal=collapsed",
+                "strategy.schedule=nonempty_voxel(4)", "strategy.storage=sorted(1)"]
+    argv = ["run", "--config", cfg_file, "--out", str(out)]
+    for setting in settings:
+        argv += ["--set", setting]
+    assert run_cli(*argv) == 0
+    first = capsys.readouterr().out
+    resolved = (out / "config.resolved.txt").read_bytes()
+    assert b"cells.box = 10.0,10.0,10.0,90.0,90.0,90.0\n" in resolved
+
+    assert run_cli("run", "--config", str(out / "config.resolved.txt")) == 0
+    second = capsys.readouterr().out
+    checksum = [line for line in first.splitlines() if line.startswith("checksum")]
+    assert checksum and checksum == [ln for ln in second.splitlines()
+                                     if ln.startswith("checksum")]
+    assert (out / "config.resolved.txt").read_bytes() == resolved
 
 
 def test_unknown_set_key_is_a_config_error(cfg_file, capsys):
@@ -184,6 +215,19 @@ def test_verify_pass(cfg_file, capsys):
     )
     assert code == 0
     assert "PASS: bit-identical final state" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", ["--workers-a", "--workers-b"])
+@pytest.mark.parametrize("value", ["0", "-1", "257"])
+def test_bad_verify_workers_are_a_config_error(cfg_file, capsys, flag, value):
+    code = run_cli("verify", "--config", cfg_file,
+                   "-A", "inplace/outer/cell_static/append",
+                   "-B", "inplace/outer/cell_static/append", flag, value)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # neither side ran
+    assert captured.err.startswith("config error: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_verify_failure_exit_code(cfg_file, capsys, monkeypatch):

@@ -1,5 +1,7 @@
 """Config file parsing, strategy literals, and override layering."""
 
+import hashlib
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -19,7 +21,13 @@ from cellbench import (
     parse_config_text,
     parse_strategy_literal,
 )
-from cellbench.config import MAX_SUBSTEPS, MAX_VOXELS, MAX_WORKERS
+from cellbench.config import (
+    CONFIG_KEYS,
+    MAX_SUBSTEPS,
+    MAX_VOXELS,
+    MAX_WORKERS,
+    STRATEGY_PARTS,
+)
 
 
 # ---------------------------------------------------------------- literals
@@ -66,6 +74,15 @@ def test_default_strategy_literal():
 def test_bad_strategy_literals_raise(bad):
     with pytest.raises(ConfigError):
         parse_strategy_literal(bad)
+
+
+def test_strategy_errors_name_the_part_and_its_spellings():
+    with pytest.raises(ConfigError, match=r"allocation: must be one of temp, inplace, got 'warp'"):
+        parse_strategy_literal("warp/outer/cell_static/append")
+    with pytest.raises(ConfigError, match=r"schedule: must be one of cell_static, cell_dynamic"):
+        parse_strategy_literal("temp/outer/zigzag(4)/append")
+    with pytest.raises(ConfigError, match=r"strategy.storage: append takes no number"):
+        build_config({"strategy.storage": "append(3)"})
 
 
 # ---------------------------------------------------------------- file format
@@ -132,6 +149,42 @@ def test_format_config_roundtrips(tmp_path):
     assert load_config(str(path)) == cfg
 
 
+# format_config output over these configs is pinned byte for byte: the
+# default, every strategy part and list key set, and the kinds whose grain or
+# period is left to its default
+PINNED_CONFIGS = [
+    {},
+    {
+        "strategy.allocation": "temp",
+        "strategy.traversal": "collapsed",
+        "strategy.schedule": "nonempty_voxel(4)",
+        "strategy.storage": "sorted(9)",
+        "cells.box": "10,10,10,150,150,150",
+        "sweep.workers": "1,2,4",
+        "sweep.strategies": "temp/outer/cell_static/append; inplace/collapsed/voxel(8)/sorted(3)",
+        "dt.mechanics": "0.2",
+        "dt.diffusion": "0.05",
+        "timings": "aggregate",
+        "out": "elsewhere",
+    },
+    {"strategy.schedule": "cell_dynamic", "strategy.storage": "sorted"},
+]
+FORMAT_DIGEST = "6d7a129ca12bfa295447bad372df53733382d14756e98bac6566411fdfefac4c"
+
+
+def test_format_config_output_is_pinned():
+    text = "".join(format_config(build_config(entries)) for entries in PINNED_CONFIGS)
+    assert hashlib.sha256(text.encode()).hexdigest() == FORMAT_DIGEST
+
+
+def test_key_table_reaches_every_field_once():
+    reached = sorted(key.field for key in CONFIG_KEYS.values())
+    expected = sorted([f.name for f in fields(RunConfig) if f.name != "strategy"]
+                      + [f"strategy.{f.name}" for f in fields(StrategyConfig)])
+    assert reached == expected
+    assert list(STRATEGY_PARTS) == [f.name for f in fields(StrategyConfig)]
+
+
 def test_load_config_with_overrides(tmp_path):
     path = tmp_path / "base.cfg"
     path.write_text("steps = 50\ncells.count = 10\n")
@@ -168,6 +221,7 @@ def test_substep_count_is_bounded():
     dict(workers=MAX_WORKERS + 1),
     dict(workers=100_000),
     dict(sweep_workers=(1, MAX_WORKERS + 1)),
+    dict(sweep_workers=()),
     dict(nx=MAX_VOXELS + 1, ny=1, nz=1),
     dict(nx=100_000, ny=100_000, nz=100_000),  # 1e15 voxels
     dict(cell_count=11, cell_cap=10),

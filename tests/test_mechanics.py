@@ -13,6 +13,7 @@ from cellbench import (
     DomainError,
     InteractionParams,
     MechanicsSchedule,
+    ScheduleKind,
     WorkerPool,
     check_binning_exact,
     integrate_positions,
@@ -37,7 +38,7 @@ def pair_velocities(pi, pj, params, ri=8.0, rj=8.0):
     check_binning_exact(cont, PAIR_MESH, params)
     with WorkerPool(1) as pool:
         update_velocities(cont, PAIR_MESH, params,
-                          MechanicsSchedule.cell_static(), pool)
+                          MechanicsSchedule(ScheduleKind.CELL_STATIC), pool)
     return cont.cells[0].velocity, cont.cells[1].velocity
 
 
@@ -120,10 +121,10 @@ def clustered_container(mesh, n=40, seed=2):
 
 
 ALL_SCHEDULES = [
-    MechanicsSchedule.cell_static(),
-    MechanicsSchedule.cell_dynamic(4),
-    MechanicsSchedule.voxel(8),
-    MechanicsSchedule.nonempty_voxel(2),
+    MechanicsSchedule(ScheduleKind.CELL_STATIC),
+    MechanicsSchedule(ScheduleKind.CELL_DYNAMIC, 4),
+    MechanicsSchedule(ScheduleKind.VOXEL, 8),
+    MechanicsSchedule(ScheduleKind.NONEMPTY_VOXEL, 2),
 ]
 
 
@@ -136,7 +137,7 @@ def velocities_under(mesh, schedule, workers, alloc_mode):
 
 
 def test_every_schedule_worker_count_and_mode_agrees_bitwise(small_mesh):
-    reference, _ = velocities_under(small_mesh, MechanicsSchedule.cell_static(),
+    reference, _ = velocities_under(small_mesh, MechanicsSchedule(ScheduleKind.CELL_STATIC),
                                     1, AllocationMode.IN_PLACE)
     assert any(v != (0.0, 0.0, 0.0) for v in reference)  # cluster interacts
     for schedule in ALL_SCHEDULES:
@@ -150,11 +151,11 @@ def test_voxel_schedule_iterates_empty_voxels_too(small_mesh):
     cont = clustered_container(small_mesh)
     with WorkerPool(2) as pool:
         r_voxel = update_velocities(cont, small_mesh, InteractionParams(),
-                                    MechanicsSchedule.voxel(8), pool)
+                                    MechanicsSchedule(ScheduleKind.VOXEL, 8), pool)
         r_nonempty = update_velocities(cont, small_mesh, InteractionParams(),
-                                       MechanicsSchedule.nonempty_voxel(2), pool)
+                                       MechanicsSchedule(ScheduleKind.NONEMPTY_VOXEL, 2), pool)
         r_cells = update_velocities(cont, small_mesh, InteractionParams(),
-                                    MechanicsSchedule.cell_static(), pool)
+                                    MechanicsSchedule(ScheduleKind.CELL_STATIC), pool)
     assert r_voxel.total_iterations == small_mesh.voxel_count
     assert r_nonempty.total_iterations == len(cont.nonempty_voxels)
     assert r_nonempty.total_iterations < r_voxel.total_iterations
@@ -167,7 +168,7 @@ def test_update_requires_consistent_binning(small_mesh):
     with WorkerPool(1) as pool:
         with pytest.raises(cb.ContainerStateError):
             update_velocities(cont, small_mesh, InteractionParams(),
-                              MechanicsSchedule.cell_static(), pool)
+                              MechanicsSchedule(ScheduleKind.CELL_STATIC), pool)
 
 
 def test_empty_container_is_fine(small_mesh):
@@ -181,8 +182,8 @@ def test_empty_container_is_fine(small_mesh):
 
 def test_schedule_validation():
     with pytest.raises(DomainError):
-        MechanicsSchedule.voxel(0)
-    assert MechanicsSchedule.cell_dynamic().grain == 16
+        MechanicsSchedule(ScheduleKind.VOXEL, 0)
+    assert MechanicsSchedule(ScheduleKind.CELL_DYNAMIC).grain == 16
 
 
 # ---------------------------------------------------------------- neighbour walk
@@ -258,7 +259,7 @@ def test_in_place_mode_reports_zero_events(small_mesh):
     cont = clustered_container(small_mesh)
     with WorkerPool(2) as pool:
         record = update_velocities(cont, small_mesh, InteractionParams(),
-                                   MechanicsSchedule.cell_static(), pool,
+                                   MechanicsSchedule(ScheduleKind.CELL_STATIC), pool,
                                    alloc_mode=AllocationMode.IN_PLACE)
     assert record.total_alloc_events == 0
 

@@ -263,18 +263,3 @@ def test_chunk_model_rejects_degenerate_input():
     with pytest.raises(DomainError):
         chunk_lb_model(4, 0)
 
-
-# ---------------------------------------------------------------- providers
-
-def test_null_provider_never_fabricates_counters():
-    p = cb.NullCounterProvider()
-    assert p.provides_counters is False
-    assert p.read("solver", 4) is None
-
-
-def test_synthetic_provider_reads_and_validates():
-    p = cb.SyntheticCounterProvider({"solver": ((100, 200), (100, 200))})
-    assert p.provides_counters is True
-    assert p.read("solver", 2) == ((100, 200), (100, 200))
-    with pytest.raises(InconsistentTraceError):
-        p.read("solver", 3)

@@ -12,6 +12,8 @@ from cellbench import (
     DomainError,
     InteractionParams,
     MechanicsSchedule,
+    ScheduleKind,
+    StorageKind,
     StorageOrder,
     WorkerPool,
     attempt_divisions,
@@ -145,10 +147,10 @@ def test_daughters_are_clamped_inside(small_mesh):
 # ---------------------------------------------------------------- storage order
 
 def test_storage_order_literals():
-    assert StorageOrder.append_order().every == 50  # unused for append
-    assert StorageOrder.voxel_sorted(10).every == 10
+    assert StorageOrder(StorageKind.APPEND_ORDER).every == 50  # unused for append
+    assert StorageOrder(StorageKind.VOXEL_SORTED, 10).every == 10
     with pytest.raises(DomainError):
-        StorageOrder.voxel_sorted(0)
+        StorageOrder(StorageKind.VOXEL_SORTED, 0)
 
 
 def test_sort_cells_by_voxel_orders_storage(small_mesh):
@@ -170,11 +172,11 @@ def test_sorting_never_changes_velocities(small_mesh):
     cont = populated(small_mesh, n=8)
     with WorkerPool(2) as pool:
         update_velocities(cont, small_mesh, InteractionParams(),
-                          MechanicsSchedule.cell_static(), pool)
+                          MechanicsSchedule(ScheduleKind.CELL_STATIC), pool)
         before = {c.id: tuple(c.velocity) for c in cont.cells}
         sort_cells_by_voxel(cont)
         update_velocities(cont, small_mesh, InteractionParams(),
-                          MechanicsSchedule.cell_static(), pool)
+                          MechanicsSchedule(ScheduleKind.CELL_STATIC), pool)
     after = {c.id: tuple(c.velocity) for c in cont.cells}
     assert before == after  # bitwise: accumulation order is id-based
 
