@@ -92,7 +92,6 @@ from .population import (
 )
 from .simulate import REGIONS, RunResult, run_simulation, seed_cells, state_checksum
 from .smallvec import (
-    AllocationCounter,
     AllocationMode,
     InPlaceVectorOps,
     TempAllocVectorOps,

@@ -109,7 +109,7 @@ def _cmd_sweep(args) -> int:
         if not cell.ok:
             print(f"{cell.strategy}\t{cell.workers}\t-\t-\t-\t-\tFAIL: {cell.error}")
             continue
-        up = result.speedup_vs_one_worker(cell.strategy, cell.workers)
+        up = result.speedup_vs_lowest_workers(cell.strategy, cell.workers)
         vs = result.speedup_vs_baseline(cell.strategy, cell.workers)
         flag = " (spread>5%)" if cell.spread > SPREAD_WARN else ""
         print(

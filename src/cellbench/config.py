@@ -174,8 +174,10 @@ class RunConfig:
             raise ConfigError("cell count must be >= 0")
         if self.cell_radius <= 0:
             raise ConfigError("cell radius must be > 0")
-        if min(self.secretion, self.uptake, self.saturation) < 0:
-            raise ConfigError("secretion, uptake and saturation must be >= 0")
+        if self.division_rate < 0:
+            raise ConfigError("division rate must be >= 0")
+        if min(self.initial_density, self.secretion, self.uptake, self.saturation) < 0:
+            raise ConfigError("initial density, secretion, uptake and saturation must be >= 0")
         if self.cell_cap < 1:
             raise ConfigError("cell cap must be >= 1")
         if self.cell_count > self.cell_cap:

@@ -2,9 +2,9 @@
 
 A sweep runs every (strategy, worker count) cell several times, reports the
 median wall time and its spread, and derives two speedup views: each
-strategy against its own single-worker median (scaling) and each cell
-against a designated baseline strategy at the same worker count (the
-is-the-fix-worth-it view).  Cells that fail are recorded and skipped; a
+strategy against its own median at its lowest swept worker count (scaling)
+and each cell against a designated baseline strategy at the same worker
+count (the is-the-fix-worth-it view).  Cells that fail are recorded and skipped; a
 sweep never dies half way.
 
 `verify_equivalence` makes the correctness assumption behind all strategy
@@ -167,12 +167,14 @@ class SweepResult:
                 return c
         return None
 
-    def speedup_vs_one_worker(self, strategy: str, workers: int) -> float | None:
-        one = self.cell(strategy, 1)
+    def speedup_vs_lowest_workers(self, strategy: str, workers: int) -> float | None:
+        """The strategy's median at its lowest swept worker count over its median at `workers`."""
+        low = min((c for c in self.cells if c.strategy == strategy),
+                  key=lambda c: c.workers, default=None)
         cur = self.cell(strategy, workers)
-        if not (one and cur and one.ok and cur.ok and cur.median > 0):
+        if not (low and cur and low.ok and cur.ok and cur.median > 0):
             return None
-        return one.median / cur.median
+        return low.median / cur.median
 
     def speedup_vs_baseline(self, strategy: str, workers: int) -> float | None:
         base = self.cell(self.baseline, workers)
@@ -246,7 +248,7 @@ def write_speedup_tsv(path: str, result: SweepResult) -> None:
         for w in workers:
             row = [str(w)]
             for s in strategies:
-                up = result.speedup_vs_one_worker(s, w)
+                up = result.speedup_vs_lowest_workers(s, w)
                 vs = result.speedup_vs_baseline(s, w)
                 row.append("" if up is None else f"{up:.4f}")
                 row.append("" if vs is None else f"{vs:.4f}")
@@ -317,11 +319,15 @@ def uniform_chunk_benchmark(n_chunks: int, workers: int,
 
     Chunk cost is a sleep, so chunks overlap on any core count and the
     measurement exercises only the scheduler's split, which is what the
-    analytic model predicts.
+    analytic model predicts.  Chunk k of a worker's range sleeps until
+    k * chunk_seconds after the range started, not for chunk_seconds: the
+    wake-up overshoot of one sleep shortens the next, so a worker's busy
+    time carries one overshoot instead of one per chunk.
     """
     def body(lo, hi, ctx):
-        for _ in range(lo, hi):
-            time.sleep(chunk_seconds)
+        t0 = time.perf_counter()
+        for k in range(1, hi - lo + 1):
+            time.sleep(max(0.0, t0 + k * chunk_seconds - time.perf_counter()))
 
     with WorkerPool(workers) as pool:
         record = pool.run_static(n_chunks, body)

@@ -93,12 +93,8 @@ def _voxel_candidates(agent: dict, mesh: CartesianMesh, v: int) -> list[int]:
 
 
 def _worker_ops(ctx, mode: AllocationMode):
-    """Per-worker ops facade and scratch vectors, created once and reused."""
-    cached = ctx.scratch.get("mech_ops")
-    if cached is None or cached[0].mode is not mode:
-        cached = (vector_ops(mode, ctx.counter), [0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
-        ctx.scratch["mech_ops"] = cached
-    return cached
+    """Ops facade counting into the worker's stats, and two scratch vectors."""
+    return vector_ops(mode, ctx.stats), [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]
 
 
 def _cell_velocity(cell, cand_ids, by_id, params, ops, w1, w2) -> None:

@@ -2,16 +2,20 @@
 
 The pool mirrors a shared-memory parallel-loop runtime: the calling thread is
 worker 0, helper threads are spawned once and reused, and every parallel
-region is a dispatch-execute-join cycle.  Two schedules are provided:
+region is a dispatch-execute-join cycle.  A schedule is a `claim(w)` generator
+of (lo, hi, claims) blocks, and every worker, worker 0 included, runs the
+same claim loop over it.  Two schedules are provided:
 
 * static  -- contiguous even split of the iteration space, remainder items
   going to the lowest-indexed workers, so the analytic chunk model of the
-  metrics module applies exactly;
+  metrics module applies exactly; each item counts as one claim;
 * dynamic -- workers claim the next grain-sized block from a shared cursor
-  until the space is exhausted.
+  until the space is exhausted; each block counts as one claim and is logged
+  as (lo, worker) in the record's `claim_log`.
 
-Workers mutate only their own stats slots and their own chunk of the problem,
-so records need no locks; the dynamic cursor is the single shared word.
+Either way a region's claims sum to its schedulable chunks.  Every dispatch
+gets fresh per-worker `WorkerStats`; a worker writes only its own, so records
+need no locks.  The dynamic cursor is the single shared word.
 """
 
 from __future__ import annotations
@@ -19,8 +23,6 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, fields
-
-from .smallvec import AllocationCounter
 
 
 def static_ranges(n_items: int, workers: int) -> list[tuple[int, int]]:
@@ -49,24 +51,19 @@ class WorkerStats:
 
 @dataclass
 class RegionRecord:
-    """Items, schedulable chunks and per-worker stats of one parallel dispatch,
-    or, summed with `add`, of a region over one step or a whole run."""
+    """Per-worker stats of one parallel dispatch, or, summed with `add`, of a
+    region over one step or a whole run."""
 
-    items: int
-    schedulable_chunks: int
     elapsed: float
     workers: list[WorkerStats]
     claim_log: list | None = None
 
     @classmethod
     def empty(cls, workers: int) -> RegionRecord:
-        return cls(items=0, schedulable_chunks=0, elapsed=0.0,
-                   workers=[WorkerStats() for _ in range(workers)])
+        return cls(elapsed=0.0, workers=[WorkerStats() for _ in range(workers)])
 
     def add(self, other: RegionRecord) -> None:
-        """Sum items, chunks and per-worker stats; `elapsed` is the caller's."""
-        self.items += other.items
-        self.schedulable_chunks += other.schedulable_chunks
+        """Sum the per-worker stats; `elapsed` is the caller's."""
         for mine, theirs in zip(self.workers, other.workers, strict=True):
             mine.add(theirs)
 
@@ -84,22 +81,13 @@ class RegionRecord:
 
 
 class WorkerCtx:
-    """Per-worker context: identity, allocation counter, persistent scratch."""
+    """What a body sees of its worker: the index and this dispatch's stats."""
 
-    __slots__ = ("index", "counter", "scratch")
+    __slots__ = ("index", "stats")
 
-    def __init__(self, index: int):
+    def __init__(self, index: int, stats: WorkerStats):
         self.index = index
-        self.counter = AllocationCounter()
-        self.scratch: dict = {}
-
-
-class _Cursor:
-    __slots__ = ("lock", "value")
-
-    def __init__(self):
-        self.lock = threading.Lock()
-        self.value = 0
+        self.stats = stats
 
 
 class WorkerPool:
@@ -109,11 +97,7 @@ class WorkerPool:
         if workers < 1:
             raise ValueError("worker count must be >= 1")
         self.workers = workers
-        self.contexts = [WorkerCtx(w) for w in range(workers)]
-        self._job = None
-        self._stats: list[WorkerStats] = []
-        self._errors: list = [None] * workers
-        self._claim_logs: list = [None] * workers
+        self._job = None  # the in-flight dispatch's job(w); None between dispatches
         self._shutdown = False
         self._threads: list[threading.Thread] = []
         if workers > 1:
@@ -134,7 +118,7 @@ class WorkerPool:
         return False
 
     def shutdown(self) -> None:
-        if self.workers > 1 and not self._shutdown:
+        if self._threads and not self._shutdown:
             self._shutdown = True
             self._job = None
             self._start.wait()
@@ -144,89 +128,75 @@ class WorkerPool:
     def _helper_loop(self, w: int) -> None:
         while True:
             self._start.wait()
-            job = self._job
-            if job is None:
+            if self._job is None:
                 return
-            try:
-                self._execute(w, job)
-            except BaseException as exc:  # propagate after the join barrier
-                self._errors[w] = exc
+            self._job(w)
             self._done.wait()
 
     # -- dispatch ----------------------------------------------------------
 
     def run_static(self, n_items: int, body) -> RegionRecord:
         """body(lo, hi, ctx) once per worker over its contiguous item range."""
-        job = ("static", body, n_items, 0, None, static_ranges(n_items, self.workers), False)
-        return self._dispatch(job, schedulable=n_items)
+        ranges = static_ranges(n_items, self.workers)
 
-    def run_dynamic(self, n_items: int, grain: int, body, record_claims: bool = False) -> RegionRecord:
+        def claim(w):
+            lo, hi = ranges[w]
+            if hi > lo:
+                yield lo, hi, hi - lo
+
+        return self._dispatch(body, claim)
+
+    def run_dynamic(self, n_items: int, grain: int, body) -> RegionRecord:
         """body(lo, hi, ctx) per claimed block of at most `grain` items."""
         if grain < 1:
             raise ValueError("grain must be >= 1")
-        job = ("dynamic", body, n_items, grain, _Cursor(), None, record_claims)
-        chunks = -(-n_items // grain)
-        return self._dispatch(job, schedulable=chunks)
+        lock = threading.Lock()
+        claim_log: list[tuple[int, int]] = []
 
-    def _dispatch(self, job, schedulable: int) -> RegionRecord:
-        n_items = job[2]
-        self._stats = [WorkerStats() for _ in range(self.workers)]
-        self._errors = [None] * self.workers
-        self._claim_logs = [[] if job[6] else None for _ in range(self.workers)]
+        def claim(w):
+            while True:
+                with lock:  # the log is the cursor: block k starts at k * grain
+                    lo = len(claim_log) * grain
+                    if lo >= n_items:
+                        return
+                    claim_log.append((lo, w))
+                yield lo, min(lo + grain, n_items), 1
+
+        return self._dispatch(body, claim, claim_log)
+
+    def _dispatch(self, body, claim, claim_log: list | None = None) -> RegionRecord:
+        stats = [WorkerStats() for _ in range(self.workers)]
+        errors: list = [None] * self.workers
+
+        def job(w: int) -> None:
+            try:
+                self._execute(body, claim(w), WorkerCtx(w, stats[w]))
+            except BaseException as exc:  # re-raised after the join
+                errors[w] = exc
+
         t0 = time.perf_counter()
-        if self.workers == 1:
-            self._execute(0, job)
-        else:
+        if self._threads:
             self._job = job
             self._start.wait()
-            try:
-                self._execute(0, job)
-            except BaseException as exc:
-                self._errors[0] = exc
+            job(0)
             self._done.wait()
+            self._job = None  # the body may hold large buffers; do not keep it
+        else:
+            job(0)
         elapsed = time.perf_counter() - t0
-        for err in self._errors:
+        for err in errors:
             if err is not None:
                 raise err
-        claim_log = None
-        if job[6]:
-            claim_log = [entry for log in self._claim_logs for entry in log]
-        return RegionRecord(
-            items=n_items,
-            schedulable_chunks=schedulable,
-            elapsed=elapsed,
-            workers=self._stats,
-            claim_log=claim_log,
-        )
+        return RegionRecord(elapsed=elapsed, workers=stats, claim_log=claim_log)
 
-    def _execute(self, w: int, job) -> None:
-        kind, body, n_items, grain, cursor, ranges, record_claims = job
-        ctx = self.contexts[w]
-        ctx.counter.reset()
-        stats = self._stats[w]
+    @staticmethod
+    def _execute(body, claims, ctx: WorkerCtx) -> None:
+        """The claim loop: run and account every block this worker claims."""
+        stats = ctx.stats
         clock = time.perf_counter
-        if kind == "static":
-            lo, hi = ranges[w]
-            if hi > lo:
-                t0 = clock()
-                body(lo, hi, ctx)
-                stats.busy += clock() - t0
-                stats.iterations += hi - lo
-                stats.claims += hi - lo
-        else:
-            log = self._claim_logs[w]
-            while True:
-                with cursor.lock:
-                    lo = cursor.value
-                    cursor.value = lo + grain
-                if lo >= n_items:
-                    break
-                hi = min(lo + grain, n_items)
-                if log is not None:
-                    log.append((lo, w))
-                t0 = clock()
-                body(lo, hi, ctx)
-                stats.busy += clock() - t0
-                stats.iterations += hi - lo
-                stats.claims += 1
-        stats.alloc_events = ctx.counter.alloc_events
+        for lo, hi, n_claims in claims:
+            t0 = clock()
+            body(lo, hi, ctx)
+            stats.busy += clock() - t0
+            stats.iterations += hi - lo
+            stats.claims += n_claims

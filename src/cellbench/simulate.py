@@ -55,7 +55,7 @@ def _add_timed(record: RegionRecord, t0: float, dispatches) -> None:
 def _serial(workers: int, seconds: float, iterations: int) -> RegionRecord:
     """Record of a serial region: worker 0 was busy for all of it."""
     record = RegionRecord.empty(workers)
-    record.items = record.workers[0].iterations = iterations
+    record.workers[0].iterations = iterations
     record.elapsed = record.workers[0].busy = seconds
     return record
 

@@ -6,13 +6,14 @@ the in-place mode writes results into caller-provided storage and never
 touches the allocator.  Both modes execute the same arithmetic expressions in
 the same order, so their numeric results are bit-identical.
 
-Allocation accounting is semantic, not an allocator hook: the counter records
-one allocation event per vector-valued operator application and one per
-named-result binding (``assign``), which makes the accounting portable and
-exactly testable.  The temporary-allocating mode still performs real dynamic
-acquisitions (a new list per event), so wall-clock allocation overhead is also
-observable.  Scalar-valued operators (dot, norm) record no events in either
-mode.
+Allocation accounting is semantic, not an allocator hook: the temporary mode
+counts one allocation event per vector-valued operator application and one per
+named-result binding (``assign``) into the ``alloc_events`` of the stats record
+it is bound to (inside a dispatch, the worker's ``parallel.WorkerStats``), which
+makes the accounting portable and exactly testable.  The temporary mode still
+performs real dynamic acquisitions (a new list per event), so wall-clock
+allocation overhead is also observable.  The scalar-valued ``norm`` records no
+events in either mode.
 """
 
 from __future__ import annotations
@@ -26,18 +27,6 @@ class AllocationMode(enum.Enum):
     IN_PLACE = "inplace"
 
 
-class AllocationCounter:
-    """Per-worker event counter; read at region end, never shared live."""
-
-    __slots__ = ("alloc_events",)
-
-    def __init__(self):
-        self.alloc_events = 0
-
-    def reset(self) -> None:
-        self.alloc_events = 0
-
-
 class TempAllocVectorOps:
     """Every vector-valued operator allocates fresh storage and records one event.
 
@@ -45,33 +34,29 @@ class TempAllocVectorOps:
     mirroring overloaded operators that cannot reuse a destination.
     """
 
-    __slots__ = ("counter",)
-    mode = AllocationMode.TEMPORARY_ALLOCATING
+    __slots__ = ("stats",)
 
-    def __init__(self, counter: AllocationCounter):
-        self.counter = counter
+    def __init__(self, stats):
+        self.stats = stats
 
     def add(self, a, b, out=None):
-        self.counter.alloc_events += 1
+        self.stats.alloc_events += 1
         return [a[0] + b[0], a[1] + b[1], a[2] + b[2]]
 
     def sub(self, a, b, out=None):
-        self.counter.alloc_events += 1
+        self.stats.alloc_events += 1
         return [a[0] - b[0], a[1] - b[1], a[2] - b[2]]
 
     def scale(self, s, a, out=None):
-        self.counter.alloc_events += 1
+        self.stats.alloc_events += 1
         return [s * a[0], s * a[1], s * a[2]]
-
-    def dot(self, a, b) -> float:
-        return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
     def norm(self, a) -> float:
         return math.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2])
 
     def assign(self, dst, src) -> None:
         """Bind a result to a named destination: one fresh copy, one event."""
-        self.counter.alloc_events += 1
+        self.stats.alloc_events += 1
         tmp = [src[0], src[1], src[2]]
         dst[0] = tmp[0]
         dst[1] = tmp[1]
@@ -81,11 +66,10 @@ class TempAllocVectorOps:
 class InPlaceVectorOps:
     """Operators write into caller-provided storage; zero allocation events."""
 
-    __slots__ = ("counter",)
-    mode = AllocationMode.IN_PLACE
+    __slots__ = ("stats",)
 
-    def __init__(self, counter: AllocationCounter):
-        self.counter = counter
+    def __init__(self, stats):
+        self.stats = stats
 
     def add(self, a, b, out):
         out[0] = a[0] + b[0]
@@ -105,9 +89,6 @@ class InPlaceVectorOps:
         out[2] = s * a[2]
         return out
 
-    def dot(self, a, b) -> float:
-        return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
     def norm(self, a) -> float:
         return math.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2])
 
@@ -117,11 +98,11 @@ class InPlaceVectorOps:
         dst[2] = src[2]
 
 
-def vector_ops(mode: AllocationMode, counter: AllocationCounter):
-    """Ops facade for the given mode, bound to a per-worker counter."""
+def vector_ops(mode: AllocationMode, stats):
+    """Ops facade for the given mode, counting into `stats.alloc_events`."""
     if mode is AllocationMode.TEMPORARY_ALLOCATING:
-        return TempAllocVectorOps(counter)
+        return TempAllocVectorOps(stats)
     if mode is AllocationMode.IN_PLACE:
-        return InPlaceVectorOps(counter)
+        return InPlaceVectorOps(stats)
     raise ValueError(f"unknown allocation mode {mode!r}")
 

@@ -17,7 +17,6 @@ import pytest
 
 import cellbench as cb
 from cellbench import (
-    AllocationCounter,
     AllocationMode,
     InteractionParams,
     MechanicsSchedule,
@@ -26,6 +25,7 @@ from cellbench import (
     ScheduleKind,
     TraversalMode,
     WorkerPool,
+    WorkerStats,
     chunk_lb_model,
     communication_efficiency,
     load_balance,
@@ -49,7 +49,7 @@ def test_criterion_1_allocation_accounting():
     """Temp-mode scaled-sum expression: exactly 3 events; in-place region: 0."""
     t0 = time.perf_counter()
 
-    counter = AllocationCounter()
+    counter = WorkerStats()
     ops = vector_ops(AllocationMode.TEMPORARY_ALLOCATING, counter)
     dst = [0.0, 0.0, 0.0]
     ops.assign(dst, ops.scale(0.25, ops.add([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])))

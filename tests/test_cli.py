@@ -122,6 +122,8 @@ def test_non_finite_value_is_a_config_error(cfg_file, capsys, setting):
     ["substrate.saturation=-1"],
     ["substrate.secretion=1e300", "substrate.saturation=1e300"],  # field overflows
     ["cells.cap=20"],  # below the 30 seeded cells
+    ["cells.division_rate=-1"],
+    ["substrate.initial=-5"],
 ], ids=" ".join)
 def test_out_of_domain_value_is_a_config_error(cfg_file, tmp_path, capsys, settings):
     argv = ["run", "--config", cfg_file, "--out", str(tmp_path / "o"), "--set", "steps=1"]

@@ -238,7 +238,8 @@ def test_run_size_limits_are_inclusive():
     assert cfg.mesh().voxel_count == MAX_VOXELS
 
 
-@pytest.mark.parametrize("field", ["cell_radius", "secretion", "uptake", "saturation"])
+@pytest.mark.parametrize("field", ["cell_radius", "secretion", "uptake", "saturation",
+                                   "division_rate", "initial_density"])
 def test_negative_cell_and_exchange_parameters_raise(field):
     with pytest.raises(ConfigError):
         RunConfig(**{field: -3.0})

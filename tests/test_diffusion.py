@@ -167,9 +167,8 @@ def test_sweep_chunk_granularity_contract(mesh, mode, workers):
     with WorkerPool(workers) as pool:
         records = lod_step(micro, mesh, 0.1, mode, pool)
     chunks, _ = expected_chunks(mesh, mode)
-    assert [r.schedulable_chunks for r in records] == chunks
+    assert [r.total_claims for r in records] == chunks
     # each sweep traverses every chunk exactly once
-    assert [r.items for r in records] == chunks
     assert [r.total_iterations for r in records] == chunks
 
 
@@ -269,7 +268,7 @@ def test_exchange_parallel_matches_serial(pool2):
                                          uptake=3.0, saturation=38.0, pool=pool)
             fields.append(micro.densities.copy())
     assert np.array_equal(fields[0], fields[1])
-    assert record.items == 4
+    assert record.total_iterations == 4
 
 
 def test_exchange_rejects_nonpositive_denominator(pool2):
@@ -290,7 +289,7 @@ def test_exchange_empty_container(pool2):
     with WorkerPool(1) as pool1:
         for pool in (pool1, pool2):
             assert apply_cell_exchange(micro, cont, 0.1, 1.0, 1.0, 38.0,
-                                       pool=pool).items == 0
+                                       pool=pool).total_iterations == 0
     assert np.array_equal(micro.densities, before)
 
 
@@ -346,5 +345,5 @@ def test_gradient_chunk_granularity(mesh, mode, workers):
     with WorkerPool(workers) as pool:
         records = compute_gradients(micro, mesh, mode, pool)
     _, chunks = expected_chunks(mesh, mode)
-    assert [r.schedulable_chunks for r in records] == [chunks]
-    assert [r.items for r in records] == [chunks]
+    assert [r.total_claims for r in records] == [chunks]
+    assert [r.total_iterations for r in records] == [chunks]

@@ -130,7 +130,7 @@ def test_sweep_matrix_and_speedups(tmp_path):
     assert all(c.spread >= 0.0 for c in result.cells)
     assert result.baseline == literals[0]
 
-    up = result.speedup_vs_one_worker(literals[0], 2)
+    up = result.speedup_vs_lowest_workers(literals[0], 2)
     vs = result.speedup_vs_baseline(literals[1], 2)
     assert up is not None and up > 0.0
     assert vs is not None and vs > 0.0
@@ -144,6 +144,19 @@ def test_sweep_matrix_and_speedups(tmp_path):
         f"{literals[1]}:speedup", f"{literals[1]}:vs_base",
     ]
     assert [ln.split("\t")[0] for ln in lines[1:]] == ["1", "2"]
+
+
+def test_speedup_base_is_the_lowest_swept_worker_count(tmp_path):
+    literal = "inplace/outer/cell_static/append"
+    result = sweep(tiny_config(steps=1, sweep_strategies=(literal,),
+                               sweep_workers=(2, 3), sweep_repeats=1))
+    assert result.speedup_vs_lowest_workers(literal, 2) == 1.0
+    assert result.speedup_vs_lowest_workers(literal, 3) > 0.0
+    path = tmp_path / "speedup.tsv"
+    write_speedup_tsv(str(path), result)
+    rows = [ln.split("\t")[:2] for ln in path.read_text().strip().splitlines()[1:]]
+    assert rows[0] == ["2", "1.0000"]
+    assert rows[1][0] == "3" and rows[1][1] != ""
 
 
 def test_sweep_records_failures_instead_of_raising():

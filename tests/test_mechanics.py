@@ -275,7 +275,7 @@ def test_integration_moves_cells_exactly(small_mesh):
                                       10.0 + 0.1 * 3.0]
     assert cont.cells[1].position == [30.0, 30.0, 30.0]
     assert cont.positions_dirty
-    assert record.items == 2
+    assert record.total_iterations == 2
 
 
 def test_integration_clamps_at_the_boundary(small_mesh):

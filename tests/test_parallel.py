@@ -1,5 +1,6 @@
 """Partitioning, claim accounting, and instrumentation of the worker pool."""
 
+import sys
 import threading
 import time
 
@@ -50,11 +51,10 @@ def test_run_static_covers_each_item_once():
 
         record = pool.run_static(11, body)
     assert [r for rs in seen for r in rs] == static_ranges(11, 4)
-    assert record.items == 11
-    assert record.schedulable_chunks == 11
     assert record.total_iterations == 11
     # static claims count items, so claims sum to the schedulable total
     assert record.total_claims == 11
+    assert record.claim_log is None
     assert [w.iterations for w in record.workers] == [3, 3, 3, 2]
 
 
@@ -87,19 +87,33 @@ def test_run_dynamic_covers_each_item_once(n, grain, workers):
         pool.shutdown()
     flat = sorted(x for s in seen for x in s)
     assert flat == list(range(n))
-    assert record.schedulable_chunks == -(-n // grain)
-    assert record.total_claims == record.schedulable_chunks
+    assert record.total_claims == -(-n // grain)
     assert record.total_iterations == n
 
 
 def test_run_dynamic_claim_log():
     with WorkerPool(2) as pool:
-        record = pool.run_dynamic(10, 3, lambda lo, hi, ctx: None,
-                                  record_claims=True)
+        record = pool.run_dynamic(10, 3, lambda lo, hi, ctx: None)
     assert record.total_claims == 4
     assert len(record.claim_log) == 4
     assert sorted(lo for lo, _ in record.claim_log) == [0, 3, 6, 9]
     assert all(w in (0, 1) for _, w in record.claim_log)
+
+
+def test_dynamic_claims_survive_forced_thread_switches():
+    # more workers than cores, switching threads as often as the interpreter
+    # allows: every block is still handed out, run and logged exactly once
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with WorkerPool(6) as pool:
+            seen = [[] for _ in range(6)]
+            record = pool.run_dynamic(3000, 1, lambda lo, hi, ctx: seen[ctx.index].append(lo))
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(x for s in seen for x in s) == list(range(3000))
+    assert sorted(lo for lo, _ in record.claim_log) == list(range(3000))
+    assert [w.claims for w in record.workers] == [len(s) for s in seen]
 
 
 def test_run_dynamic_rejects_bad_grain():
@@ -131,7 +145,7 @@ def test_allocation_events_are_harvested_per_worker():
     with WorkerPool(2) as pool:
 
         def body(lo, hi, ctx):
-            ops = vector_ops(AllocationMode.TEMPORARY_ALLOCATING, ctx.counter)
+            ops = vector_ops(AllocationMode.TEMPORARY_ALLOCATING, ctx.stats)
             for _ in range(lo, hi):
                 ops.add([0.0] * 3, [1.0] * 3)
 
@@ -139,20 +153,20 @@ def test_allocation_events_are_harvested_per_worker():
         assert [w.alloc_events for w in record.workers] == [3, 3]
         assert record.total_alloc_events == 6
 
-        # counters reset at every dispatch: an allocation-free body reads zero
+        # stats are fresh at every dispatch: an allocation-free body reads zero
         record = pool.run_static(6, lambda lo, hi, ctx: None)
         assert record.total_alloc_events == 0
 
 
 def test_records_sum_every_worker_field_but_not_elapsed():
-    a = RegionRecord(items=4, schedulable_chunks=2, elapsed=1.0,
+    a = RegionRecord(elapsed=1.0,
                      workers=[WorkerStats(0.5, 3, 1, 7), WorkerStats(0.25, 1, 1, 0)])
-    b = RegionRecord(items=6, schedulable_chunks=3, elapsed=2.0,
+    b = RegionRecord(elapsed=2.0,
                      workers=[WorkerStats(0.125, 2, 2, 1), WorkerStats(1.0, 4, 1, 2)])
     total = RegionRecord.empty(2)
     total.add(a)
     total.add(b)
-    assert (total.items, total.schedulable_chunks, total.elapsed) == (10, 5, 0.0)
+    assert total.elapsed == 0.0
     assert total.workers == [WorkerStats(0.625, 5, 3, 8), WorkerStats(1.25, 5, 2, 2)]
     assert a.workers[0] == WorkerStats(0.5, 3, 1, 7)  # the summands are unchanged
     with pytest.raises(ValueError):

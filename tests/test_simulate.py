@@ -3,9 +3,18 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cellbench as cb
-from cellbench import REGIONS, RunConfig, run_simulation, seed_cells, state_checksum
+from cellbench import (
+    REGIONS,
+    RunConfig,
+    parse_strategy_literal,
+    run_simulation,
+    seed_cells,
+    state_checksum,
+)
 
 
 def tiny_config(**over):
@@ -35,6 +44,31 @@ def test_runs_are_reproducible():
     b = run_simulation(cfg)
     assert a.checksum == b.checksum
     assert run_simulation(tiny_config(seed=4)).checksum != a.checksum
+
+
+schedules = st.one_of(
+    st.just("cell_static"),
+    st.builds("{}({})".format,
+              st.sampled_from(["cell_dynamic", "voxel", "nonempty_voxel"]),
+              st.integers(1, 8)),
+)
+storages = st.one_of(st.just("append"), st.integers(1, 5).map("sorted({})".format))
+literals = st.builds("{}/{}/{}/{}".format, st.sampled_from(["temp", "inplace"]),
+                     st.sampled_from(["outer", "collapsed"]), schedules, storages)
+
+
+@settings(max_examples=300)
+@given(shape=st.tuples(*[st.integers(1, 5)] * 3), cells=st.integers(0, 40),
+       rate=st.floats(0.0, 0.3), steps=st.integers(1, 5), seed=st.integers(0, 99),
+       literal=literals, workers=st.sampled_from([1, 2, 3]))
+def test_any_strategy_and_worker_count_reproduce_the_default_checksum(
+        shape, cells, rate, steps, seed, literal, workers):
+    nx, ny, nz = shape
+    base = RunConfig(nx=nx, ny=ny, nz=nz, cell_count=cells, division_rate=rate,
+                     steps=steps, seed=seed)
+    drawn = dataclasses.replace(base, strategy=parse_strategy_literal(literal),
+                                workers=workers)
+    assert run_simulation(drawn).checksum == run_simulation(base).checksum
 
 
 def test_checksum_ignores_storage_order_but_not_state():
@@ -106,8 +140,8 @@ def test_substeps_multiply_solver_dispatches():
     result = run_simulation(cfg)
     records = result.step_records[0]
     # outer traversal on a 5^3 mesh: 5 + 5 + 5 slabs per sweep pass
-    assert records["solver"].schedulable_chunks == 2 * 15
-    assert records["gradients"].schedulable_chunks == 5  # once per step
+    assert records["solver"].total_claims == 2 * 15
+    assert records["gradients"].total_claims == 5  # once per step
 
 
 def test_resort_cadence_follows_the_period():
