@@ -40,7 +40,6 @@ from .errors import (
     InconsistentTraceError,
     NumericError,
     UndefinedMetricError,
-    VerificationFailure,
 )
 from .harness import (
     EFFICIENCY_FIELDS,
@@ -67,14 +66,12 @@ from .mechanics import (
     update_velocities,
 )
 from .metrics import (
-    EfficiencyReport,
     RegionTiming,
     Scalabilities,
     aggregate_timings,
     chunk_lb_model,
     chunk_speedup_model,
     communication_efficiency,
-    efficiency_report,
     load_balance,
     parallel_efficiency,
     scalabilities,

@@ -32,7 +32,6 @@ from .errors import (
     ConfigError,
     DomainError,
     NumericError,
-    VerificationFailure,
 )
 from .harness import (
     SPREAD_WARN,
@@ -81,17 +80,22 @@ def _cmd_run(args) -> int:
     result = run_simulation(cfg)
     out = ensure_out_dir(cfg.out)
     run_id = run_id_for(cfg.strategy, cfg.workers)
-    write_timings_csv(os.path.join(out, "timings.csv"), result, run_id)
-    write_efficiency_csv(os.path.join(out, "efficiency.csv"),
-                         efficiency_rows(result, run_id))
-    with open(os.path.join(out, "config.resolved.txt"), "w", encoding="utf-8") as fh:
+    timings, efficiency, resolved = (
+        os.path.join(out, name)
+        for name in ("timings.csv", "efficiency.csv", "config.resolved.txt"))
+    write_timings_csv(timings, result, run_id)
+    write_efficiency_csv(efficiency, efficiency_rows(result, run_id))
+    with open(resolved, "w", encoding="utf-8") as fh:
         fh.write(format_config(cfg))
+    written = [efficiency, resolved]
+    if cfg.timings != "off":
+        written.insert(0, timings)
     print(f"run_id    {run_id}")
     print(f"steps     {cfg.steps}")
     print(f"cells     {result.final_cell_count}")
     print(f"checksum  {result.checksum}")
     print(f"wall_s    {result.wall_seconds:.3f}")
-    print(f"outputs   {out}/timings.csv {out}/efficiency.csv")
+    print(f"outputs   {' '.join(written)}")
     return EXIT_OK
 
 
@@ -202,9 +206,6 @@ def main(argv=None) -> int:
     except (ConfigError, DomainError, NumericError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except VerificationFailure as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY

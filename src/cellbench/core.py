@@ -221,13 +221,13 @@ class CellContainer:
         assert self.nonempty_voxels == sorted(self.agent)
 
 
-def rebin_cells(container: CellContainer, mesh: CartesianMesh | None = None) -> CellContainer:
+def rebin_cells(container: CellContainer) -> CellContainer:
     """Rebuild the per-voxel agent lists and the non-empty list.
 
     Serial; the single place where the spatial index is brought back in sync
     with positions after moves or divisions.
     """
-    mesh = mesh or container.mesh
+    mesh = container.mesh
     agent: dict[int, list[int]] = {}
     for cell in container.cells:
         v = mesh.voxel_of(cell.position)

@@ -116,8 +116,8 @@ def lod_step(micro: Microenvironment, mesh: CartesianMesh, dt: float,
 
 def apply_cell_exchange(micro: Microenvironment, container: CellContainer, dt: float,
                         secretion: float, uptake: float, saturation: float,
-                        pool: WorkerPool, substrate: int = 0) -> RegionRecord:
-    """Implicit per-cell secretion/uptake against each cell's voxel density.
+                        pool: WorkerPool) -> RegionRecord:
+    """Implicit per-cell secretion/uptake of substrate 0 at each cell's voxel.
 
     Within a voxel, cells apply in ascending id order, so the result does not
     depend on the container's storage order.  Voxels are independent, so the
@@ -127,7 +127,7 @@ def apply_cell_exchange(micro: Microenvironment, container: CellContainer, dt: f
     """
     if dt <= 0.0:
         raise DomainError("exchange needs dt > 0")
-    dens = micro.densities[substrate]
+    dens = micro.densities[0]
     inv_vol = 1.0 / micro.mesh.voxel_volume
     by_id = container.by_id
     agent = container.agent

@@ -32,6 +32,3 @@ class UndefinedMetricError(CellBenchError, ValueError):
 class InconsistentTraceError(CellBenchError, ValueError):
     """A timing record is internally inconsistent (busy time exceeds elapsed)."""
 
-
-class VerificationFailure(CellBenchError, RuntimeError):
-    """Two runs expected to be equivalent produced diverging state."""

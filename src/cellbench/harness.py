@@ -22,13 +22,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import RunConfig, StrategyConfig, parse_strategy_literal
+from .config import STRATEGY_PARTS, RunConfig, StrategyConfig, parse_strategy_literal
 from .errors import ConfigError
 from .metrics import (
     RegionTiming,
     UndefinedMetricError,
     aggregate_timings,
-    efficiency_report,
+    communication_efficiency,
+    load_balance,
+    scalabilities,
     timing_from_record,
 )
 from .parallel import WorkerPool
@@ -83,8 +85,8 @@ def _active_timings(totals: dict) -> dict:
 def efficiency_rows(result: RunResult, run_id: str,
                     base: RunResult | None = None) -> list[dict]:
     """Per-region efficiency report rows; regions with no busy time are skipped."""
-    axes = dict(zip(("allocation", "traversal", "schedule", "storage"),
-                    result.config.strategy.literal().split("/")))
+    strategy = result.config.strategy
+    axes = {part: fmt(getattr(strategy, part)) for part, (_, fmt) in STRATEGY_PARTS.items()}
     totals = {region: result.region_totals(region) for region in REGIONS}
     alloc = {region: total.total_alloc_events for region, total in totals.items()}
     alloc["all"] = sum(alloc.values())
@@ -95,34 +97,36 @@ def efficiency_rows(result: RunResult, run_id: str,
     rows = []
     for region, timing in _active_timings(totals).items():
         try:
-            report = efficiency_report(timing, base_timings.get(region))
+            lb = load_balance(timing)
+            comm = communication_efficiency(timing)
+            scal = (scalabilities(base_timings[region], timing)
+                    if region in base_timings else None)
         except UndefinedMetricError:
             continue
         rows.append({
             "run_id": run_id,
-            "region": report.region,
-            "workers": report.workers,
+            "region": region,
+            "workers": timing.workers,
             **axes,
-            "lb": f"{report.load_balance:.6f}",
-            "comm_eff": f"{report.communication_efficiency:.6f}",
-            "par_eff": f"{report.parallel_efficiency:.6f}",
-            "comp_scal": _fmt(report.computation_scalability),
-            "instr_scal": _fmt(report.instruction_scalability),
-            "ipc_scal": _fmt(report.ipc_scalability),
-            "freq_scal": _fmt(report.frequency_scalability),
-            "mean_busy_s": f"{report.mean_busy:.9f}",
-            "max_busy_s": f"{report.max_busy:.9f}",
-            "elapsed_s": f"{report.elapsed:.9f}",
+            "lb": f"{lb:.6f}",
+            "comm_eff": f"{comm:.6f}",
+            "par_eff": f"{lb * comm:.6f}",
+            "comp_scal": _fmt(scal and scal.computation_scalability),
+            "instr_scal": _fmt(scal and scal.instruction_scalability),
+            "ipc_scal": _fmt(scal and scal.ipc_scalability),
+            "freq_scal": _fmt(scal and scal.frequency_scalability),
+            "mean_busy_s": f"{timing.total_busy / timing.workers:.9f}",
+            "max_busy_s": f"{max(timing.busy):.9f}",
+            "elapsed_s": f"{timing.elapsed:.9f}",
             "alloc_events": alloc[region],
         })
     return rows
 
 
 EFFICIENCY_FIELDS = [
-    "run_id", "region", "workers", "allocation", "traversal", "schedule",
-    "storage", "lb", "comm_eff", "par_eff", "comp_scal", "instr_scal",
-    "ipc_scal", "freq_scal", "mean_busy_s", "max_busy_s", "elapsed_s",
-    "alloc_events",
+    "run_id", "region", "workers", *STRATEGY_PARTS, "lb", "comm_eff", "par_eff",
+    "comp_scal", "instr_scal", "ipc_scal", "freq_scal", "mean_busy_s",
+    "max_busy_s", "elapsed_s", "alloc_events",
 ]
 
 

@@ -27,10 +27,11 @@ Both voxel schedules visit voxels in ascending index order inside a chunk.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .core import CartesianMesh, CellContainer
-from .errors import ContainerStateError, DomainError
+from .errors import ContainerStateError, DomainError, NumericError
 from .parallel import RegionRecord, WorkerPool
 from .smallvec import AllocationMode, vector_ops
 
@@ -174,7 +175,11 @@ def update_velocities(container: CellContainer, mesh: CartesianMesh,
 
 def integrate_positions(container: CellContainer, mesh: CartesianMesh,
                         dt: float, pool: WorkerPool) -> RegionRecord:
-    """Forward Euler x += dt*v, clamped strictly inside the mesh; marks dirty."""
+    """Forward Euler x += dt*v, clamped strictly inside the mesh; marks dirty.
+
+    A non-finite velocity gives a non-finite position, which raises
+    `NumericError` instead of being clamped back into the box.
+    """
     if dt <= 0.0:
         raise DomainError("integration needs dt > 0")
     cells = container.cells
@@ -186,6 +191,9 @@ def integrate_positions(container: CellContainer, mesh: CartesianMesh,
             p[1] += dt * v[1]
             p[2] += dt * v[2]
             if not mesh.contains(p):
+                # NaN and inf fail `contains`; clamping would hide an inf
+                if not all(map(math.isfinite, p)):
+                    raise NumericError(f"cell {cell.id} moved to non-finite {p}")
                 mesh.clamp_inside(p)
     record = pool.run_static(len(cells), body)
     container.positions_dirty = True

@@ -32,7 +32,6 @@ class RegionTiming:
     region: str
     busy: tuple[float, ...]
     elapsed: float
-    iterations: Optional[tuple[int, ...]] = None
     counters: Optional[Counters] = None
 
     def __post_init__(self):
@@ -45,8 +44,6 @@ class RegionTiming:
                 "region %r elapsed %.9f below max busy %.9f"
                 % (self.region, self.elapsed, max(self.busy))
             )
-        if self.iterations is not None and len(self.iterations) != len(self.busy):
-            raise InconsistentTraceError("iteration record does not cover all workers")
         if self.counters is not None and len(self.counters) != len(self.busy):
             raise InconsistentTraceError("counters must cover all workers or be absent")
 
@@ -59,15 +56,10 @@ class RegionTiming:
         return sum(self.busy)
 
 
-def timing_from_record(region: str, record, counters: Optional[Counters] = None) -> RegionTiming:
+def timing_from_record(region: str, record) -> RegionTiming:
     """Lift a pool RegionRecord into a RegionTiming."""
-    return RegionTiming(
-        region=region,
-        busy=tuple(w.busy for w in record.workers),
-        elapsed=record.elapsed,
-        iterations=tuple(w.iterations for w in record.workers),
-        counters=counters,
-    )
+    return RegionTiming(region=region, busy=tuple(w.busy for w in record.workers),
+                        elapsed=record.elapsed)
 
 
 def aggregate_timings(timings: Sequence[RegionTiming], region: str = "all") -> RegionTiming:
@@ -88,11 +80,7 @@ def aggregate_timings(timings: Sequence[RegionTiming], region: str = "all") -> R
             )
             for w in range(workers)
         )
-    iterations = None
-    if all(t.iterations is not None for t in timings):
-        iterations = tuple(sum(t.iterations[w] for t in timings) for w in range(workers))
-    return RegionTiming(region=region, busy=busy, elapsed=elapsed,
-                        iterations=iterations, counters=counters)
+    return RegionTiming(region=region, busy=busy, elapsed=elapsed, counters=counters)
 
 
 # -- the efficiency hierarchy ------------------------------------------------
@@ -152,46 +140,6 @@ def scalabilities(base: RegionTiming, cur: RegionTiming) -> Scalabilities:
         instruction_scalability=instr_scal,
         ipc_scalability=ipc_scal,
         frequency_scalability=freq_scal,
-    )
-
-
-@dataclass(frozen=True)
-class EfficiencyReport:
-    """The derived metric values for one region at one worker count."""
-
-    region: str
-    workers: int
-    load_balance: float
-    communication_efficiency: float
-    parallel_efficiency: float
-    mean_busy: float
-    max_busy: float
-    elapsed: float
-    computation_scalability: Optional[float] = None
-    global_efficiency: Optional[float] = None
-    instruction_scalability: Optional[float] = None
-    ipc_scalability: Optional[float] = None
-    frequency_scalability: Optional[float] = None
-
-
-def efficiency_report(cur: RegionTiming, base: Optional[RegionTiming] = None) -> EfficiencyReport:
-    lb = load_balance(cur)
-    comm = communication_efficiency(cur)
-    scal = scalabilities(base, cur) if base is not None else None
-    return EfficiencyReport(
-        region=cur.region,
-        workers=cur.workers,
-        load_balance=lb,
-        communication_efficiency=comm,
-        parallel_efficiency=lb * comm,
-        mean_busy=cur.total_busy / cur.workers,
-        max_busy=max(cur.busy),
-        elapsed=cur.elapsed,
-        computation_scalability=scal.computation_scalability if scal else None,
-        global_efficiency=scal.global_efficiency if scal else None,
-        instruction_scalability=scal.instruction_scalability if scal else None,
-        ipc_scalability=scal.ipc_scalability if scal else None,
-        frequency_scalability=scal.frequency_scalability if scal else None,
     )
 
 

@@ -114,7 +114,7 @@ def attempt_divisions(container: CellContainer, seed: int, dt: float,
         daughter.velocity[1] = parent.velocity[1]
         daughter.velocity[2] = parent.velocity[2]
         daughters.append(daughter)
-    rebin_cells(container, mesh)
+    rebin_cells(container)
     return daughters
 
 

@@ -77,6 +77,22 @@ def test_run_writes_reports(cfg_file, tmp_path, capsys):
     assert resolved.out == out
 
 
+@pytest.mark.parametrize("mode, names", [
+    ("full", ["timings.csv", "efficiency.csv", "config.resolved.txt"]),
+    ("off", ["efficiency.csv", "config.resolved.txt"]),
+], ids=["full", "off"])
+def test_run_lists_only_the_files_it_wrote(cfg_file, tmp_path, capsys, mode, names):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "timings.csv").write_text("stale\n")
+    assert run_cli("run", "--config", cfg_file, "--out", str(out),
+                   "--set", f"timings={mode}") == 0
+    lines = capsys.readouterr().out.splitlines()
+    listed = [ln.split()[1:] for ln in lines if ln.startswith("outputs")]
+    assert listed == [[str(out / name) for name in names]]
+    assert ((out / "timings.csv").read_text() == "stale\n") == (mode == "off")
+
+
 def test_resolved_config_reproduces_the_run(cfg_file, tmp_path, capsys):
     out = tmp_path / "out"
     settings = ["strategy.allocation=temp", "strategy.traversal=collapsed",
@@ -143,6 +159,18 @@ def test_overflowing_exchange_stops_before_numpy_sees_it(cfg_file, tmp_path, cap
                        "--set", "substrate.saturation=1e300")
     assert code == 2
     assert "left the finite range" in capsys.readouterr().err
+
+
+def test_non_finite_velocity_is_a_numeric_error(cfg_file, tmp_path, capsys):
+    # packed cells under a huge repulsion sum infinite terms to NaN; the
+    # integration stops there instead of binning a NaN position
+    code = run_cli("run", "--config", cfg_file, "--out", str(tmp_path / "o"),
+                   "--set", "forces.repulsion=1e308",
+                   "--set", "cells.box=40,40,40,41,41,41")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "non-finite" in err
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("error", [ContainerStateError, InconsistentTraceError,

@@ -106,6 +106,36 @@ def test_efficiency_rows_schema_and_identity():
         assert int(row["alloc_events"]) == 0  # in-place default
 
 
+def region_timings(result):
+    """The metric inputs of each region with busy time, and their aggregate."""
+    timings = {region: cb.timing_from_record(region, result.region_totals(region))
+               for region in REGIONS}
+    timings = {region: t for region, t in timings.items() if max(t.busy) > 0.0}
+    timings["all"] = cb.aggregate_timings(list(timings.values()))
+    return timings
+
+
+def test_efficiency_rows_carry_the_hierarchy():
+    base = run_simulation(tiny_config(workers=1))
+    result = run_simulation(tiny_config(workers=2))
+    base_t, cur_t = region_timings(base), region_timings(result)
+    rows = efficiency_rows(result, "rid", base=base)
+    assert [row["region"] for row in rows] == list(cur_t)
+    for row in rows:
+        t = cur_t[row["region"]]
+        lb, comm = cb.load_balance(t), cb.communication_efficiency(t)
+        assert row["workers"] == 2
+        assert row["lb"] == f"{lb:.6f}"
+        assert row["comm_eff"] == f"{comm:.6f}"
+        assert row["par_eff"] == f"{lb * comm:.6f}"
+        scal = cb.scalabilities(base_t[row["region"]], t)
+        assert row["comp_scal"] == f"{scal.computation_scalability:.6f}"
+        assert row["mean_busy_s"] == f"{t.total_busy / t.workers:.9f}"
+    scal_columns = ("comp_scal", "instr_scal", "ipc_scal", "freq_scal")
+    for row in efficiency_rows(result, "rid"):
+        assert [row[k] for k in scal_columns] == [""] * 4
+
+
 def test_efficiency_csv_roundtrip(tmp_path):
     result = run_simulation(tiny_config())
     rows = efficiency_rows(result, "rid")
@@ -240,7 +270,9 @@ def test_broken_accumulation_order_is_caught(monkeypatch):
 
 def test_uniform_chunk_benchmark_measures_the_split():
     timing = uniform_chunk_benchmark(6, 2, chunk_seconds=0.002)
-    assert timing.iterations == (3, 3)
+    assert timing.workers == 2
+    # each worker sleeps to 3 absolute deadlines, 2 ms apart
+    assert min(timing.busy) >= 3 * 0.002
     assert 0.5 < cb.load_balance(timing) <= 1.0
 
 

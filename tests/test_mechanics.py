@@ -13,6 +13,7 @@ from cellbench import (
     DomainError,
     InteractionParams,
     MechanicsSchedule,
+    NumericError,
     ScheduleKind,
     WorkerPool,
     check_binning_exact,
@@ -287,6 +288,19 @@ def test_integration_clamps_at_the_boundary(small_mesh):
     assert small_mesh.contains(p)
     assert p[0] == pytest.approx(80.0 - 1e-6)
     assert p[2] == pytest.approx(1e-6)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("velocity", [[math.nan, 0.0, 0.0], [0.0, math.inf, 0.0],
+                                      [0.0, 0.0, -math.inf]], ids=str)
+def test_integration_rejects_a_non_finite_velocity(small_mesh, workers, velocity):
+    # an inf position would otherwise be clamped back into the box
+    cont = make_container(small_mesh, [(10.0, 10.0, 10.0), (30.0, 30.0, 30.0),
+                                       (50.0, 50.0, 50.0)])
+    cont.cells[2].velocity[:] = velocity
+    with WorkerPool(workers) as pool:
+        with pytest.raises(NumericError, match="cell 2"):
+            integrate_positions(cont, small_mesh, 0.1, pool)
 
 
 def test_integration_rejects_bad_dt(small_mesh):

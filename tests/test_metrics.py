@@ -16,7 +16,6 @@ from cellbench import (
     chunk_lb_model,
     chunk_speedup_model,
     communication_efficiency,
-    efficiency_report,
     load_balance,
     parallel_efficiency,
     scalabilities,
@@ -88,8 +87,6 @@ def test_trace_validation():
         RegionTiming("r", busy=(-0.1, 1.0), elapsed=1.0)
     with pytest.raises(InconsistentTraceError):
         RegionTiming("r", busy=(2.0,), elapsed=1.0)  # elapsed < max busy
-    with pytest.raises(InconsistentTraceError):
-        RegionTiming("r", busy=(1.0, 1.0), elapsed=2.0, iterations=(3,))
     with pytest.raises(InconsistentTraceError):
         RegionTiming("r", busy=(1.0, 1.0), elapsed=2.0, counters=((1, 1),))
 
@@ -166,32 +163,15 @@ def test_time_only_scalability_leaves_counter_terms_unset(base, cur):
         parallel_efficiency(cur) * s.computation_scalability, rel=1e-12)
 
 
-def test_efficiency_report_carries_the_hierarchy():
-    base = RegionTiming("solver", busy=(10.0, 10.0), elapsed=11.0)
-    cur = RegionTiming("solver", busy=(10.0, 10.0, 20.0), elapsed=25.0)
-    rep = efficiency_report(cur, base=base)
-    assert rep.region == "solver"
-    assert rep.workers == 3
-    assert rep.parallel_efficiency == rep.load_balance * rep.communication_efficiency
-    assert rep.computation_scalability == pytest.approx(20.0 / 40.0, rel=1e-12)
-    assert rep.global_efficiency == pytest.approx(
-        rep.parallel_efficiency * rep.computation_scalability, rel=1e-12)
-    bare = efficiency_report(cur)
-    assert bare.computation_scalability is None
-
-
 # ---------------------------------------------------------------- aggregation
 
 def test_aggregate_sums_busy_elapsed_and_counters():
-    a = RegionTiming("x", busy=(1.0, 2.0), elapsed=2.5, iterations=(10, 20),
-                     counters=((100, 200), (300, 400)))
-    b = RegionTiming("y", busy=(3.0, 1.0), elapsed=3.5, iterations=(5, 5),
-                     counters=((10, 20), (30, 40)))
+    a = RegionTiming("x", busy=(1.0, 2.0), elapsed=2.5, counters=((100, 200), (300, 400)))
+    b = RegionTiming("y", busy=(3.0, 1.0), elapsed=3.5, counters=((10, 20), (30, 40)))
     agg = aggregate_timings([a, b])
     assert agg.region == "all"
     assert agg.busy == (4.0, 3.0)
     assert agg.elapsed == 6.0
-    assert agg.iterations == (15, 25)
     assert agg.counters == ((110, 220), (330, 440))
 
 
@@ -217,7 +197,7 @@ def test_timing_from_record_lifts_pool_output():
     assert t.workers == 2
     assert t.busy == tuple(w.busy for w in record.workers)
     assert t.elapsed == record.elapsed
-    assert t.iterations == (5, 5)
+    assert t.region == "demo" and t.counters is None
 
 
 # ---------------------------------------------------------------- chunk model

@@ -116,8 +116,8 @@ def test_neighbour_table_holds_only_voxels_that_held_cells(monkeypatch, strategy
     ever_nonempty = set()
 
     def recording(rebin):
-        def rebin_and_record(container, mesh=None):
-            out = rebin(container, mesh)
+        def rebin_and_record(container):
+            out = rebin(container)
             ever_nonempty.update(container.nonempty_voxels)
             return out
         return rebin_and_record
