@@ -4,12 +4,15 @@ Subcommands: `run` (one simulation, timing + efficiency reports), `sweep`
 (strategy x workers matrix with repeats and speedup tables), `verify`
 (bit-identity check between two strategies), and `model` (the analytic
 chunk-count load-balance table).  Exit codes: 0 success, 2 configuration
-error, 3 verification failure, 4 capacity exceeded, 5 internal error.  Code 2
-also covers a parameter the model rejects once the run starts (`DomainError`,
-e.g. a cell too large for the voxel binning) and a field gone non-finite
-(`NumericError`).  Code 5 is any other package error (`ContainerStateError`,
-`InconsistentTraceError`, `UndefinedMetricError`): a broken invariant of the
-program, not of the input.  Each error prints one line on stderr.
+error, 3 verification failure (`verify` sides differ; a `sweep` run differs
+from the first), 4 capacity exceeded, 5 internal error.  Code 2 also covers
+an unreadable config file or output directory, a parameter the model rejects
+once the run starts (`DomainError`, e.g. a cell too large for the voxel
+binning) and a field gone non-finite (`NumericError`).  Code 5 is any other
+package error (`ContainerStateError`, `InconsistentTraceError`,
+`UndefinedMetricError`): a broken invariant of the program, not of the
+input.  Each error prints one line on stderr; `sweep` prints every row
+first, and a divergence outranks the first error a cell raised.
 """
 
 from __future__ import annotations
@@ -77,8 +80,8 @@ def _load(args) -> RunConfig:
 
 def _cmd_run(args) -> int:
     cfg = _load(args)
-    result = run_simulation(cfg)
     out = ensure_out_dir(cfg.out)
+    result = run_simulation(cfg)
     run_id = run_id_for(cfg.strategy, cfg.workers)
     timings, efficiency, resolved = (
         os.path.join(out, name)
@@ -103,8 +106,8 @@ def _cmd_sweep(args) -> int:
     matrix = {"sweep.workers": args.workers, "sweep.repeats": args.repeats,
               "sweep.strategies": args.strategies}
     cfg = build_config({k: v for k, v in matrix.items() if v is not None}, base=_load(args))
-    result = sweep(cfg, baseline=args.baseline)
     out = ensure_out_dir(cfg.out)
+    result = sweep(cfg)
     write_efficiency_csv(os.path.join(out, "efficiency.csv"), result.efficiency_rows)
     write_speedup_tsv(os.path.join(out, "speedup.tsv"), result)
     print(f"baseline  {result.baseline}")
@@ -123,7 +126,10 @@ def _cmd_sweep(args) -> int:
             f"{'-' if vs is None else f'{vs:.3f}'}\tok"
         )
     print(f"outputs   {out}/efficiency.csv {out}/speedup.tsv")
-    return EXIT_OK
+    failed = [cell for cell in result.cells if not cell.ok]
+    if failed and all(cell.raised is not None for cell in failed):
+        raise failed[0].raised
+    return EXIT_VERIFY if failed else EXIT_OK
 
 
 def _side(base: RunConfig, literal: str, workers: str | None) -> RunConfig:
@@ -177,9 +183,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--repeats", help="runs per cell (overrides sweep.repeats)")
     p_sweep.add_argument("--workers",
                          help="comma list, e.g. 1,2,4,8 (overrides sweep.workers)")
-    p_sweep.add_argument("--strategies", help="semicolon-separated strategy literals "
+    p_sweep.add_argument("--strategies", help="semicolon-separated strategy literals, "
+                                              "the first is the baseline "
                                               "(overrides sweep.strategies)")
-    p_sweep.add_argument("--baseline", help="baseline strategy literal")
     p_sweep.set_defaults(fn=_cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="check two strategies for bit-identity")

@@ -188,10 +188,15 @@ class RunConfig:
             raise ConfigError("sweep worker list must not be empty")
         if not all(1 <= w <= MAX_WORKERS for w in (self.workers, *self.sweep_workers)):
             raise ConfigError(f"worker counts must be in 1..{MAX_WORKERS}")
+        if len(set(self.sweep_workers)) < len(self.sweep_workers):
+            raise ConfigError(f"sweep worker counts repeat: {self.sweep_workers}")
         if self.sweep_repeats < 1:
             raise ConfigError("sweep repeats must be >= 1")
-        for literal in self.sweep_strategies:
-            parse_strategy_literal(literal)  # fails before the sweep runs any cell
+        # parsing fails before the sweep runs any cell, and two spellings of
+        # one strategy share a canonical literal
+        literals = [parse_strategy_literal(literal).literal() for literal in self.sweep_strategies]
+        if len(set(literals)) < len(literals):
+            raise ConfigError(f"sweep strategies repeat: {';'.join(literals)}")
         if self.dt_mechanics <= 0 or self.dt_diffusion <= 0:
             raise ConfigError("time steps must be > 0")
         if self.timings not in _TIMINGS_MODES:
@@ -321,8 +326,12 @@ def build_config(entries: dict, base: RunConfig | None = None) -> RunConfig:
 
 
 def load_config(path: str, overrides: dict | None = None) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        entries = parse_config_text(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from None
+    entries = parse_config_text(text)
     cfg = build_config(entries)
     if overrides:
         cfg = build_config(overrides, base=cfg)

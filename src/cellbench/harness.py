@@ -3,13 +3,12 @@
 A sweep runs every (strategy, worker count) cell several times, reports the
 median wall time and its spread, and derives two speedup views: each
 strategy against its own median at its lowest swept worker count (scaling)
-and each cell against a designated baseline strategy at the same worker
-count (the is-the-fix-worth-it view).  Cells that fail are recorded and skipped; a
-sweep never dies half way.
-
-`verify_equivalence` makes the correctness assumption behind all strategy
-comparisons explicit: two configs that differ only in strategy or worker
-count must produce bit-identical cells, velocities, and density fields.
+and each cell against the first swept strategy, the baseline, at the same
+worker count (the is-the-fix-worth-it view).  Both assume that strategy and
+worker count never change the physics, so the first run that finishes is the
+reference and every later run must match it bit for bit (`_first_divergence`,
+which `verify_equivalence` also reports).  A cell whose run raises or
+diverges fails, with no speedups or efficiency rows; a sweep never dies half way.
 """
 
 from __future__ import annotations
@@ -153,6 +152,7 @@ class SweepCell:
     spread: float = 0.0
     checksum: str = ""
     error: str = ""
+    raised: Exception | None = None  # None unless a run raised
 
     @property
     def ok(self) -> bool:
@@ -188,17 +188,15 @@ class SweepResult:
         return base.median / cur.median
 
 
-def sweep(cfg: RunConfig, baseline: str | None = None) -> SweepResult:
+def sweep(cfg: RunConfig) -> SweepResult:
     """Run the config's matrix: `sweep_strategies` (or the config's own
-    strategy) x `sweep_workers`, `sweep_repeats` runs per cell.  Failures are
-    recorded, not raised."""
-    strategies = list(cfg.sweep_strategies or [cfg.strategy.literal()])
+    strategy) x `sweep_workers`, `sweep_repeats` runs per cell; the first
+    strategy is the baseline.  Failures and divergences are recorded, not raised."""
+    strategies = cfg.sweep_strategies or (cfg.strategy.literal(),)
     repeats = cfg.sweep_repeats
-    baseline = baseline or strategies[0]
-    if baseline not in strategies:
-        strategies.insert(0, baseline)
     cells = []
     eff_rows: list[dict] = []
+    reference: RunResult | None = None
     for literal in strategies:
         strategy = parse_strategy_literal(literal)
         strat_base: RunResult | None = None
@@ -206,20 +204,22 @@ def sweep(cfg: RunConfig, baseline: str | None = None) -> SweepResult:
             cell = SweepCell(strategy=literal, workers=workers)
             cells.append(cell)
             run_cfg = replace(cfg, strategy=strategy, workers=workers)
-            result = None
             for rep in range(repeats):
                 try:
                     result = run_simulation(run_cfg)
                 except Exception as exc:  # sweep survives partial failures
-                    cell.error = f"{type(exc).__name__}: {exc}"
+                    cell.error, cell.raised = f"{type(exc).__name__}: {exc}", exc
                     break
                 cell.wall_seconds.append(result.wall_seconds)
-                if cell.checksum and result.checksum != cell.checksum:
-                    cell.error = "nondeterministic checksum across repeats"
+                if reference is None:
+                    reference, reference_id = result, run_id_for(strategy, workers, rep)
+                detail = _first_divergence(reference, result)
+                if detail:
+                    cell.error = f"differs from {reference_id}: {detail}"
                     break
-                cell.checksum = result.checksum
-            if cell.error or result is None:
+            if cell.error:
                 continue
+            cell.checksum = result.checksum
             cell.median = statistics.median(cell.wall_seconds)
             if cell.median > 0 and len(cell.wall_seconds) > 1:
                 cell.spread = (max(cell.wall_seconds) - min(cell.wall_seconds)) / cell.median
@@ -230,19 +230,13 @@ def sweep(cfg: RunConfig, baseline: str | None = None) -> SweepResult:
             eff_rows.extend(efficiency_rows(
                 result, run_id_for(strategy, workers, repeats - 1), base=strat_base,
             ))
-    return SweepResult(cells=cells, baseline=baseline, efficiency_rows=eff_rows)
+    return SweepResult(cells=cells, baseline=strategies[0], efficiency_rows=eff_rows)
 
 
 def write_speedup_tsv(path: str, result: SweepResult) -> None:
     """Plot-ready table: one row per worker count, one column pair per strategy."""
-    strategies = []
-    workers = []
-    for cell in result.cells:
-        if cell.strategy not in strategies:
-            strategies.append(cell.strategy)
-        if cell.workers not in workers:
-            workers.append(cell.workers)
-    workers.sort()
+    strategies = list(dict.fromkeys(cell.strategy for cell in result.cells))
+    workers = sorted({cell.workers for cell in result.cells})
     with open(path, "w", encoding="utf-8") as fh:
         header = ["workers"]
         for s in strategies:
@@ -289,6 +283,8 @@ def _first_divergence(ra: RunResult, rb: RunResult) -> str:
     if not np.array_equal(ra.micro.gradients, rb.micro.gradients):
         idx = np.argwhere(ra.micro.gradients != rb.micro.gradients)[0]
         return f"gradient differs first at (substrate, voxel, axis) = {tuple(idx)}"
+    if ra.checksum != rb.checksum:
+        return "checksums differ on identical fields (checksum logic error)"
     return ""
 
 
@@ -303,11 +299,8 @@ def verify_equivalence(cfg_a: RunConfig, cfg_b: RunConfig) -> EquivalenceReport:
     ra = run_simulation(cfg_a)
     rb = run_simulation(cfg_b)
     detail = _first_divergence(ra, rb)
-    passed = detail == "" and ra.checksum == rb.checksum
-    if not detail and not passed:
-        detail = "checksums differ on identical fields (checksum logic error)"
     return EquivalenceReport(
-        passed=passed,
+        passed=not detail,
         detail=detail or "bit-identical final state",
         checksum_a=ra.checksum,
         checksum_b=rb.checksum,
@@ -339,5 +332,9 @@ def uniform_chunk_benchmark(n_chunks: int, workers: int,
 
 
 def ensure_out_dir(path: str) -> str:
-    os.makedirs(path, exist_ok=True)
+    """Create the output directory; a path that cannot be one is a config error."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory: {exc}") from None
     return path

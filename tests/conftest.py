@@ -1,5 +1,7 @@
 """Shared fixtures and hypothesis settings for the test suite."""
 
+import math
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -34,3 +36,16 @@ def make_container(mesh, positions, **cell_kwargs):
         cont.new_cell(list(p), **cell_kwargs)
     cb.rebin_cells(cont)
     return cont
+
+
+@pytest.fixture
+def temp_add_drifts(monkeypatch):
+    """Make `temp` allocation compute different physics: its vector sum moves
+    the x component one ulp up, while `inplace` stays exact."""
+    add = cb.TempAllocVectorOps.add
+
+    def drifting_add(self, a, b, out=None):
+        x, y, z = add(self, a, b, out)
+        return [math.nextafter(x, math.inf), y, z]
+
+    monkeypatch.setattr(cb.TempAllocVectorOps, "add", drifting_add)

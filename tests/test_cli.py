@@ -1,5 +1,6 @@
 """Exit codes, report files, and output shape of the command-line front end."""
 
+import csv
 import subprocess
 import sys
 import warnings
@@ -113,6 +114,24 @@ def test_resolved_config_reproduces_the_run(cfg_file, tmp_path, capsys):
     assert (out / "config.resolved.txt").read_bytes() == resolved
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_unusable_out_dir_fails_before_any_run(cfg_file, tmp_path, capsys, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert run_cli(command, "--config", cfg_file, "--out", str(blocker / "out")) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # nothing ran
+    assert captured.err.startswith("config error: cannot create output directory")
+    assert captured.err.count("\n") == 1
+
+
+def test_missing_config_file_is_a_config_error(tmp_path, capsys):
+    assert run_cli("run", "--config", str(tmp_path / "missing.cfg")) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: cannot read config file")
+    assert captured.err.count("\n") == 1
+
+
 def test_unknown_set_key_is_a_config_error(cfg_file, capsys):
     assert run_cli("run", "--config", cfg_file, "--set", "mesh.nw=9") == 2
     assert "config error" in capsys.readouterr().err
@@ -224,6 +243,8 @@ def test_sweep_outputs(cfg_file, tmp_path, capsys):
     ("--repeats", "-1"),
     ("--repeats", "a"),
     ("--strategies", "temp/sideways/cell_static/append"),
+    ("--workers", "1,1"),
+    ("--strategies", "inplace/outer/cell_dynamic/append;inplace/outer/cell_dynamic(16)/append"),
 ])
 def test_bad_sweep_matrix_is_a_config_error(cfg_file, tmp_path, capsys, flag, value):
     code = run_cli("sweep", "--config", cfg_file, "--out", str(tmp_path / "sw"),
@@ -232,6 +253,39 @@ def test_bad_sweep_matrix_is_a_config_error(cfg_file, tmp_path, capsys, flag, va
     captured = capsys.readouterr()
     assert captured.err.startswith("config error: ")
     assert captured.out == ""  # no matrix row was run or printed
+
+
+def test_sweep_exits_3_when_a_strategy_diverges(cfg_file, tmp_path, capsys, temp_add_drifts):
+    # the config clusters its cells, so they interact and the drift shows
+    base, temp = "inplace/outer/cell_static/append", "temp/outer/cell_static/append"
+    out = tmp_path / "sw"
+    code = run_cli("sweep", "--config", cfg_file, "--out", str(out),
+                   "--workers", "1,2", "--repeats", "1", "--strategies", f"{base};{temp}")
+    assert code == 3
+    rows = [ln.split("\t") for ln in capsys.readouterr().out.splitlines()
+            if ln.startswith((base, temp))]
+    assert [(r[0], r[1]) for r in rows] == [(base, "1"), (base, "2"), (temp, "1"), (temp, "2")]
+    for row in rows:
+        if row[0] == base:
+            assert row[-1] == "ok"
+        else:
+            assert row[2:6] == ["-"] * 4
+            assert row[-1].startswith(f"FAIL: differs from {base}/w1/r0: cell ")
+    table = [ln.split("\t") for ln in (out / "speedup.tsv").read_text().splitlines()]
+    assert table[0][3:] == [f"{temp}:speedup", f"{temp}:vs_base"]
+    assert all(row[3:] == ["", ""] and row[1] for row in table[1:])
+    with open(out / "efficiency.csv", newline="") as fh:
+        assert {row["allocation"] for row in csv.DictReader(fh)} == {"inplace"}
+
+
+def test_sweep_reraises_a_failed_cell_after_printing_every_row(cfg_file, tmp_path, capsys):
+    code = run_cli("sweep", "--config", cfg_file, "--out", str(tmp_path / "sw"),
+                   "--workers", "1,2", "--repeats", "1", "--set", "cells.radius=9")
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out.count("\tFAIL: DomainError: ") == 2
+    assert captured.err.startswith("config error: ")
+    assert captured.err.count("\n") == 1
 
 
 # ---------------------------------------------------------------- verify

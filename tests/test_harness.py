@@ -197,16 +197,31 @@ def test_sweep_records_failures_instead_of_raising():
     cell = result.cells[0]
     assert not cell.ok
     assert "DomainError" in cell.error
+    assert isinstance(cell.raised, cb.DomainError)
     assert result.efficiency_rows == []
 
 
-def test_sweep_inserts_missing_baseline():
-    cfg = tiny_config(steps=1, sweep_strategies=("temp/outer/cell_static/append",),
-                      sweep_workers=(1,), sweep_repeats=1)
-    result = sweep(cfg, baseline="inplace/outer/cell_static/append")
-    strategies = [c.strategy for c in result.cells]
-    assert strategies[0] == "inplace/outer/cell_static/append"
-    assert "temp/outer/cell_static/append" in strategies
+def test_sweep_fails_every_run_that_differs_from_the_first(temp_add_drifts):
+    literals = ("inplace/outer/cell_static/append", "temp/outer/cell_static/append",
+                "inplace/collapsed/voxel(8)/sorted(2)", "temp/collapsed/voxel(8)/sorted(2)")
+    result = sweep(tiny_config(sweep_strategies=literals))
+    reference = run_simulation(tiny_config())
+    failed = [(c.strategy, c.workers) for c in result.cells if not c.ok]
+    assert failed == [(s, w) for s in literals if s.startswith("temp/") for w in (1, 2)]
+    for strategy, workers in failed:
+        cell = result.cell(strategy, workers)
+        run = run_simulation(tiny_config(strategy=parse_strategy_literal(strategy),
+                                         workers=workers))
+        detail = _first_divergence(reference, run)
+        assert detail
+        assert cell.error == f"differs from {literals[0]}/w1/r0: {detail}"
+        assert cell.raised is None
+        assert result.speedup_vs_lowest_workers(strategy, workers) is None
+        assert result.speedup_vs_baseline(strategy, workers) is None
+    assert {c.checksum for c in result.cells if c.ok} == {reference.checksum}
+    assert result.speedup_vs_baseline(literals[2], 2) is not None
+    rows = {row["run_id"].rsplit("/w", 1)[0] for row in result.efficiency_rows}
+    assert rows == {literals[0], literals[2]}
 
 
 # ---------------------------------------------------------------- equivalence

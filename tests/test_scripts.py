@@ -11,8 +11,6 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("script, args", [
-    ("sweep_demo.py", ["--cells", "20", "--steps", "2", "--workers", "1", "2",
-                       "--repeats", "1", "--out", "sweep_demo"]),
     ("locality_experiment.py", ["--cells", "20", "--steps", "5"]),
     ("chunk_model_stairs.py", ["--max-workers", "4"]),
 ])
