@@ -8,6 +8,13 @@ to elementwise recurrences over a batch of lines.  All batch operations are
 elementwise, which makes the field bit-identical however the lines are split
 across workers or grouped by the traversal mode.
 
+Each sweep stores its lines swept axis first, as an (n, lines) array, so one
+recurrence step is one ufunc over a contiguous row of the chunk's lines.  The
+z lines are the density grid itself, reshaped to (nz, ny*nx) and solved in
+place; the x and y lines are solved in a contiguous transposed copy that is
+written back.  Lines are numbered z*ny + y on the x sweep, z*nx + x on the y
+sweep and y*nx + x on the z sweep, so a chunk is a contiguous column range.
+
 The traversal mode sets only the chunk size, i.e. how many grid lines (or
 gradient rows) one schedulable chunk holds; the per-chunk kernel is the same
 under both modes.  OuterLoop hands out one outermost-axis slab per chunk (nz
@@ -61,24 +68,24 @@ def _line_factors(n: int, r: float, lam3: float):
     return inv, gamma
 
 
-def _solve_rows(rows: np.ndarray, lo: int, hi: int, inv: np.ndarray,
-                gamma: np.ndarray, r: float) -> None:
-    """In-place solve of rows[lo:hi], one line per row, along the last axis."""
-    d = rows[lo:hi]
-    n = d.shape[1]
-    d[:, 0] *= inv[0]
+def _solve_columns(lines: np.ndarray, lo: int, hi: int, inv: np.ndarray,
+                   gamma: np.ndarray, r: float) -> None:
+    """In-place solve of lines[:, lo:hi], one line per column, swept axis first."""
+    d = lines[:, lo:hi]
+    n = d.shape[0]
+    d[0] *= inv[0]
     for i in range(1, n):
-        d[:, i] += r * d[:, i - 1]
-        d[:, i] *= inv[i]
+        d[i] += r * d[i - 1]
+        d[i] *= inv[i]
     for i in range(n - 2, -1, -1):
-        d[:, i] += gamma[i] * d[:, i + 1]
+        d[i] += gamma[i] * d[i + 1]
 
 
 def _sweep(lines: np.ndarray, lines_per_item: int, inv, gamma, r,
            pool: WorkerPool) -> RegionRecord:
     def body(lo, hi, ctx):
-        _solve_rows(lines, lo * lines_per_item, hi * lines_per_item, inv, gamma, r)
-    return pool.run_static(lines.shape[0] // lines_per_item, body)
+        _solve_columns(lines, lo * lines_per_item, hi * lines_per_item, inv, gamma, r)
+    return pool.run_static(lines.shape[1] // lines_per_item, body)
 
 
 def lod_step(micro: Microenvironment, mesh: CartesianMesh, dt: float,
@@ -90,12 +97,12 @@ def lod_step(micro: Microenvironment, mesh: CartesianMesh, dt: float,
     if dt <= 0.0:
         raise DomainError("diffusion step needs dt > 0")
     # Per sweep: the transpose of the (z, y, x) grid that puts the swept axis
-    # last, its inverse (None for x, whose lines are rows of the density array
-    # and are solved in place), and the mesh spacing along the axis.  The y and
-    # z lines are solved in a contiguous scratch copy that is written back.
-    axes = (((0, 1, 2), None, mesh.dx),
-            ((0, 2, 1), (0, 2, 1), mesh.dy),
-            ((1, 2, 0), (2, 0, 1), mesh.dz))
+    # first, its inverse (None for z, solved in place) and the mesh spacing.
+    # `lines` is rebound to a view before `.copy()`, which frees the previous
+    # sweep's copy: at most one line-order copy is alive at a time.
+    axes = (((2, 0, 1), (1, 2, 0), mesh.dx),
+            ((1, 0, 2), (1, 0, 2), mesh.dy),
+            ((0, 1, 2), None, mesh.dz))
     records = []
     for s in range(micro.substrate_count):
         lam3 = dt * micro.decay[s] / 3.0
@@ -104,10 +111,10 @@ def lod_step(micro: Microenvironment, mesh: CartesianMesh, dt: float,
             lines = grid.transpose(transpose)
             if inverse is not None:
                 lines = lines.copy()
-            n_outer, n_middle, n = lines.shape
+            n, n_outer, n_middle = lines.shape
             r = dt * micro.diffusion[s] / (h * h)
             inv, gamma = _line_factors(n, r, lam3)
-            records.append(_sweep(lines.reshape(n_outer * n_middle, n),
+            records.append(_sweep(lines.reshape(n, n_outer * n_middle),
                                   mode.lines_per_chunk(n_middle), inv, gamma, r, pool))
             if inverse is not None:
                 grid[...] = lines.transpose(inverse)

@@ -41,9 +41,14 @@ def _unit(h: int) -> float:
     return (h >> 11) * (1.0 / (1 << 53))
 
 
+def _draw_base(seed_hash: int, cell_id: int, step: int) -> int:
+    """The hash the draws of (seed, cell id, step) come from; seed_hash = _mix64(seed)."""
+    return _mix64(_mix64(seed_hash ^ (cell_id & _MASK)) ^ (step & _MASK))
+
+
 def division_draws(seed: int, cell_id: int, step: int) -> tuple[float, float, float]:
     """Three uniforms in [0,1) that depend only on (seed, cell id, step)."""
-    base = _mix64(_mix64(_mix64(seed & _MASK) ^ (cell_id & _MASK)) ^ (step & _MASK))
+    base = _draw_base(_mix64(seed & _MASK), cell_id, step)
     return (
         _unit(_mix64(base ^ 1)),
         _unit(_mix64(base ^ 2)),
@@ -78,12 +83,17 @@ def attempt_divisions(container: CellContainer, seed: int, dt: float,
     """
     if dt <= 0.0:
         raise DomainError("division step needs dt > 0")
+    # only the first draw decides; its probability is computed once per rate
+    seed_hash = _mix64(seed & _MASK)
+    p_divide: dict[float, float] = {}
     dividing: list[Cell] = []
     for cell in container.cells:
-        if cell.division_rate <= 0.0:
+        rate = cell.division_rate
+        if rate <= 0.0:
             continue
-        u_div = division_draws(seed, cell.id, step)[0]
-        if u_div < 1.0 - math.exp(-cell.division_rate * dt):
+        if rate not in p_divide:
+            p_divide[rate] = 1.0 - math.exp(-rate * dt)
+        if _unit(_mix64(_draw_base(seed_hash, cell.id, step) ^ 1)) < p_divide[rate]:
             dividing.append(cell)
     if not dividing:
         return []

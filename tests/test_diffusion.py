@@ -1,5 +1,8 @@
 """Solver correctness oracles, sweep equivalence, exchange, and gradients."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -14,7 +17,7 @@ from cellbench import (
     compute_gradients,
     lod_step,
 )
-from cellbench.diffusion import _line_factors, _solve_rows
+from cellbench.diffusion import _line_factors, _solve_columns
 
 from conftest import make_container
 
@@ -30,11 +33,12 @@ def dense_line_matrix(n, r, lam3):
 
 
 def line_solve(rows, r, lam3):
-    """The sweep kernel: factors for the line length, then an in-place solve."""
-    out = np.array(rows, dtype=np.float64)
-    inv, gamma = _line_factors(out.shape[1], r, lam3)
-    _solve_rows(out, 0, out.shape[0], inv, gamma, r)
-    return out
+    """The sweep kernel on one line per row: factors for the line length, then
+    an in-place solve of the transposed rows, one line per column."""
+    lines = np.array(rows, dtype=np.float64).T.copy()
+    inv, gamma = _line_factors(lines.shape[0], r, lam3)
+    _solve_columns(lines, 0, lines.shape[1], inv, gamma, r)
+    return lines.T
 
 
 def line_solve_worst_error(rng, trials=200):
@@ -170,6 +174,45 @@ def test_sweep_chunk_granularity_contract(mesh, mode, workers):
     assert [r.total_claims for r in records] == chunks
     # each sweep traverses every chunk exactly once
     assert [r.total_iterations for r in records] == chunks
+
+
+# sha256 of the densities and of the gradients after the run below.
+# `state_checksum` hashes only the cells, and the field never moves them, so
+# these pins are what catches a solver change applied alike to every strategy.
+FIELD_PINS = ("053408f649cd0f8c4ed139e84c6ebe5c34e967d212b001ffd9bcd76dbc34353b",
+              "98980178c52dd2ac8760abc83368321ebbadf9320a7239219f4a5cd00a9be26c")
+
+
+@pytest.mark.parametrize("traversal", ["outer", "collapsed"])
+@pytest.mark.parametrize("workers", [1, 3])
+def test_field_matches_pins(traversal, workers):
+    # secreting cells on a mesh whose three axes differ in size and spacing,
+    # so that a mix-up of axes or spacings in the sweeps changes the field
+    cfg = cb.RunConfig(nx=12, ny=7, nz=5, dx=20.0, dy=25.0, dz=30.0,
+                       cell_count=30, steps=3, dt_mechanics=0.2, dt_diffusion=0.1,
+                       initial_density=5.0, secretion=20.0, uptake=2.0, seed=3,
+                       workers=workers,
+                       strategy=cb.parse_strategy_literal(f"inplace/{traversal}/cell_static/append"))
+    micro = cb.run_simulation(cfg).micro
+    digests = tuple(hashlib.sha256(a.tobytes()).hexdigest()
+                    for a in (micro.densities, micro.gradients))
+    assert digests == FIELD_PINS
+
+
+def test_lod_step_keeps_at_most_one_line_order_copy():
+    # the x and y sweeps each solve a copy of the field in line order; two
+    # copies alive at once would put the peak near two fields
+    mesh = cb.CartesianMesh(32, 24, 16)
+    micro = random_micro(mesh, diffusion=90000.0, decay=0.4)
+    with WorkerPool(1) as pool:
+        lod_step(micro, mesh, 0.1, TraversalMode.OUTER_LOOP, pool)  # fill the factor cache
+        tracemalloc.start()
+        try:
+            lod_step(micro, mesh, 0.1, TraversalMode.OUTER_LOOP, pool)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 1.5 * micro.densities[0].nbytes
 
 
 def test_degenerate_single_voxel_axis(pool2):
