@@ -21,9 +21,7 @@ from .core import (
     Cell,
     CellContainer,
     Microenvironment,
-    Vec3,
     rebin_cells,
-    vec3,
 )
 from .diffusion import (
     TraversalMode,

@@ -1,30 +1,22 @@
 """Simulation domain: voxel mesh, substrate fields, cells, and the cell container.
 
-Positions and velocities are length-3 lists of floats (micrometers and
-micrometers/minute).  Substrate fields live in numpy arrays indexed by a flat
-voxel index; the flattening is x-fastest so that a z-outermost traversal walks
-the slowest-varying axis.
+Positions and velocities are float64 (micrometers and micrometers/minute).
+The cells live in numpy arrays, one row per cell in storage order; substrate
+fields live in numpy arrays indexed by a flat voxel index.  The flattening is
+x-fastest so that a z-outermost traversal walks the slowest-varying axis.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NumericError
 
-# Small vectors are plain mutable lists so arithmetic modes can either rebuild
-# them or write into them in place.
-Vec3 = list
-
 #: Positions are clamped this far (um) inside the mesh when pushed past a face.
 POSITION_EPS = 1e-6
-
-
-def vec3(x: float = 0.0, y: float = 0.0, z: float = 0.0) -> Vec3:
-    return [float(x), float(y), float(z)]
 
 
 @dataclass(frozen=True)
@@ -33,8 +25,7 @@ class CartesianMesh:
 
     Voxel boxes are half-open per axis, [lo, hi), so every in-bounds point maps
     to exactly one voxel and points on the global upper faces are rejected.
-    `neighbour_table` caches `neighbours(v)` for the voxels asked about so far;
-    it takes no part in equality, hashing or repr.
+    The position methods take one position or an (n, 3) array of them.
     """
 
     nx: int
@@ -44,8 +35,6 @@ class CartesianMesh:
     dy: float = 20.0
     dz: float = 20.0
     origin: tuple = (0.0, 0.0, 0.0)
-    neighbour_table: dict = field(default_factory=dict, init=False,
-                                  compare=False, repr=False)
 
     def __post_init__(self):
         if min(self.nx, self.ny, self.nz) < 1:
@@ -74,53 +63,34 @@ class CartesianMesh:
         rest = v // self.nx
         return (ix, rest % self.ny, rest // self.ny)
 
-    def neighbours(self, v: int) -> tuple:
-        """Ascending flat indices of the Moore 3x3x3 neighbourhood of v, v included.
+    def voxels_of(self, positions) -> np.ndarray:
+        """Flat voxel indices of in-bounds positions; DomainError for any other.
 
-        The neighbourhood is clipped at the mesh faces.  Entries are computed on
-        first request only; an eager table for a large mesh would cost tens of
-        MiB for voxels no cell ever enters.  Two workers filling the same entry
-        at once compute the same tuple, so the race is harmless.
+        `np.floor_divide` rounds exactly as Python's float `//` does.
         """
-        hood = self.neighbour_table.get(v)
-        if hood is None:
-            nx, ny = self.nx, self.ny
-            ix, iy, iz = self.unflatten(v)
-            hood = tuple(
-                x + nx * (y + ny * z)
-                for z in range(max(iz - 1, 0), min(iz + 2, self.nz))
-                for y in range(max(iy - 1, 0), min(iy + 2, ny))
-                for x in range(max(ix - 1, 0), min(ix + 2, nx))
-            )
-            self.neighbour_table[v] = hood
-        return hood
+        pos = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
+        idx = np.floor_divide(pos - self.origin, (self.dx, self.dy, self.dz))
+        inside = ((idx >= 0) & (idx < (self.nx, self.ny, self.nz))).all(axis=1)
+        if not inside.all():
+            bad = pos[np.argmin(inside)]
+            raise DomainError(f"position {tuple(bad.tolist())} outside mesh bounds")
+        idx = idx.astype(np.int64)
+        return idx[:, 0] + self.nx * (idx[:, 1] + self.ny * idx[:, 2])
 
     def voxel_of(self, position) -> int:
-        """Flat voxel index of an in-bounds position; DomainError otherwise."""
-        ox, oy, oz = self.origin
-        ix = int((position[0] - ox) // self.dx)
-        iy = int((position[1] - oy) // self.dy)
-        iz = int((position[2] - oz) // self.dz)
-        if not (0 <= ix < self.nx and 0 <= iy < self.ny and 0 <= iz < self.nz):
-            raise DomainError(f"position {tuple(position)} outside mesh bounds")
-        return self.flatten(ix, iy, iz)
+        """Flat voxel index of one in-bounds position; DomainError otherwise."""
+        return int(self.voxels_of(position)[0])
 
-    def contains(self, position) -> bool:
-        ox, oy, oz = self.origin
-        ux, uy, uz = self.upper
-        return (
-            ox <= position[0] < ux
-            and oy <= position[1] < uy
-            and oz <= position[2] < uz
-        )
+    def contains(self, position):
+        """Whether each position lies inside the mesh (one bool, or one per row)."""
+        p = np.asarray(position)
+        return ((p >= self.origin) & (p < self.upper)).all(axis=-1)
 
     def clamp_inside(self, position) -> None:
-        """Clamp a position (in place) strictly inside the mesh faces."""
-        ox, oy, oz = self.origin
-        ux, uy, uz = self.upper
-        position[0] = min(max(position[0], ox + POSITION_EPS), ux - POSITION_EPS)
-        position[1] = min(max(position[1], oy + POSITION_EPS), uy - POSITION_EPS)
-        position[2] = min(max(position[2], oz + POSITION_EPS), uz - POSITION_EPS)
+        """Clamp positions (in place) strictly inside the mesh faces."""
+        lower = np.add(self.origin, POSITION_EPS)
+        upper = np.subtract(self.upper, POSITION_EPS)
+        position[:] = np.minimum(np.maximum(position, lower), upper)
 
 
 class Microenvironment:
@@ -161,83 +131,230 @@ class Microenvironment:
             raise NumericError("substrate field left finite/non-negative range")
 
 
-@dataclass
 class Cell:
-    """One agent: geometry, kinematics, and per-cell rate parameters."""
+    """Row view of one cell, keyed by its id.
 
-    id: int
-    position: Vec3
-    velocity: Vec3
-    radius: float = 8.0
-    division_rate: float = 0.0
-    voxel_index: int = -1
+    Every read goes through the container's id -> row map, so a view stays
+    valid when storage is reordered or reallocated.  `position` and
+    `velocity` are views of the cell's rows: writing them writes the
+    container.  Two views are equal when they name the same cell.
+    """
+
+    __slots__ = ("container", "id")
+
+    def __init__(self, container: CellContainer, cell_id: int):
+        self.container = container
+        self.id = cell_id
+
+    def __eq__(self, other):
+        return (isinstance(other, Cell) and other.container is self.container
+                and other.id == self.id)
+
+    def __hash__(self):
+        return hash((id(self.container), self.id))
+
+    def __repr__(self):
+        return f"Cell(id={self.id}, position={self.position.tolist()})"
 
     @property
-    def volume(self) -> float:
-        return (4.0 / 3.0) * math.pi * self.radius**3
+    def _row(self) -> int:
+        return self.container._row_of[self.id]
+
+    @property
+    def position(self) -> np.ndarray:
+        return self.container._pos[self._row]
+
+    @property
+    def velocity(self) -> np.ndarray:
+        return self.container._vel[self._row]
+
+    @property
+    def radius(self) -> float:
+        return float(self.container._radius[self._row])
+
+    @property
+    def division_rate(self) -> float:
+        return float(self.container._rate[self._row])
+
+    @property
+    def voxel_index(self) -> int:
+        return int(self.container._voxel[self._row])
 
 
 class CellContainer:
-    """Ordered cell storage plus the per-voxel spatial index.
+    """Cell storage as arrays in storage order, plus the voxel bins.
 
-    The storage order of `cells` is semantically significant: it is the memory
-    layout whose locality the storage-order strategies manipulate.  `agent`
-    maps a voxel index to the ids of the cells inside it; `nonempty_voxels` is
-    the ascending list of voxels with at least one cell.  Only `rebin_cells`
-    writes the spatial index.
+    Row i of `positions`, `velocities`, `radii`, `division_rates`, `ids` and
+    `voxels` describes the cell at storage index i.  That order is
+    semantically significant: it is the memory layout whose locality the
+    storage-order strategies manipulate.  New cells are appended at the end;
+    when the arrays are full, their capacity doubles, so n appends
+    reallocate O(log n) times.
+
+    `rebin_cells` alone writes the voxel bins, in CSR form over the ascending
+    `nonempty_voxels`: the storage rows of the cells in `nonempty_voxels[k]`
+    are `bin_rows[bin_ptr[k]:bin_ptr[k + 1]]`, in ascending id order, and
+    `bin_of_row[i]` is the k of row i.  Every bin array scales with the cell
+    count, not the voxel count.
     """
+
+    #: (attribute, row shape, dtype) of every per-cell column.
+    _COLUMNS = (("_pos", (3,), np.float64), ("_vel", (3,), np.float64),
+                ("_radius", (), np.float64), ("_rate", (), np.float64),
+                ("_ids", (), np.int64), ("_voxel", (), np.int64))
 
     def __init__(self, mesh: CartesianMesh):
         self.mesh = mesh
-        self.cells: list[Cell] = []
-        self.by_id: dict[int, Cell] = {}
-        self.agent: dict[int, list[int]] = {}
-        self.nonempty_voxels: list[int] = []
+        self._n = 0
+        self._allocate(16)
+        self._row_of = np.zeros(16, dtype=np.intp)  # id -> storage row
+        self.nonempty_voxels = np.zeros(0, dtype=np.int64)
+        self.bin_ptr = np.zeros(1, dtype=np.intp)
+        self.bin_rows = np.zeros(0, dtype=np.intp)
+        self.bin_of_row = np.zeros(0, dtype=np.intp)
         self.next_id = 0
         self.positions_dirty = False
 
-    def __len__(self) -> int:
-        return len(self.cells)
+    def _allocate(self, capacity: int) -> None:
+        """(Re)allocate every column at `capacity` rows, keeping the first n."""
+        for name, shape, dtype in self._COLUMNS:
+            column = np.zeros((capacity, *shape), dtype=dtype)
+            if self._n:
+                column[:self._n] = getattr(self, name)[:self._n]
+            setattr(self, name, column)
 
-    def new_cell(self, position, **kwargs) -> Cell:
-        cell = Cell(id=self.next_id, position=list(position), velocity=vec3(), **kwargs)
-        self.next_id += 1
-        self.cells.append(cell)
-        self.by_id[cell.id] = cell
+    def __len__(self) -> int:
+        return self._n
+
+    @property
+    def capacity(self) -> int:
+        return len(self._ids)
+
+    @property
+    def positions(self) -> np.ndarray:
+        return self._pos[:self._n]
+
+    @property
+    def velocities(self) -> np.ndarray:
+        return self._vel[:self._n]
+
+    @property
+    def radii(self) -> np.ndarray:
+        return self._radius[:self._n]
+
+    @property
+    def division_rates(self) -> np.ndarray:
+        return self._rate[:self._n]
+
+    @property
+    def ids(self) -> np.ndarray:
+        return self._ids[:self._n]
+
+    @property
+    def voxels(self) -> np.ndarray:
+        """Voxel of each row as of the last `rebin_cells`."""
+        return self._voxel[:self._n]
+
+    @property
+    def volumes(self) -> np.ndarray:
+        """Sphere volume of each row; `float_power` calls libm pow like `**`."""
+        return (4.0 / 3.0) * math.pi * np.float_power(self.radii, 3.0)
+
+    @property
+    def cells(self) -> list[Cell]:
+        """A fresh list of row views, in storage order."""
+        return [Cell(self, cid) for cid in self.ids.tolist()]
+
+    def add_cells(self, positions, radius=8.0, division_rate=0.0, velocities=None) -> range:
+        """Append one row per position, with fresh ids; returns the new ids.
+
+        `radius` and `division_rate` are one value or one per row; velocities
+        are zero unless given.
+        """
+        positions = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
+        lo, hi = self._n, self._n + len(positions)
+        if hi > self.capacity:
+            self._allocate(max(2 * self.capacity, hi))
+        new_ids = range(self.next_id, self.next_id + len(positions))
+        self._pos[lo:hi] = positions
+        self._vel[lo:hi] = 0.0 if velocities is None else velocities
+        self._radius[lo:hi] = radius
+        self._rate[lo:hi] = division_rate
+        self._ids[lo:hi] = new_ids
+        self._voxel[lo:hi] = -1
+        if new_ids.stop > len(self._row_of):
+            row_of = np.zeros(max(2 * len(self._row_of), new_ids.stop), dtype=np.intp)
+            row_of[:len(self._row_of)] = self._row_of
+            self._row_of = row_of
+        self._row_of[new_ids.start:new_ids.stop] = np.arange(lo, hi)
+        self._n = hi
+        self.next_id = new_ids.stop
         self.positions_dirty = True
-        return cell
+        return new_ids
+
+    def new_cell(self, position, radius: float = 8.0, division_rate: float = 0.0) -> Cell:
+        (cid,) = self.add_cells([position], radius, division_rate)
+        return Cell(self, cid)
+
+    def take(self, rows) -> None:
+        """Keep the given storage rows, in the given order; a permutation of
+        all rows reorders storage.  The bins are stale until the next rebin."""
+        rows = np.asarray(rows, dtype=np.intp)
+        for name, _, _ in self._COLUMNS:
+            column = getattr(self, name)
+            column[:len(rows)] = column[rows]
+        self._n = len(rows)
+        self._row_of[self.ids] = np.arange(self._n)
+        self.positions_dirty = True
 
     def check_consistent(self) -> None:
         """Verify the container invariants; raises AssertionError on violation."""
-        seen = 0
-        for v, ids in self.agent.items():
-            assert ids, f"agent list for voxel {v} is empty but present"
-            for cid in ids:
-                cell = self.by_id[cid]
-                assert cell.voxel_index == v
-                assert self.mesh.voxel_of(cell.position) == v
-                seen += 1
-        assert seen == len(self.cells)
-        assert self.nonempty_voxels == sorted(self.agent)
+        assert (self.voxels == self.mesh.voxels_of(self.positions)).all()
+        assert (np.diff(self.nonempty_voxels) > 0).all()
+        assert self.bin_ptr[-1] == len(self) == len(self.bin_rows)
+        assert sorted(self.bin_rows.tolist()) == list(range(len(self)))
+        for k, v in enumerate(self.nonempty_voxels.tolist()):
+            rows = self.bin_rows[self.bin_ptr[k]:self.bin_ptr[k + 1]]
+            assert len(rows), f"bin of voxel {v} is empty but present"
+            assert (self.voxels[rows] == v).all() and (self.bin_of_row[rows] == k).all()
+            assert (np.diff(self.ids[rows]) > 0).all()
+        assert (self._row_of[self.ids] == np.arange(len(self))).all()
 
 
 def rebin_cells(container: CellContainer) -> CellContainer:
-    """Rebuild the per-voxel agent lists and the non-empty list.
+    """Recompute every row's voxel and rebuild the CSR voxel bins.
 
     Serial; the single place where the spatial index is brought back in sync
-    with positions after moves or divisions.
+    with positions after moves, divisions or reorders.  The bins come from
+    one sort of the rows by (voxel, id).
     """
-    mesh = container.mesh
-    agent: dict[int, list[int]] = {}
-    for cell in container.cells:
-        v = mesh.voxel_of(cell.position)
-        cell.voxel_index = v
-        bucket = agent.get(v)
-        if bucket is None:
-            agent[v] = [cell.id]
-        else:
-            bucket.append(cell.id)
-    container.agent = agent
-    container.nonempty_voxels = sorted(agent)
+    voxels = container.mesh.voxels_of(container.positions)
+    n = len(voxels)
+    container._voxel[:n] = voxels
+    rows = (voxels * container.next_id + container.ids).argsort(kind="stable")
+    binned = voxels[rows]
+    first_in_bin = np.ones(n, dtype=bool)
+    first_in_bin[1:] = binned[1:] != binned[:-1]
+    starts = first_in_bin.nonzero()[0]
+    container.nonempty_voxels = binned[starts]
+    container.bin_ptr = np.concatenate((starts, [n]))
+    container.bin_rows = rows
+    container.bin_of_row = np.empty(n, dtype=np.intp)
+    container.bin_of_row[rows] = np.arange(len(starts)).repeat(container.bin_ptr[1:] - starts)
     container.positions_dirty = False
     return container
+
+
+def rank_prefixes(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Order segments longest first, and count those longer than each rank.
+
+    Returns (order, longer): `order` lists the segments by descending length
+    (stable), and `longer[r]` is the number of segments with more than r
+    items, so the segments that have an item of rank r are
+    `order[:longer[r]]`.  For non-empty `counts` the last entry is 0.  A
+    recurrence over each segment's items then runs rank by rank, one vector
+    step per rank over a contiguous prefix.
+    """
+    order = (-counts).argsort(kind="stable")
+    longer = len(counts) - np.add.accumulate(np.bincount(counts))
+    return order, longer

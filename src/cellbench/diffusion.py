@@ -27,12 +27,11 @@ only load balance, not results.
 from __future__ import annotations
 
 import enum
-import math
 from functools import lru_cache
 
 import numpy as np
 
-from .core import CartesianMesh, CellContainer, Microenvironment
+from .core import CartesianMesh, CellContainer, Microenvironment, rank_prefixes
 from .errors import DomainError, NumericError
 from .parallel import RegionRecord, WorkerPool
 
@@ -126,33 +125,39 @@ def apply_cell_exchange(micro: Microenvironment, container: CellContainer, dt: f
                         pool: WorkerPool) -> RegionRecord:
     """Implicit per-cell secretion/uptake of substrate 0 at each cell's voxel.
 
-    Within a voxel, cells apply in ascending id order, so the result does not
-    depend on the container's storage order.  Voxels are independent, so the
-    non-empty list parallelizes without conflicts.  A density that leaves the
-    finite range raises `NumericError` before it is written, so no later
+    Within a voxel, cells apply in ascending id order, which is the order of
+    the container's CSR bins, so the result does not depend on the storage
+    order.  The update runs rank by rank: rank r applies the r-th cell of
+    every voxel of the chunk in one vector step.  Voxels are independent, so
+    the non-empty list parallelizes without conflicts.  A density that leaves
+    the finite range raises `NumericError` before it is written, so no later
     region of the step computes with it.
     """
     if dt <= 0.0:
         raise DomainError("exchange needs dt > 0")
     dens = micro.densities[0]
     inv_vol = 1.0 / micro.mesh.voxel_volume
-    by_id = container.by_id
-    agent = container.agent
+    f_rows = dt * container.volumes * inv_vol
     voxels = container.nonempty_voxels
+    bin_ptr, bin_rows = container.bin_ptr, container.bin_rows
 
     def body(lo, hi, ctx):
-        for v in voxels[lo:hi]:
-            rho = dens[v]
-            ids = agent[v]
-            for cid in sorted(ids):
-                f = dt * by_id[cid].volume * inv_vol
+        order, longer = rank_prefixes(bin_ptr[lo + 1:hi + 1] - bin_ptr[lo:hi])
+        first = bin_ptr[lo:hi][order]
+        chunk = voxels[lo:hi][order]
+        rho = dens[chunk]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for rank, n in enumerate(longer[:-1].tolist()):
+                f = f_rows[bin_rows[first[:n] + rank]]
                 den = 1.0 + f * (secretion + uptake)
-                if den <= 0.0:
+                if (den <= 0.0).any():
                     raise DomainError("exchange denominator must stay positive")
-                rho = (rho + f * secretion * saturation) / den
-            if not math.isfinite(rho):
-                raise NumericError(f"substrate density in voxel {v} left the finite range")
-            dens[v] = rho
+                rho[:n] = (rho[:n] + f * secretion * saturation) / den
+        broken = ~np.isfinite(rho)
+        if broken.any():
+            v = chunk[broken].min()
+            raise NumericError(f"substrate density in voxel {v} left the finite range")
+        dens[chunk] = rho
 
     return pool.run_static(len(voxels), body)
 

@@ -267,16 +267,20 @@ class EquivalenceReport:
 def _first_divergence(ra: RunResult, rb: RunResult) -> str:
     if ra.final_cell_count != rb.final_cell_count:
         return (f"cell counts differ: {ra.final_cell_count} vs {rb.final_cell_count}")
-    ids_a = sorted(c.id for c in ra.container.cells)
-    ids_b = sorted(c.id for c in rb.container.cells)
-    if ids_a != ids_b:
+    ca, cb = ra.container, rb.container
+    by_id_a, by_id_b = ca.ids.argsort(kind="stable"), cb.ids.argsort(kind="stable")
+    if not np.array_equal(ca.ids[by_id_a], cb.ids[by_id_b]):
         return "cell id sets differ"
-    for cid in ids_a:
-        ca, cb = ra.container.by_id[cid], rb.container.by_id[cid]
-        if ca.position != cb.position:
-            return (f"cell {cid} position differs: {ca.position} vs {cb.position}")
-        if ca.velocity != cb.velocity:
-            return (f"cell {cid} velocity differs: {ca.velocity} vs {cb.velocity}")
+    pa, pb = ca.positions[by_id_a], cb.positions[by_id_b]
+    va, vb = ca.velocities[by_id_a], cb.velocities[by_id_b]
+    moved = (pa != pb).any(axis=1)
+    differs = moved | (va != vb).any(axis=1)
+    if differs.any():
+        k = np.argmax(differs)  # the lowest id that differs
+        cid = ca.ids[by_id_a[k]]
+        if moved[k]:
+            return f"cell {cid} position differs: {pa[k].tolist()} vs {pb[k].tolist()}"
+        return f"cell {cid} velocity differs: {va[k].tolist()} vs {vb[k].tolist()}"
     if not np.array_equal(ra.micro.densities, rb.micro.densities):
         idx = np.argwhere(ra.micro.densities != rb.micro.densities)[0]
         return f"density differs first at (substrate, voxel) = {tuple(idx)}"

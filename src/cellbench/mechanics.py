@@ -3,40 +3,63 @@
 The force law is the overlapping-spheres potential: repulsion inside the
 contact distance R = Ri+Rj, adhesion out to m_a*R, both quadratic in the
 normalized overlap, directed along the center line.  Every cell's velocity is
-accumulated over its candidate neighbors in ascending id order, which makes
-the result bit-identical across schedules, worker counts, storage orders, and
-allocation modes: the strategies may only move work around, never change it.
+accumulated from 0.0 over its in-range neighbors in ascending id order, which
+makes the result bit-identical across schedules, worker counts, storage
+orders, and allocation modes: the strategies may only move work around, never
+change it.
 
-Candidate neighbors come from the container's voxel bins over the Moore
-3x3x3 neighborhood, whose voxel indices are read from the mesh's lazily
-cached neighbour table (`CartesianMesh.neighbours`).  Binning is exact, not
-approximate, provided the voxel edge is at least the largest interaction
-range (checked by `check_binning_exact` at run start).
+One vectorized pair kernel (`PairKernel`) serves the velocity update and the
+locality metric.  Per call it builds a candidate table from the container's
+CSR voxel bins: for each non-empty voxel, the storage rows of the cells in its
+Moore 3x3x3 neighborhood, in ascending id order (`_candidate_order` is the
+one step that sets that order).  Binning is exact, not approximate, provided
+the voxel edge is at least the largest interaction range (checked by
+`check_binning_exact` at run start).  A chunk expands its target cells
+against the table in blocks of about `BLOCK` candidate pairs, so the pair
+arrays stay bounded whatever the cell count.  Each target's contributions
+are then added rank by rank: rank r adds every target's r-th in-range
+neighbor in one vector step, which keeps each sum in ascending id order.
+Squares are `np.float_power(x, 2.0)`, which calls libm pow as Python's `**`
+does; the norm is d0*d0 + d1*d1 + d2*d2.
+
+The vector-valued operators come from `smallvec.vector_ops`: under `temp`
+each makes a fresh array, under `inplace` each writes into an `out=` buffer.
 
 Schedules:
-* CellStatic       -- even contiguous split of the cell vector;
-* CellDynamic(GS)  -- workers claim GS-sized chunks of the cell vector;
+* CellStatic       -- even contiguous split of the cell rows;
+* CellDynamic(GS)  -- workers claim GS-sized chunks of the cell rows;
 * Voxel(GS)        -- dynamic chunks over ALL voxels, empty ones tested and
                       skipped (their overhead is the point: iterations per
                       region equals the total voxel count);
 * NonEmptyVoxel(GS)-- dynamic chunks over the non-empty voxel list only.
 
-Both voxel schedules visit voxels in ascending index order inside a chunk.
+A chunk computes the velocities of its own cells: storage rows [lo, hi), or
+the CSR bin rows of its voxels.  A chunk of empty voxels returns before its
+first numpy call.
 """
 
 from __future__ import annotations
 
 import enum
-import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
-from .core import CartesianMesh, CellContainer
+import numpy as np
+
+from .core import CartesianMesh, CellContainer, rank_prefixes
 from .errors import ContainerStateError, DomainError, NumericError
 from .parallel import RegionRecord, WorkerPool
-from .smallvec import AllocationMode, vector_ops
+from .smallvec import AllocationMode, norm, vector_ops
 
 #: Pairs closer than this (um) are skipped; the direction is numerically void.
 EPS_SKIP = 1e-8
+
+#: Candidate pairs expanded at once.  Expanding every pair of a call at once
+#: would grow the peak memory with the pair count.
+BLOCK = 4096
+
+#: The (y, z) offsets of the nine mesh rows a voxel's Moore neighborhood spans.
+_ROW_OFFSETS = np.array([(y, z) for z in (-1, 0, 1) for y in (-1, 0, 1)])
 
 
 class ScheduleKind(enum.Enum):
@@ -72,7 +95,7 @@ class InteractionParams:
 def check_binning_exact(container: CellContainer, mesh: CartesianMesh,
                         params: InteractionParams) -> None:
     """Voxel binning covers every interaction iff edge >= m_a * 2 * R_max."""
-    r_max = max((c.radius for c in container.cells), default=0.0)
+    r_max = float(container.radii.max(initial=0.0))
     reach = params.adhesion_multiplier * 2.0 * r_max
     if min(mesh.dx, mesh.dy, mesh.dz) < reach:
         raise DomainError(
@@ -81,95 +104,164 @@ def check_binning_exact(container: CellContainer, mesh: CartesianMesh,
         )
 
 
-def _voxel_candidates(agent: dict, mesh: CartesianMesh, v: int) -> list[int]:
-    """Ascending ids of all cells in the 3x3x3 voxel neighborhood of v."""
-    ids: list[int] = []
-    get = agent.get
-    for u in mesh.neighbours(v):
-        bucket = get(u)
-        if bucket:
-            ids.extend(bucket)
-    ids.sort()
-    return ids
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The concatenation of range(s, s + c) over the (start, count) pairs."""
+    ends = np.add.accumulate(counts)
+    shift = (starts - ends + counts).repeat(counts)
+    shift += np.arange(len(shift))
+    return shift
 
 
-def _worker_ops(ctx, mode: AllocationMode):
-    """Ops facade counting into the worker's stats, and two scratch vectors."""
-    return vector_ops(mode, ctx.stats), [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]
+def _candidate_order(bins: np.ndarray, ids: np.ndarray, next_id: int) -> np.ndarray:
+    """Order of the candidate entries: by voxel bin, then by ascending id."""
+    return (bins * next_id + ids).argsort(kind="stable")
 
 
-def _cell_velocity(cell, cand_ids, by_id, params, ops, w1, w2) -> None:
-    """Accumulate cell.velocity over candidates in ascending id order."""
-    acc = cell.velocity
-    acc[0] = 0.0
-    acc[1] = 0.0
-    acc[2] = 0.0
-    pi = cell.position
-    ci_radius = cell.radius
-    ci_id = cell.id
-    m_a = params.adhesion_multiplier
-    c_r = params.repulsion
-    c_a = params.adhesion
-    for cid in cand_ids:
-        if cid == ci_id:
-            continue
-        cj = by_id[cid]
-        dvec = ops.sub(cj.position, pi, w1)
-        d = ops.norm(dvec)
-        contact = ci_radius + cj.radius
-        reach = m_a * contact
-        if d < EPS_SKIP or d >= reach:
-            continue
-        rep = -c_r * (1.0 - d / contact) ** 2 if d < contact else 0.0
-        adh = c_a * (1.0 - d / reach) ** 2
-        contrib = ops.scale((rep + adh) / d, dvec, w2)
-        acc = ops.add(acc, contrib, acc)
-    if acc is not cell.velocity:
-        ops.assign(cell.velocity, acc)
+def _candidate_entries(container: CellContainer) -> tuple[np.ndarray, np.ndarray]:
+    """(bin, row) for every cell row in the neighborhood of every non-empty bin.
+
+    A voxel's Moore neighborhood is up to nine runs of at most three
+    consecutive flat indices, one run per mesh row (y + dy, z + dz).  The
+    bins of a run are consecutive too, so two binary searches find them, and
+    their cells are one range of `bin_rows`.  Entries come grouped by bin, in
+    no particular order within a bin.
+    """
+    mesh = container.mesh
+    voxels = container.nonempty_voxels
+    x, yz = voxels % mesh.nx, voxels // mesh.nx
+    y = (yz % mesh.ny)[:, None] + _ROW_OFFSETS[:, 0]
+    z = (yz // mesh.ny)[:, None] + _ROW_OFFSETS[:, 1]
+    on_mesh = (y >= 0) & (y < mesh.ny) & (z >= 0) & (z < mesh.nz)
+    row = (y + mesh.ny * z)[on_mesh] * mesh.nx
+    k = np.arange(len(voxels)).repeat(on_mesh.sum(axis=1))
+    lo = container.bin_ptr[voxels.searchsorted(row + np.maximum(x - 1, 0)[k])]
+    counts = container.bin_ptr[voxels.searchsorted(row + np.minimum(x + 2, mesh.nx)[k])] - lo
+    return k.repeat(counts), container.bin_rows[_ranges(lo, counts)]
+
+
+class PairKernel:
+    """The candidate table of one binned container state, and the pair kernel.
+
+    `cand_rows[cand_ptr[k]:cand_ptr[k + 1]]` are the storage rows of every
+    cell in the neighborhood of non-empty voxel k, in ascending id order.
+    """
+
+    def __init__(self, container: CellContainer, params: InteractionParams):
+        self.pos = container.positions
+        self.radii = container.radii
+        self.params = params
+        bins, rows = _candidate_entries(container)
+        self.cand_rows = rows[_candidate_order(bins, container.ids[rows], container.next_id)]
+        self.cand_ptr = np.concatenate(([0], np.add.accumulate(
+            np.bincount(bins, minlength=len(container.nonempty_voxels)))))
+        # where each storage row's candidates start, and how many it has
+        self.row_lo = self.cand_ptr[container.bin_of_row]
+        self.row_count = self.cand_ptr[container.bin_of_row + 1] - self.row_lo
+
+    def blocks(self, rows: np.ndarray):
+        """Split target rows, in order, into blocks of at most BLOCK
+        candidate pairs; a block holds at least one target."""
+        ends = np.add.accumulate(self.row_count[rows])
+        lo, done = 0, 0
+        while lo < len(rows):
+            hi = max(lo + 1, int(ends.searchsorted(done + BLOCK, side="right")))
+            yield rows[lo:hi]
+            lo, done = hi, ends[hi - 1]
+
+    def pairs(self, targets: np.ndarray, ops):
+        """In-range pairs of the target rows: (t, j, dvec, d, contact, reach).
+
+        t indexes `targets`, j is the neighbor's storage row and dvec points
+        from the target to the neighbor.  Pairs are grouped by target, in
+        ascending neighbor id.  The displacement of every candidate pair
+        (self excluded) is one `ops.sub`.
+        """
+        counts = self.row_count[targets]
+        t = np.arange(len(targets)).repeat(counts)
+        j = self.cand_rows[_ranges(self.row_lo[targets], counts)]
+        i = targets[t]
+        other = j != i
+        t, i, j = t[other], i[other], j[other]
+        pj = self.pos[j]
+        dvec = ops.sub(pj, self.pos[i], pj)
+        d = norm(dvec)
+        contact = self.radii[i]
+        contact += self.radii[j]
+        reach = self.params.adhesion_multiplier * contact
+        near = (~((d < EPS_SKIP) | (d >= reach))).nonzero()[0]
+        return t[near], j[near], dvec[near], d[near], contact[near], reach[near]
+
+    def velocities(self, targets: np.ndarray, ops, out: np.ndarray) -> None:
+        """Write the velocities of the target rows into `out`.
+
+        Targets are ordered by in-range pair count, most first, so the
+        targets with a pair of rank r are a prefix and rank r is one
+        `ops.add` over it.  Under `temp`, a target's sum is bound to its
+        velocity row once its last rank is added.
+        """
+        t, _, dvec, d, contact, reach = self.pairs(targets, ops)
+        p = self.params
+        rep = -p.repulsion * np.float_power(1.0 - d / contact, 2.0)
+        rep[d >= contact] = 0.0  # repulsion acts inside the contact distance only
+        adh = p.adhesion * np.float_power(1.0 - d / reach, 2.0)
+        contrib = ops.scale((rep + adh) / d, dvec, dvec)
+        counts = np.bincount(t, minlength=len(targets))
+        order, longer = rank_prefixes(counts)
+        first = (np.add.accumulate(counts) - counts)[order]
+        vel = np.zeros((len(targets), 3))
+        acc = vel[:longer[0]]
+        for rank, n in enumerate(longer.tolist()):
+            ops.assign(vel[n:len(acc)], acc[n:])  # targets with `rank` pairs are done
+            if n:
+                acc = ops.add(acc[:n], contrib[first[:n] + rank], acc[:n])
+        out[targets[order]] = vel
 
 
 def update_velocities(container: CellContainer, mesh: CartesianMesh,
                       params: InteractionParams, schedule: MechanicsSchedule,
                       pool: WorkerPool,
                       alloc_mode: AllocationMode = AllocationMode.IN_PLACE) -> RegionRecord:
-    """Recompute every cell's velocity from its in-range neighbors."""
+    """Recompute every cell's velocity from its in-range neighbors.
+
+    The candidate table is built once, before the dispatch; each chunk then
+    computes the velocities of its own cells.
+    """
     if container.positions_dirty:
         raise ContainerStateError("velocity update requires a rebinned container")
-    cells = container.cells
-    by_id = container.by_id
-    agent = container.agent
+    kernel = PairKernel(container, params)
+    velocities = container.velocities
+    bin_ptr, bin_rows = container.bin_ptr, container.bin_rows
+
+    def solve(rows, ctx):
+        ops = vector_ops(alloc_mode, ctx.stats)
+        # an overflow to inf or NaN is left to integrate_positions, which raises
+        with np.errstate(over="ignore", invalid="ignore"):
+            for block in kernel.blocks(rows):
+                kernel.velocities(block, ops, velocities)
 
     def cell_body(lo, hi, ctx):
-        ops, w1, w2 = _worker_ops(ctx, alloc_mode)
-        memo: dict[int, list[int]] = {}
-        for cell in cells[lo:hi]:
-            cand = memo.get(cell.voxel_index)
-            if cand is None:
-                cand = _voxel_candidates(agent, mesh, cell.voxel_index)
-                memo[cell.voxel_index] = cand
-            _cell_velocity(cell, cand, by_id, params, ops, w1, w2)
+        solve(np.arange(lo, hi), ctx)
+
+    def bin_body(lo, hi, ctx):
+        solve(bin_rows[bin_ptr[lo]:bin_ptr[hi]], ctx)
 
     kind = schedule.kind
-    voxels = (range(mesh.voxel_count) if kind is ScheduleKind.VOXEL
-              else container.nonempty_voxels)
-
-    def voxel_body(lo, hi, ctx):
-        ops, w1, w2 = _worker_ops(ctx, alloc_mode)
-        get = agent.get
-        for v in voxels[lo:hi]:
-            bucket = get(v)
-            if not bucket:
-                continue
-            cand = _voxel_candidates(agent, mesh, v)
-            for cid in bucket:
-                _cell_velocity(by_id[cid], cand, by_id, params, ops, w1, w2)
-
     if kind is ScheduleKind.CELL_STATIC:
-        return pool.run_static(len(cells), cell_body)
+        return pool.run_static(len(container), cell_body)
     if kind is ScheduleKind.CELL_DYNAMIC:
-        return pool.run_dynamic(len(cells), schedule.grain, cell_body)
-    if kind in (ScheduleKind.VOXEL, ScheduleKind.NONEMPTY_VOXEL):
-        return pool.run_dynamic(len(voxels), schedule.grain, voxel_body)
+        return pool.run_dynamic(len(container), schedule.grain, cell_body)
+    if kind is ScheduleKind.NONEMPTY_VOXEL:
+        return pool.run_dynamic(len(container.nonempty_voxels), schedule.grain, bin_body)
+    if kind is ScheduleKind.VOXEL:
+        nonempty = container.nonempty_voxels.tolist()
+
+        def voxel_body(lo, hi, ctx):
+            # the bins of voxels lo..hi-1; a chunk of empty voxels stops here
+            lo, hi = bisect_left(nonempty, lo), bisect_left(nonempty, hi)
+            if lo < hi:
+                bin_body(lo, hi, ctx)
+
+        return pool.run_dynamic(mesh.voxel_count, schedule.grain, voxel_body)
     raise DomainError(f"unknown schedule kind {kind!r}")
 
 
@@ -177,24 +269,29 @@ def integrate_positions(container: CellContainer, mesh: CartesianMesh,
                         dt: float, pool: WorkerPool) -> RegionRecord:
     """Forward Euler x += dt*v, clamped strictly inside the mesh; marks dirty.
 
-    A non-finite velocity gives a non-finite position, which raises
-    `NumericError` instead of being clamped back into the box.
+    Only the rows that leave the mesh are clamped.  A non-finite velocity
+    gives a non-finite position, which raises `NumericError` naming the cell
+    instead of being clamped back into the box.
     """
     if dt <= 0.0:
         raise DomainError("integration needs dt > 0")
-    cells = container.cells
+    positions, velocities, ids = container.positions, container.velocities, container.ids
 
     def body(lo, hi, ctx):
-        for cell in cells[lo:hi]:
-            p, v = cell.position, cell.velocity
-            p[0] += dt * v[0]
-            p[1] += dt * v[1]
-            p[2] += dt * v[2]
-            if not mesh.contains(p):
-                # NaN and inf fail `contains`; clamping would hide an inf
-                if not all(map(math.isfinite, p)):
-                    raise NumericError(f"cell {cell.id} moved to non-finite {p}")
-                mesh.clamp_inside(p)
-    record = pool.run_static(len(cells), body)
+        p = positions[lo:hi]
+        with np.errstate(over="ignore", invalid="ignore"):
+            p += dt * velocities[lo:hi]
+        out = (~mesh.contains(p)).nonzero()[0]
+        if len(out):
+            moved = p[out]
+            # NaN and inf fail `contains`; clamping would hide an inf
+            broken = ~np.isfinite(moved).all(axis=1)
+            if broken.any():
+                k = np.argmax(broken)
+                raise NumericError(f"cell {ids[lo + out[k]]} moved to non-finite "
+                                   f"{moved[k].tolist()}")
+            mesh.clamp_inside(moved)
+            p[out] = moved
+    record = pool.run_static(len(container), body)
     container.positions_dirty = True
     return record

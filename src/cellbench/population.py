@@ -1,9 +1,9 @@
 """Division dynamics and cell storage-order policies.
 
-Divisions are the locality-degradation mechanism: daughters are appended at
-the end of the cell sequence, so after enough divisions, cells that are
-physical neighbors end up far apart in storage.  The voxel-sorted policy
-periodically reorders storage to match the mesh, and `locality_metric`
+Divisions are the locality-degradation mechanism: daughters are appended as
+new rows at the end of the cell arrays, so after enough divisions, cells that
+are physical neighbors end up far apart in storage.  The voxel-sorted policy
+periodically permutes the rows to match the mesh, and `locality_metric`
 quantifies the storage distance between interacting cells so the two policies
 can be compared on the same physical state.
 
@@ -19,9 +19,12 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import CartesianMesh, Cell, CellContainer, rebin_cells
-from .errors import CapacityError, DomainError
-from .mechanics import EPS_SKIP, InteractionParams, _voxel_candidates
+from .errors import CapacityError, ContainerStateError, DomainError
+from .mechanics import InteractionParams, PairKernel
+from .smallvec import InPlaceVectorOps
 
 _MASK = (1 << 64) - 1
 
@@ -29,19 +32,23 @@ _MASK = (1 << 64) - 1
 DEFAULT_CELL_CAP = 200000
 
 
-def _mix64(x: int) -> int:
-    """Finalizing 64-bit avalanche; consecutive inputs give unrelated outputs."""
+def _mix64(x):
+    """Finalizing 64-bit avalanche; consecutive inputs give unrelated outputs.
+
+    x is a Python int or a numpy uint64 array, whose arithmetic wraps at 64
+    bits as the masks do, so both give the same values.
+    """
     x = (x + 0x9E3779B97F4A7C15) & _MASK
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
     return x ^ (x >> 31)
 
 
-def _unit(h: int) -> float:
+def _unit(h):
     return (h >> 11) * (1.0 / (1 << 53))
 
 
-def _draw_base(seed_hash: int, cell_id: int, step: int) -> int:
+def _draw_base(seed_hash: int, cell_id, step: int):
     """The hash the draws of (seed, cell id, step) come from; seed_hash = _mix64(seed)."""
     return _mix64(_mix64(seed_hash ^ (cell_id & _MASK)) ^ (step & _MASK))
 
@@ -77,60 +84,65 @@ def attempt_divisions(container: CellContainer, seed: int, dt: float,
     """Serial division pass; returns the daughters, appended in parent-id order.
 
     Each cell divides with probability 1 - exp(-rate*dt).  The daughter copies
-    the parent, takes a fresh id, and is placed R/2 away along a random unit
-    direction, clamped inside the mesh.  Parents are processed in ascending id
-    order so daughter ids are reproducible whatever the storage order.
+    the parent's radius, rate and velocity, takes a fresh id, and is placed
+    R/2 away along a random unit direction, clamped inside the mesh.  Parents
+    are processed in ascending id order so daughter ids are reproducible
+    whatever the storage order.  The daughters are appended as new rows at
+    the end of storage, and the bins are rebuilt.
     """
     if dt <= 0.0:
         raise DomainError("division step needs dt > 0")
-    # only the first draw decides; its probability is computed once per rate
-    seed_hash = _mix64(seed & _MASK)
-    p_divide: dict[float, float] = {}
-    dividing: list[Cell] = []
-    for cell in container.cells:
-        rate = cell.division_rate
-        if rate <= 0.0:
-            continue
-        if rate not in p_divide:
-            p_divide[rate] = 1.0 - math.exp(-rate * dt)
-        if _unit(_mix64(_draw_base(seed_hash, cell.id, step) ^ 1)) < p_divide[rate]:
-            dividing.append(cell)
-    if not dividing:
+    rows = (container.division_rates > 0.0).nonzero()[0]
+    if not len(rows):
         return []
-    if len(container.cells) + len(dividing) > cap:
+    # only the first draw decides; its probability is computed once per rate
+    rates = container.division_rates[rows]
+    p_divide = np.empty(len(rows))
+    for rate in set(rates.tolist()):
+        p_divide[rates == rate] = 1.0 - math.exp(-rate * dt)
+    ids = container.ids[rows].astype(np.uint64)
+    draws = _unit(_mix64(_draw_base(_mix64(seed & _MASK), ids, step) ^ 1))
+    parents = rows[draws < p_divide]
+    if not len(parents):
+        return []
+    if len(container) + len(parents) > cap:
         raise CapacityError(
             f"division would exceed the {cap}-cell cap "
-            f"({len(container.cells)} + {len(dividing)})"
+            f"({len(container)} + {len(parents)})"
         )
-    daughters = []
-    for parent in sorted(dividing, key=lambda c: c.id):
-        _, u_z, u_phi = division_draws(seed, parent.id, step)
+    parents = parents[container.ids[parents].argsort(kind="stable")]
+    positions = []
+    for parent_id, (px, py, pz), radius in zip(container.ids[parents].tolist(),
+                                               container.positions[parents].tolist(),
+                                               container.radii[parents].tolist()):
+        _, u_z, u_phi = division_draws(seed, parent_id, step)
         z = 2.0 * u_z - 1.0
         rho = math.sqrt(max(0.0, 1.0 - z * z))
         phi = 2.0 * math.pi * u_phi
-        half_r = 0.5 * parent.radius
-        pos = [
-            parent.position[0] + half_r * rho * math.cos(phi),
-            parent.position[1] + half_r * rho * math.sin(phi),
-            parent.position[2] + half_r * z,
-        ]
-        mesh.clamp_inside(pos)
-        daughter = container.new_cell(
-            pos,
-            radius=parent.radius,
-            division_rate=parent.division_rate,
-        )
-        daughter.velocity[0] = parent.velocity[0]
-        daughter.velocity[1] = parent.velocity[1]
-        daughter.velocity[2] = parent.velocity[2]
-        daughters.append(daughter)
+        half_r = 0.5 * radius
+        positions.append([
+            px + half_r * rho * math.cos(phi),
+            py + half_r * rho * math.sin(phi),
+            pz + half_r * z,
+        ])
+    positions = np.array(positions)
+    mesh.clamp_inside(positions)
+    daughters = container.add_cells(positions, radius=container.radii[parents],
+                                    division_rate=container.division_rates[parents],
+                                    velocities=container.velocities[parents])
     rebin_cells(container)
-    return daughters
+    return [Cell(container, cell_id) for cell_id in daughters]
 
 
 def sort_cells_by_voxel(container: CellContainer) -> CellContainer:
-    """Reorder storage by (voxel index, id) and rebuild the spatial index."""
-    container.cells.sort(key=lambda c: (c.voxel_index, c.id))
+    """Reorder storage by (voxel index, id) and rebuild the spatial index.
+
+    The CSR bins already list the rows in that order, so the resort is one
+    permutation of every column.
+    """
+    if container.positions_dirty:
+        raise ContainerStateError("resorting requires a rebinned container")
+    container.take(container.bin_rows)
     return rebin_cells(container)
 
 
@@ -139,37 +151,22 @@ def locality_metric(container: CellContainer,
     """Mean storage-index distance between interacting cells.
 
     For each cell with at least one in-range neighbor, take the mean
-    |index(i) - index(j)| over those neighbors, where index is the position in
-    `container.cells`; the metric is the mean over such cells, 0.0 when no
-    interacting pair exists.
+    |index(i) - index(j)| over those neighbors, where index is the storage
+    row; the metric is the mean over such cells, 0.0 when no interacting pair
+    exists.  The pairs come from the velocity kernel, and the per-cell means
+    are summed in storage order by Python's `sum`.
     """
-    mesh = container.mesh
-    agent = container.agent
-    by_id = container.by_id
-    sidx = {cell.id: idx for idx, cell in enumerate(container.cells)}
-    m_a = params.adhesion_multiplier
-    per_cell: list[float] = []
-    for cell in container.cells:
-        cand = _voxel_candidates(agent, mesh, cell.voxel_index)
-        total = 0.0
-        count = 0
-        pi = cell.position
-        my_idx = sidx[cell.id]
-        for cid in cand:
-            if cid == cell.id:
-                continue
-            cj = by_id[cid]
-            pj = cj.position
-            ddx = pj[0] - pi[0]
-            ddy = pj[1] - pi[1]
-            ddz = pj[2] - pi[2]
-            d = math.sqrt(ddx * ddx + ddy * ddy + ddz * ddz)
-            if d < EPS_SKIP or d >= m_a * (cell.radius + cj.radius):
-                continue
-            total += abs(my_idx - sidx[cid])
-            count += 1
-        if count:
-            per_cell.append(total / count)
+    kernel = PairKernel(container, params)
+    ops = InPlaceVectorOps(None)
+    n = len(container)
+    totals = np.zeros(n)
+    counts = np.zeros(n, dtype=np.int64)
+    for rows in kernel.blocks(np.arange(n)):
+        t, j, *_ = kernel.pairs(rows, ops)
+        counts[rows] = np.bincount(t, minlength=len(rows))
+        totals[rows] = np.bincount(t, weights=np.abs(rows[t] - j), minlength=len(rows))
+    interacting = counts > 0
+    per_cell = (totals[interacting] / counts[interacting]).tolist()
     if not per_cell:
         return 0.0
     return sum(per_cell) / len(per_cell)

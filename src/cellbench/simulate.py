@@ -16,9 +16,10 @@ schedules, traversal modes, allocation modes, and storage orders.
 from __future__ import annotations
 
 import hashlib
-import struct
 import time
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .config import RunConfig
 from .core import CellContainer, Microenvironment, rebin_cells
@@ -60,17 +61,22 @@ def _serial(workers: int, seconds: float, iterations: int) -> RegionRecord:
     return record
 
 
+#: One cell as `state_checksum` hashes it: little-endian id, position, velocity.
+_CHECKSUM_RECORD = np.dtype([("id", "<i8"), ("position", "<f8", 3), ("velocity", "<f8", 3)])
+
+
 def state_checksum(container: CellContainer) -> str:
     """Order-independent digest of (id, position, velocity) over all cells."""
+    records = np.empty(len(container), dtype=_CHECKSUM_RECORD)
+    records["id"] = container.ids
+    records["position"] = container.positions
+    records["velocity"] = container.velocities
+    blob = records.tobytes()
+    size = _CHECKSUM_RECORD.itemsize
     acc = 0
-    for cell in container.cells:
-        blob = struct.pack(
-            "<q6d",
-            cell.id,
-            cell.position[0], cell.position[1], cell.position[2],
-            cell.velocity[0], cell.velocity[1], cell.velocity[2],
-        )
-        acc ^= int.from_bytes(hashlib.blake2b(blob, digest_size=16).digest(), "little")
+    for lo in range(0, len(blob), size):
+        digest = hashlib.blake2b(blob[lo:lo + size], digest_size=16).digest()
+        acc ^= int.from_bytes(digest, "little")
     return f"{acc:032x}"
 
 
@@ -81,19 +87,17 @@ def seed_cells(container: CellContainer, cfg: RunConfig) -> None:
         x0, y0, z0, x1, y1, z1 = cfg.seed_box
     else:
         (x0, y0, z0), (x1, y1, z1) = mesh.origin, mesh.upper
+    positions = []
     for i in range(cfg.cell_count):
         ux, uy, uz = division_draws(cfg.seed ^ 0x5EED, i, 0)
-        pos = [
+        positions.append([
             x0 + ux * (x1 - x0),
             y0 + uy * (y1 - y0),
             z0 + uz * (z1 - z0),
-        ]
-        mesh.clamp_inside(pos)
-        container.new_cell(
-            pos,
-            radius=cfg.cell_radius,
-            division_rate=cfg.division_rate,
-        )
+        ])
+    positions = np.array(positions, dtype=np.float64).reshape(-1, 3)
+    mesh.clamp_inside(positions)
+    container.add_cells(positions, radius=cfg.cell_radius, division_rate=cfg.division_rate)
     rebin_cells(container)
 
 

@@ -1,25 +1,29 @@
-"""Small 3-vector arithmetic in two evaluation modes, with allocation accounting.
+"""3-vector arithmetic in two evaluation modes, with allocation accounting.
 
-The temporary-allocating mode builds a fresh list for every vector-valued
+An operand is one 3-vector or an array of them (last axis 3).  The
+temporary-allocating mode returns a fresh array from every vector-valued
 operator, the way naive operator overloading on a dynamic vector type does;
-the in-place mode writes results into caller-provided storage and never
-touches the allocator.  Both modes execute the same arithmetic expressions in
-the same order, so their numeric results are bit-identical.
+the in-place mode writes results into caller-provided ``out`` arrays and
+never touches the allocator.  Both modes run the same ufuncs on the same
+operands in the same order, so their numeric results are bit-identical.
 
 Allocation accounting is semantic, not an allocator hook: the temporary mode
-counts one allocation event per vector-valued operator application and one per
-named-result binding (``assign``) into the ``alloc_events`` of the stats record
-it is bound to (inside a dispatch, the worker's ``parallel.WorkerStats``), which
-makes the accounting portable and exactly testable.  The temporary mode still
-performs real dynamic acquisitions (a new list per event), so wall-clock
-allocation overhead is also observable.  The scalar-valued ``norm`` records no
-events in either mode.
+counts one allocation event per 3-vector that a vector-valued operator
+produces, and one per 3-vector that a named-result binding (``assign``)
+copies, into the ``alloc_events`` of the stats record it is bound to (inside
+a dispatch, the worker's ``parallel.WorkerStats``).  The count follows from
+the array sizes, so an operator over k vectors counts what k scalar
+operators would, which makes the accounting portable and exactly testable.
+The temporary mode still performs real dynamic acquisitions (a new array per
+operator), so wall-clock allocation overhead is also observable.  The
+scalar-valued ``norm`` records no events in either mode.
 """
 
 from __future__ import annotations
 
 import enum
-import math
+
+import numpy as np
 
 
 class AllocationMode(enum.Enum):
@@ -27,8 +31,20 @@ class AllocationMode(enum.Enum):
     IN_PLACE = "inplace"
 
 
+def norm(a):
+    """Euclidean length of each 3-vector, summed as a0*a0 + a1*a1 + a2*a2."""
+    a = np.asarray(a)
+    x, y, z = a[..., 0], a[..., 1], a[..., 2]
+    return np.sqrt(x * x + y * y + z * z)
+
+
+def _per_vector(s):
+    """A scale factor, or one per vector, shaped to broadcast over the last axis."""
+    return np.asarray(s)[..., None]
+
+
 class TempAllocVectorOps:
-    """Every vector-valued operator allocates fresh storage and records one event.
+    """Every vector-valued operator allocates fresh storage and records its events.
 
     The ``out`` arguments are accepted for signature compatibility and ignored,
     mirroring overloaded operators that cannot reuse a destination.
@@ -39,28 +55,24 @@ class TempAllocVectorOps:
     def __init__(self, stats):
         self.stats = stats
 
+    def _fresh(self, result: np.ndarray) -> np.ndarray:
+        self.stats.alloc_events += result.size // 3
+        return result
+
     def add(self, a, b, out=None):
-        self.stats.alloc_events += 1
-        return [a[0] + b[0], a[1] + b[1], a[2] + b[2]]
+        return self._fresh(np.add(a, b))
 
     def sub(self, a, b, out=None):
-        self.stats.alloc_events += 1
-        return [a[0] - b[0], a[1] - b[1], a[2] - b[2]]
+        return self._fresh(np.subtract(a, b))
 
     def scale(self, s, a, out=None):
-        self.stats.alloc_events += 1
-        return [s * a[0], s * a[1], s * a[2]]
+        return self._fresh(np.multiply(_per_vector(s), a))
 
-    def norm(self, a) -> float:
-        return math.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2])
+    norm = staticmethod(norm)
 
     def assign(self, dst, src) -> None:
-        """Bind a result to a named destination: one fresh copy, one event."""
-        self.stats.alloc_events += 1
-        tmp = [src[0], src[1], src[2]]
-        dst[0] = tmp[0]
-        dst[1] = tmp[1]
-        dst[2] = tmp[2]
+        """Bind a result to a named destination: one fresh copy, its events."""
+        dst[:] = self._fresh(np.array(src, dtype=np.float64))
 
 
 class InPlaceVectorOps:
@@ -72,30 +84,18 @@ class InPlaceVectorOps:
         self.stats = stats
 
     def add(self, a, b, out):
-        out[0] = a[0] + b[0]
-        out[1] = a[1] + b[1]
-        out[2] = a[2] + b[2]
-        return out
+        return np.add(a, b, out=out)
 
     def sub(self, a, b, out):
-        out[0] = a[0] - b[0]
-        out[1] = a[1] - b[1]
-        out[2] = a[2] - b[2]
-        return out
+        return np.subtract(a, b, out=out)
 
     def scale(self, s, a, out):
-        out[0] = s * a[0]
-        out[1] = s * a[1]
-        out[2] = s * a[2]
-        return out
+        return np.multiply(_per_vector(s), a, out=out)
 
-    def norm(self, a) -> float:
-        return math.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2])
+    norm = staticmethod(norm)
 
     def assign(self, dst, src) -> None:
-        dst[0] = src[0]
-        dst[1] = src[1]
-        dst[2] = src[2]
+        dst[:] = src
 
 
 def vector_ops(mode: AllocationMode, stats):
@@ -105,4 +105,3 @@ def vector_ops(mode: AllocationMode, stats):
     if mode is AllocationMode.IN_PLACE:
         return InPlaceVectorOps(stats)
     raise ValueError(f"unknown allocation mode {mode!r}")
-

@@ -1,7 +1,6 @@
 """Shared fixtures and hypothesis settings for the test suite."""
 
-import math
-
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -41,11 +40,12 @@ def make_container(mesh, positions, **cell_kwargs):
 @pytest.fixture
 def temp_add_drifts(monkeypatch):
     """Make `temp` allocation compute different physics: its vector sum moves
-    the x component one ulp up, while `inplace` stays exact."""
+    the x components one ulp up, while `inplace` stays exact."""
     add = cb.TempAllocVectorOps.add
 
     def drifting_add(self, a, b, out=None):
-        x, y, z = add(self, a, b, out)
-        return [math.nextafter(x, math.inf), y, z]
+        total = add(self, a, b, out)
+        total[..., 0] = np.nextafter(total[..., 0], np.inf)
+        return total
 
     monkeypatch.setattr(cb.TempAllocVectorOps, "add", drifting_add)

@@ -13,6 +13,12 @@ from cellbench import DomainError, NumericError
 from conftest import make_container
 
 
+def bin_ids(cont):
+    """{voxel: ids of its bin, in bin order} from the container's CSR bins."""
+    return {v: cont.ids[cont.bin_rows[cont.bin_ptr[k]:cont.bin_ptr[k + 1]]].tolist()
+            for k, v in enumerate(cont.nonempty_voxels.tolist())}
+
+
 # ---------------------------------------------------------------- mesh
 
 def test_flatten_reference_voxel():
@@ -45,16 +51,6 @@ def test_flatten_is_bijective(nx, ny, nz):
         for iz in range(nz) for iy in range(ny) for ix in range(nx)
     }
     assert seen == set(range(mesh.voxel_count))
-
-
-def test_neighbour_table_is_not_part_of_mesh_identity():
-    mesh = cb.CartesianMesh(3, 2, 1)
-    assert mesh.neighbours(0) == (0, 1, 3, 4)
-    assert mesh.neighbour_table == {0: (0, 1, 3, 4)}
-    fresh = cb.CartesianMesh(3, 2, 1)
-    assert fresh.neighbour_table == {}
-    assert mesh == fresh and hash(mesh) == hash(fresh)
-    assert repr(mesh) == repr(fresh)
 
 
 def test_voxel_of_half_open_boxes():
@@ -134,10 +130,9 @@ def test_check_state_catches_bad_values(small_mesh):
 
 # ---------------------------------------------------------------- cells
 
-def test_cell_volume_formula():
-    c = cb.Cell(id=0, position=[0.0, 0.0, 0.0], velocity=[0.0, 0.0, 0.0],
-                radius=8.0)
-    assert c.volume == pytest.approx(4.0 / 3.0 * math.pi * 512.0, rel=1e-15)
+def test_cell_volume_formula(small_mesh):
+    cont = make_container(small_mesh, [(10.0, 10.0, 10.0)], radius=8.0)
+    assert cont.volumes[0] == pytest.approx(4.0 / 3.0 * math.pi * 512.0, rel=1e-15)
 
 
 def test_new_cell_assigns_sequential_ids(small_mesh):
@@ -145,7 +140,7 @@ def test_new_cell_assigns_sequential_ids(small_mesh):
     a = cont.new_cell([10.0, 10.0, 10.0])
     b = cont.new_cell([30.0, 10.0, 10.0])
     assert (a.id, b.id) == (0, 1)
-    assert cont.by_id[a.id] is a
+    assert cont.cells[0] == a and cont.cells[0] != b
     assert cont.positions_dirty
     cb.rebin_cells(cont)
     assert cont.cells.index(b) == 1
@@ -160,23 +155,62 @@ def test_rebin_matches_bruteforce_oracle(small_mesh):
     oracle = {}
     for c in cont.cells:
         oracle.setdefault(small_mesh.voxel_of(c.position), []).append(c.id)
-    got = {v: ids for v, ids in cont.agent.items() if ids}
-    assert got == oracle
-    assert cont.nonempty_voxels == sorted(oracle)
+    assert bin_ids(cont) == oracle
+    assert cont.nonempty_voxels.tolist() == sorted(oracle)
     for c in cont.cells:
         assert c.voxel_index == small_mesh.voxel_of(c.position)
     cont.check_consistent()
 
 
 def test_rebin_preserves_storage_order_within_voxel(small_mesh):
-    # Two cells share a voxel; bin lists follow storage order, not id order.
+    # Two cells share a voxel; rebinning keeps their reversed storage order,
+    # and the bin lists them in id order whatever the storage order.
     cont = cb.CellContainer(small_mesh)
     a = cont.new_cell([10.0, 10.0, 10.0])
     b = cont.new_cell([11.0, 10.0, 10.0])
-    cont.cells.reverse()
+    cont.take([1, 0])
     cb.rebin_cells(cont)
-    assert cont.agent[a.voxel_index] == [b.id, a.id]
+    assert bin_ids(cont) == {a.voxel_index: [a.id, b.id]}
     assert [c.id for c in cont.cells] == [b.id, a.id]
+
+
+def test_appends_reallocate_logarithmically(small_mesh):
+    # daughters arrive a few at a time; capacity doubling keeps the copies of
+    # the whole arrays to O(log n), not one per append
+    cont = cb.CellContainer(small_mesh)
+    buffers = []
+    for i in range(1000):
+        cont.add_cells([[10.0 + i * 0.01, 10.0, 10.0]], radius=8.0)
+        address = cont.positions.__array_interface__["data"][0]
+        if not buffers or buffers[-1] != address:
+            buffers.append(address)
+    assert len(buffers) - 1 <= math.ceil(math.log2(1000))
+    assert cont.capacity < 2 * 1000
+    assert cont.positions[:, 0].tolist() == [10.0 + i * 0.01 for i in range(1000)]
+    assert cont.ids.tolist() == list(range(1000))
+
+
+spacings = st.floats(0.01, 50.0)
+
+
+@given(dx=spacings, dy=spacings, dz=spacings, origin=st.tuples(*[st.floats(-100.0, 100.0)] * 3),
+       fractions=st.lists(st.tuples(*[st.floats(0.0, 1.0)] * 3), min_size=1, max_size=30))
+def test_voxels_of_matches_python_floor_division(dx, dy, dz, origin, fractions):
+    mesh = cb.CartesianMesh(7, 5, 3, dx=dx, dy=dy, dz=dz, origin=origin)
+    (ox, oy, oz), upper = origin, mesh.upper
+    points = []
+    for f in fractions:
+        p = [o + fi * (u - o) for o, fi, u in zip(origin, f, upper)]
+        mesh.clamp_inside(p)
+        points.append([float(c) for c in p])
+    # the scalar rule the vectorized one replaced
+    index = [(int((x - ox) // dx), int((y - oy) // dy), int((z - oz) // dz))
+             for x, y, z in points]
+    if all(0 <= ix < 7 and 0 <= iy < 5 and 0 <= iz < 3 for ix, iy, iz in index):
+        assert mesh.voxels_of(points).tolist() == [mesh.flatten(*i) for i in index]
+    else:  # a clamped point can still round onto an upper face
+        with pytest.raises(DomainError):
+            mesh.voxels_of(points)
 
 
 def test_check_consistent_detects_stale_bin(small_mesh):

@@ -6,6 +6,7 @@ import hashlib
 import os
 import time
 
+import numpy as np
 import pytest
 
 import cellbench as cb
@@ -257,24 +258,22 @@ def test_divergence_locator_names_the_first_difference():
     assert "(substrate, voxel)" in _first_divergence(ra, rb)
 
     rb = run_simulation(cfg)
-    rb.container.cells.pop()
+    rb.container.take(np.arange(len(rb.container) - 1))
     rb.final_cell_count -= 1
     assert "cell counts differ" in _first_divergence(ra, rb)
 
 
 def test_broken_accumulation_order_is_caught(monkeypatch):
-    # negative control: feed candidates in descending id order in run B only;
-    # the float sums reorder, so the verifier must flag the divergence
+    # negative control: the kernel's one ordering step lists candidates in
+    # descending id order in run B only; the float sums reorder, so the
+    # verifier must flag the divergence
     cfg = tiny_config(steps=2)
     ra = run_simulation(cfg)
 
-    original = cellbench.mechanics._voxel_candidates
+    def descending_ids(bins, ids, next_id):
+        return np.lexsort((-ids, bins))
 
-    def reversed_candidates(agent, mesh, v):
-        return list(reversed(original(agent, mesh, v)))
-
-    monkeypatch.setattr(cellbench.mechanics, "_voxel_candidates",
-                        reversed_candidates)
+    monkeypatch.setattr(cellbench.mechanics, "_candidate_order", descending_ids)
     rb = run_simulation(cfg)
     detail = _first_divergence(ra, rb)
     assert detail != ""

@@ -1,7 +1,9 @@
 """Step-loop orchestration: reproducibility, region records, and checksums."""
 
 import dataclasses
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -74,7 +76,7 @@ def test_any_strategy_and_worker_count_reproduce_the_default_checksum(
 def test_checksum_ignores_storage_order_but_not_state():
     result = run_simulation(tiny_config(steps=2))
     ref = state_checksum(result.container)
-    result.container.cells.reverse()
+    result.container.take(np.arange(len(result.container))[::-1])
     assert state_checksum(result.container) == ref
     result.container.cells[0].velocity[1] += 1e-9
     assert state_checksum(result.container) != ref
@@ -108,30 +110,43 @@ def test_division_growth_is_accounted():
     assert divided == result.final_cell_count - 30
 
 
+def traced_peak(call) -> int:
+    """tracemalloc peak of one call, after a first call that warms up caches."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("strategy", ["inplace/outer/cell_static/append",
                                       "temp/collapsed/voxel(64)/sorted(3)"])
-def test_neighbour_table_holds_only_voxels_that_held_cells(monkeypatch, strategy):
-    # 64^3 = 262,144 voxels; the table may grow only with the voxels cells
-    # actually occupied, whatever the schedule walks
-    ever_nonempty = set()
+def test_velocity_memory_scales_with_cells_not_voxels(strategy):
+    # 64^3 = 262,144 voxels and six cells: on top of what the dispatch itself
+    # keeps (the voxel schedule logs one claim per chunk of voxels), one
+    # velocity call may allocate what the cells need, not a byte per voxel
+    strat = cb.parse_strategy_literal(strategy)
+    cfg = RunConfig(nx=64, ny=64, nz=64, cell_count=6, seed=3,
+                    seed_box=(20.0, 20.0, 20.0, 100.0, 100.0, 100.0), strategy=strat)
+    mesh = cfg.mesh()
+    cont = cb.CellContainer(mesh)
+    seed_cells(cont, cfg)
+    schedule = strat.schedule
+    with cb.WorkerPool(1) as pool:
+        def velocity():
+            cb.update_velocities(cont, mesh, cfg.interaction_params(), schedule, pool,
+                                 strat.allocation)
 
-    def recording(rebin):
-        def rebin_and_record(container):
-            out = rebin(container)
-            ever_nonempty.update(container.nonempty_voxels)
-            return out
-        return rebin_and_record
+        def same_chunks_doing_nothing():
+            if schedule.kind is cb.ScheduleKind.VOXEL:
+                pool.run_dynamic(mesh.voxel_count, schedule.grain, lambda lo, hi, ctx: None)
+            else:
+                pool.run_static(len(cont), lambda lo, hi, ctx: None)
 
-    for module in (cb.simulate, cb.population):
-        monkeypatch.setattr(module, "rebin_cells", recording(module.rebin_cells))
-    cfg = RunConfig(nx=64, ny=64, nz=64, cell_count=6, steps=8, seed=3,
-                    division_rate=0.5, seed_box=(20.0, 20.0, 20.0, 100.0, 100.0, 100.0),
-                    strategy=cb.parse_strategy_literal(strategy))
-    result = run_simulation(cfg, record_locality=True)
-    assert result.final_cell_count > 6
-    table = result.container.mesh.neighbour_table
-    assert 0 < len(table) <= len(ever_nonempty)
-    assert set(table) <= ever_nonempty
+        extra = traced_peak(velocity) - traced_peak(same_chunks_doing_nothing)
+    assert extra < mesh.voxel_count // 8
 
 
 def test_substeps_multiply_solver_dispatches():

@@ -1,5 +1,6 @@
 """Allocation-event accounting rules and bit-identity of the two vector modes."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -33,7 +34,7 @@ def test_scaled_sum_with_binding_costs_three_events_temp():
 def test_scaled_sum_in_place_costs_zero_events():
     ops, counter = fresh(AllocationMode.IN_PLACE)
     v1, v2 = [1.0, 2.0, 3.0], [4.0, 5.0, 6.0]
-    work, dst = [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]
+    work, dst = np.zeros(3), [0.0, 0.0, 0.0]
     ops.assign(dst, ops.scale(0.5, ops.add(v1, v2, work), work))
     assert counter.alloc_events == 0
     assert dst == [2.5, 3.5, 4.5]
@@ -67,7 +68,7 @@ def test_scalar_valued_operators_record_nothing(mode):
 
 def test_in_place_operators_return_their_out_argument():
     ops, _ = fresh(AllocationMode.IN_PLACE)
-    out = [0.0, 0.0, 0.0]
+    out = np.zeros(3)
     assert ops.add([1.0, 2.0, 3.0], [1.0, 1.0, 1.0], out) is out
     assert ops.scale(2.0, [1.0, 2.0, 3.0], out) is out
     assert ops.sub([1.0, 2.0, 3.0], [1.0, 1.0, 1.0], out) is out
@@ -78,11 +79,11 @@ def test_modes_are_bit_identical(s, v1, v2, v3):
     # Same expression, same operation order: s*(v1+v2) - v3, then a norm.
     ta, _ = fresh(AllocationMode.TEMPORARY_ALLOCATING)
     ip, _ = fresh(AllocationMode.IN_PLACE)
-    w1, w2 = [0.0] * 3, [0.0] * 3
+    w1, w2 = np.zeros(3), np.zeros(3)
 
     r_temp = ta.sub(ta.scale(s, ta.add(v1, v2)), v3)
     r_inpl = ip.sub(ip.scale(s, ip.add(v1, v2, w1), w1), v3, w2)
-    assert r_temp == r_inpl
+    assert r_temp.tolist() == r_inpl.tolist()
     assert ta.norm(r_temp) == ip.norm(r_inpl)
 
 
