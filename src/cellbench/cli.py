@@ -23,6 +23,7 @@ import sys
 from dataclasses import replace
 
 from .config import (
+    MAX_WORKERS,
     RunConfig,
     build_config,
     format_config,
@@ -42,12 +43,13 @@ from .harness import (
     ensure_out_dir,
     run_id_for,
     sweep,
+    uniform_chunk_benchmark,
     verify_equivalence,
     write_efficiency_csv,
     write_speedup_tsv,
     write_timings_csv,
 )
-from .metrics import chunk_lb_model, chunk_speedup_model
+from .metrics import chunk_lb_model, chunk_speedup_model, load_balance
 from .simulate import run_simulation
 
 EXIT_OK = 0
@@ -154,10 +156,17 @@ def _cmd_model(args) -> int:
     n = args.chunks
     if n < 1 or args.max_workers < 1:
         raise ConfigError("model needs --chunks >= 1 and --max-workers >= 1")
-    print("workers\tchunks_per_worker\tmodel_lb\tmodel_speedup")
+    if args.measure and args.max_workers > MAX_WORKERS:
+        raise ConfigError(f"model --measure needs --max-workers <= {MAX_WORKERS}")
+    print("workers\tchunks_per_worker\tmodel_lb\tmodel_speedup"
+          + ("\tmeasured_lb\tdiff" if args.measure else ""))
     for t in range(1, args.max_workers + 1):
         lb = chunk_lb_model(n, t)
-        print(f"{t}\t{-(-n // t)}\t{lb:.6f}\t{chunk_speedup_model(n, t):.4f}")
+        row = f"{t}\t{-(-n // t)}\t{lb:.6f}\t{chunk_speedup_model(n, t):.4f}"
+        if args.measure:
+            measured = load_balance(uniform_chunk_benchmark(n, t))
+            row += f"\t{measured:.6f}\t{measured - lb:+.4f}"
+        print(row)
     return EXIT_OK
 
 
@@ -200,6 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_model = sub.add_parser("model", help="print the chunk-count load-balance table")
     p_model.add_argument("--chunks", type=int, default=75)
     p_model.add_argument("--max-workers", type=int, default=48)
+    p_model.add_argument("--measure", action="store_true",
+                         help="add the load balance measured on equal sleeping chunks")
     p_model.set_defaults(fn=_cmd_model)
     return parser
 

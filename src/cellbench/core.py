@@ -77,10 +77,6 @@ class CartesianMesh:
         idx = idx.astype(np.int64)
         return idx[:, 0] + self.nx * (idx[:, 1] + self.ny * idx[:, 2])
 
-    def voxel_of(self, position) -> int:
-        """Flat voxel index of one in-bounds position; DomainError otherwise."""
-        return int(self.voxels_of(position)[0])
-
     def contains(self, position):
         """Whether each position lies inside the mesh (one bool, or one per row)."""
         p = np.asarray(position)
@@ -131,54 +127,21 @@ class Microenvironment:
             raise NumericError("substrate field left finite/non-negative range")
 
 
+@dataclass(frozen=True, eq=False)
 class Cell:
-    """Row view of one cell, keyed by its id.
+    """One storage row of a `CellContainer`, as `CellContainer.cells` lists it.
 
-    Every read goes through the container's id -> row map, so a view stays
-    valid when storage is reordered or reallocated.  `position` and
-    `velocity` are views of the cell's rows: writing them writes the
-    container.  Two views are equal when they name the same cell.
+    `position` and `velocity` are views of the row: writes through them reach
+    the container until its storage is next reordered (`take`) or
+    reallocated (an append past capacity).  The other fields are copies.
     """
 
-    __slots__ = ("container", "id")
-
-    def __init__(self, container: CellContainer, cell_id: int):
-        self.container = container
-        self.id = cell_id
-
-    def __eq__(self, other):
-        return (isinstance(other, Cell) and other.container is self.container
-                and other.id == self.id)
-
-    def __hash__(self):
-        return hash((id(self.container), self.id))
-
-    def __repr__(self):
-        return f"Cell(id={self.id}, position={self.position.tolist()})"
-
-    @property
-    def _row(self) -> int:
-        return self.container._row_of[self.id]
-
-    @property
-    def position(self) -> np.ndarray:
-        return self.container._pos[self._row]
-
-    @property
-    def velocity(self) -> np.ndarray:
-        return self.container._vel[self._row]
-
-    @property
-    def radius(self) -> float:
-        return float(self.container._radius[self._row])
-
-    @property
-    def division_rate(self) -> float:
-        return float(self.container._rate[self._row])
-
-    @property
-    def voxel_index(self) -> int:
-        return int(self.container._voxel[self._row])
+    id: int
+    position: np.ndarray
+    velocity: np.ndarray
+    radius: float
+    division_rate: float
+    voxel_index: int
 
 
 class CellContainer:
@@ -207,7 +170,6 @@ class CellContainer:
         self.mesh = mesh
         self._n = 0
         self._allocate(16)
-        self._row_of = np.zeros(16, dtype=np.intp)  # id -> storage row
         self.nonempty_voxels = np.zeros(0, dtype=np.int64)
         self.bin_ptr = np.zeros(1, dtype=np.intp)
         self.bin_rows = np.zeros(0, dtype=np.intp)
@@ -262,8 +224,10 @@ class CellContainer:
 
     @property
     def cells(self) -> list[Cell]:
-        """A fresh list of row views, in storage order."""
-        return [Cell(self, cid) for cid in self.ids.tolist()]
+        """A fresh list of one `Cell` per row, in storage order."""
+        return [Cell(*row) for row in zip(self.ids.tolist(), self.positions, self.velocities,
+                                          self.radii.tolist(), self.division_rates.tolist(),
+                                          self.voxels.tolist())]
 
     def add_cells(self, positions, radius=8.0, division_rate=0.0, velocities=None) -> range:
         """Append one row per position, with fresh ids; returns the new ids.
@@ -282,19 +246,10 @@ class CellContainer:
         self._rate[lo:hi] = division_rate
         self._ids[lo:hi] = new_ids
         self._voxel[lo:hi] = -1
-        if new_ids.stop > len(self._row_of):
-            row_of = np.zeros(max(2 * len(self._row_of), new_ids.stop), dtype=np.intp)
-            row_of[:len(self._row_of)] = self._row_of
-            self._row_of = row_of
-        self._row_of[new_ids.start:new_ids.stop] = np.arange(lo, hi)
         self._n = hi
         self.next_id = new_ids.stop
         self.positions_dirty = True
         return new_ids
-
-    def new_cell(self, position, radius: float = 8.0, division_rate: float = 0.0) -> Cell:
-        (cid,) = self.add_cells([position], radius, division_rate)
-        return Cell(self, cid)
 
     def take(self, rows) -> None:
         """Keep the given storage rows, in the given order; a permutation of
@@ -304,7 +259,6 @@ class CellContainer:
             column = getattr(self, name)
             column[:len(rows)] = column[rows]
         self._n = len(rows)
-        self._row_of[self.ids] = np.arange(self._n)
         self.positions_dirty = True
 
     def check_consistent(self) -> None:
@@ -318,7 +272,6 @@ class CellContainer:
             assert len(rows), f"bin of voxel {v} is empty but present"
             assert (self.voxels[rows] == v).all() and (self.bin_of_row[rows] == k).all()
             assert (np.diff(self.ids[rows]) > 0).all()
-        assert (self._row_of[self.ids] == np.arange(len(self))).all()
 
 
 def rebin_cells(container: CellContainer) -> CellContainer:

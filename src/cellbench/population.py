@@ -7,7 +7,7 @@ periodically permutes the rows to match the mesh, and `locality_metric`
 quantifies the storage distance between interacting cells so the two policies
 can be compared on the same physical state.
 
-Division decisions use a counter-based generator keyed by (seed, cell id,
+Division decisions use counter-based draws, a hash of (seed, cell id,
 step): whether and how a given cell divides never depends on storage order,
 worker count, or schedule, which is what makes trajectories comparable across
 every strategy combination.
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CartesianMesh, Cell, CellContainer, rebin_cells
+from .core import CartesianMesh, CellContainer, rebin_cells
 from .errors import CapacityError, ContainerStateError, DomainError
 from .mechanics import InteractionParams, PairKernel
 from .smallvec import InPlaceVectorOps
@@ -48,14 +48,13 @@ def _unit(h):
     return (h >> 11) * (1.0 / (1 << 53))
 
 
-def _draw_base(seed_hash: int, cell_id, step: int):
-    """The hash the draws of (seed, cell id, step) come from; seed_hash = _mix64(seed)."""
-    return _mix64(_mix64(seed_hash ^ (cell_id & _MASK)) ^ (step & _MASK))
+def division_draws(seed: int, cell_id, step: int):
+    """Three uniforms in [0,1) that depend only on (seed, cell id, step).
 
-
-def division_draws(seed: int, cell_id: int, step: int) -> tuple[float, float, float]:
-    """Three uniforms in [0,1) that depend only on (seed, cell id, step)."""
-    base = _draw_base(_mix64(seed & _MASK), cell_id, step)
+    An int `cell_id` gives three floats; a uint64 id array gives three
+    arrays, one draw per id, equal to the scalar draws.
+    """
+    base = _mix64(_mix64(_mix64(seed & _MASK) ^ (cell_id & _MASK)) ^ (step & _MASK))
     return (
         _unit(_mix64(base ^ 1)),
         _unit(_mix64(base ^ 2)),
@@ -80,13 +79,14 @@ class StorageOrder:
 
 def attempt_divisions(container: CellContainer, seed: int, dt: float,
                       mesh: CartesianMesh, step: int,
-                      cap: int = DEFAULT_CELL_CAP) -> list[Cell]:
-    """Serial division pass; returns the daughters, appended in parent-id order.
+                      cap: int = DEFAULT_CELL_CAP) -> range:
+    """Serial division pass; returns the daughters' ids, in parent-id order.
 
-    Each cell divides with probability 1 - exp(-rate*dt).  The daughter copies
-    the parent's radius, rate and velocity, takes a fresh id, and is placed
-    R/2 away along a random unit direction, clamped inside the mesh.  Parents
-    are processed in ascending id order so daughter ids are reproducible
+    Each cell divides with probability 1 - exp(-rate*dt), decided by its
+    first draw.  The daughter copies the parent's radius, rate and velocity,
+    takes a fresh id, and is placed R/2 away along the unit direction of the
+    parent's other two draws, clamped inside the mesh.  Parents are
+    processed in ascending id order so daughter ids are reproducible
     whatever the storage order.  The daughters are appended as new rows at
     the end of storage, and the bins are rebuilt.
     """
@@ -94,31 +94,31 @@ def attempt_divisions(container: CellContainer, seed: int, dt: float,
         raise DomainError("division step needs dt > 0")
     rows = (container.division_rates > 0.0).nonzero()[0]
     if not len(rows):
-        return []
-    # only the first draw decides; its probability is computed once per rate
+        return range(0)
+    # the probability is computed once per rate
     rates = container.division_rates[rows]
     p_divide = np.empty(len(rows))
     for rate in set(rates.tolist()):
         p_divide[rates == rate] = 1.0 - math.exp(-rate * dt)
     ids = container.ids[rows].astype(np.uint64)
-    draws = _unit(_mix64(_draw_base(_mix64(seed & _MASK), ids, step) ^ 1))
-    parents = rows[draws < p_divide]
-    if not len(parents):
-        return []
-    if len(container) + len(parents) > cap:
+    decide, u_z, u_phi = division_draws(seed, ids, step)
+    chosen = (decide < p_divide).nonzero()[0]
+    if not len(chosen):
+        return range(0)
+    if len(container) + len(chosen) > cap:
         raise CapacityError(
             f"division would exceed the {cap}-cell cap "
-            f"({len(container)} + {len(parents)})"
+            f"({len(container)} + {len(chosen)})"
         )
-    parents = parents[container.ids[parents].argsort(kind="stable")]
+    chosen = chosen[ids[chosen].argsort(kind="stable")]
+    parents = rows[chosen]
     positions = []
-    for parent_id, (px, py, pz), radius in zip(container.ids[parents].tolist(),
-                                               container.positions[parents].tolist(),
-                                               container.radii[parents].tolist()):
-        _, u_z, u_phi = division_draws(seed, parent_id, step)
-        z = 2.0 * u_z - 1.0
+    for (px, py, pz), radius, uz, uphi in zip(container.positions[parents].tolist(),
+                                              container.radii[parents].tolist(),
+                                              u_z[chosen].tolist(), u_phi[chosen].tolist()):
+        z = 2.0 * uz - 1.0
         rho = math.sqrt(max(0.0, 1.0 - z * z))
-        phi = 2.0 * math.pi * u_phi
+        phi = 2.0 * math.pi * uphi
         half_r = 0.5 * radius
         positions.append([
             px + half_r * rho * math.cos(phi),
@@ -131,7 +131,7 @@ def attempt_divisions(container: CellContainer, seed: int, dt: float,
                                     division_rate=container.division_rates[parents],
                                     velocities=container.velocities[parents])
     rebin_cells(container)
-    return [Cell(container, cell_id) for cell_id in daughters]
+    return daughters
 
 
 def sort_cells_by_voxel(container: CellContainer) -> CellContainer:

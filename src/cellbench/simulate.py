@@ -87,15 +87,10 @@ def seed_cells(container: CellContainer, cfg: RunConfig) -> None:
         x0, y0, z0, x1, y1, z1 = cfg.seed_box
     else:
         (x0, y0, z0), (x1, y1, z1) = mesh.origin, mesh.upper
-    positions = []
-    for i in range(cfg.cell_count):
-        ux, uy, uz = division_draws(cfg.seed ^ 0x5EED, i, 0)
-        positions.append([
-            x0 + ux * (x1 - x0),
-            y0 + uy * (y1 - y0),
-            z0 + uz * (z1 - z0),
-        ])
-    positions = np.array(positions, dtype=np.float64).reshape(-1, 3)
+    ids = np.arange(cfg.cell_count, dtype=np.uint64)
+    ux, uy, uz = division_draws(cfg.seed ^ 0x5EED, ids, 0)
+    positions = np.column_stack((x0 + ux * (x1 - x0), y0 + uy * (y1 - y0),
+                                 z0 + uz * (z1 - z0)))
     mesh.clamp_inside(positions)
     container.add_cells(positions, radius=cfg.cell_radius, division_rate=cfg.division_rate)
     rebin_cells(container)

@@ -68,8 +68,6 @@ class TempAllocVectorOps:
     def scale(self, s, a, out=None):
         return self._fresh(np.multiply(_per_vector(s), a))
 
-    norm = staticmethod(norm)
-
     def assign(self, dst, src) -> None:
         """Bind a result to a named destination: one fresh copy, its events."""
         dst[:] = self._fresh(np.array(src, dtype=np.float64))
@@ -91,8 +89,6 @@ class InPlaceVectorOps:
 
     def scale(self, s, a, out):
         return np.multiply(_per_vector(s), a, out=out)
-
-    norm = staticmethod(norm)
 
     def assign(self, dst, src) -> None:
         dst[:] = src

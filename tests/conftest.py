@@ -31,8 +31,7 @@ def pool2():
 def make_container(mesh, positions, **cell_kwargs):
     """Build a container with cells at the given positions, binned."""
     cont = cb.CellContainer(mesh)
-    for p in positions:
-        cont.new_cell(list(p), **cell_kwargs)
+    cont.add_cells(positions, **cell_kwargs)
     cb.rebin_cells(cont)
     return cont
 

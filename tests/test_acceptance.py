@@ -272,7 +272,7 @@ def test_criterion_6_growth_and_locality():
         n_before = len(cont)
         daughters = cb.attempt_divisions(cont, append_cfg.seed,
                                          append_cfg.dt_mechanics, mesh, step)
-        assert cont.cells[n_before:] == daughters
+        assert cont.ids[n_before:].tolist() == list(daughters)
         total_daughters += len(daughters)
     assert total_daughters == ra.final_cell_count - 60
 

@@ -17,6 +17,7 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cellbench as cb
@@ -71,6 +72,32 @@ def test_workload_reproduces_its_golden_values(name):
     result = cb.run_simulation(wl.config(cb, wl.run_seed(cb, wl.default_seed)))
     assert result.checksum == wl.golden_checksum
     assert result.final_cell_count == wl.golden_cells
+
+
+def kernel_pair_counts(container, params):
+    """(candidate, interacting) pairs of one velocity call, counted by the kernel."""
+    kernel = cb.mechanics.PairKernel(container, params)
+    ops = cb.InPlaceVectorOps(None)
+    interacting = sum(len(kernel.pairs(rows, ops)[0])
+                      for rows in kernel.blocks(np.arange(len(container))))
+    return int(kernel.row_count.sum()) - len(container), interacting
+
+
+def test_pair_counter_agrees_with_the_kernel():
+    # the pair counts bench reports come from `container.cells`: their
+    # positions, radii and voxels must still describe what the kernel sees
+    cfg = two_step_config()
+    final = cb.run_simulation(cfg).container
+    dense = cb.CellContainer(cb.CartesianMesh(6, 6, 6))
+    dense.add_cells([(10.0 + 100.0 * u1, 10.0 + 100.0 * u2, 10.0 + 100.0 * u3)
+                     for u1, u2, u3 in (cb.division_draws(11, i, 0) for i in range(300))])
+    cb.rebin_cells(dense)
+    for container in (final, dense):
+        counter = tracing.PairCounter(cb)
+        counter(container, container.mesh, cfg.interaction_params())
+        expected = kernel_pair_counts(container, cfg.interaction_params())
+        assert (counter.candidates, counter.interacting) == expected
+        assert counter.interacting > 0
 
 
 @pytest.mark.parametrize("workers", [1, 2])

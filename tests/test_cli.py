@@ -51,6 +51,27 @@ def test_model_table(capsys):
     assert table[11][3] == table[12][3]  # shared ceiling, shared plateau
 
 
+def test_model_measure_adds_measured_columns(capsys):
+    assert run_cli("model", "--chunks", "8", "--max-workers", "2", "--measure") == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0].split("\t") == ["workers", "chunks_per_worker", "model_lb",
+                                    "model_speedup", "measured_lb", "diff"]
+    assert len(lines) == 3
+    for line in lines[1:]:
+        row = line.split("\t")
+        assert row[2] == "1.000000"  # 8 chunks split evenly over 1 and 2 workers
+        measured, diff = float(row[4]), float(row[5])
+        assert 0.0 < measured <= 1.0
+        assert diff == pytest.approx(measured - 1.0, abs=1e-4)
+
+
+def test_model_measure_caps_the_worker_count(capsys):
+    # refused before any worker starts
+    assert run_cli("model", "--max-workers", "257", "--measure") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-workers <= 256" in captured.err
+
 
 @pytest.mark.parametrize("flag, value", [("--max-workers", "-1"), ("--max-workers", "0"),
                                          ("--chunks", "0")])

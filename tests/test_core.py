@@ -24,7 +24,7 @@ def bin_ids(cont):
 def test_flatten_reference_voxel():
     # 75^3 mesh, 20 um spacing: (30,30,30) falls in integer voxel (1,1,1).
     mesh = cb.CartesianMesh(75, 75, 75)
-    assert mesh.voxel_of((30.0, 30.0, 30.0)) == 5701
+    assert mesh.voxels_of((30.0, 30.0, 30.0)).tolist() == [5701]
     assert mesh.flatten(1, 1, 1) == 5701
     assert mesh.unflatten(5701) == (1, 1, 1)
 
@@ -56,17 +56,17 @@ def test_flatten_is_bijective(nx, ny, nz):
 def test_voxel_of_half_open_boxes():
     mesh = cb.CartesianMesh(3, 3, 3)
     # Lower face belongs to the voxel, upper face to the next one.
-    assert mesh.voxel_of((0.0, 0.0, 0.0)) == 0
-    assert mesh.voxel_of((19.999, 0.0, 0.0)) == 0
-    assert mesh.voxel_of((20.0, 0.0, 0.0)) == 1
+    assert mesh.voxels_of((0.0, 0.0, 0.0)).tolist() == [0]
+    assert mesh.voxels_of((19.999, 0.0, 0.0)).tolist() == [0]
+    assert mesh.voxels_of((20.0, 0.0, 0.0)).tolist() == [1]
 
 
 def test_voxel_of_out_of_bounds_raises():
     mesh = cb.CartesianMesh(3, 3, 3)
     with pytest.raises(DomainError):
-        mesh.voxel_of((-0.1, 10.0, 10.0))
+        mesh.voxels_of((-0.1, 10.0, 10.0))
     with pytest.raises(DomainError):
-        mesh.voxel_of((10.0, 10.0, 60.0))  # == upper bound, half-open
+        mesh.voxels_of((10.0, 10.0, 60.0))  # == upper bound, half-open
 
 
 def test_clamp_inside_pulls_points_into_domain():
@@ -137,13 +137,13 @@ def test_cell_volume_formula(small_mesh):
 
 def test_new_cell_assigns_sequential_ids(small_mesh):
     cont = cb.CellContainer(small_mesh)
-    a = cont.new_cell([10.0, 10.0, 10.0])
-    b = cont.new_cell([30.0, 10.0, 10.0])
-    assert (a.id, b.id) == (0, 1)
-    assert cont.cells[0] == a and cont.cells[0] != b
+    a = cont.add_cells([[10.0, 10.0, 10.0]])
+    b = cont.add_cells([[30.0, 10.0, 10.0], [50.0, 10.0, 10.0]])
+    assert (list(a), list(b)) == ([0], [1, 2])
+    assert [c.id for c in cont.cells] == [0, 1, 2]
     assert cont.positions_dirty
     cb.rebin_cells(cont)
-    assert cont.cells.index(b) == 1
+    assert cont.ids.tolist() == [0, 1, 2]
     assert not cont.positions_dirty
 
 
@@ -153,25 +153,23 @@ def test_rebin_matches_bruteforce_oracle(small_mesh):
         (35.0, 50.0, 10.0),
     ])
     oracle = {}
-    for c in cont.cells:
-        oracle.setdefault(small_mesh.voxel_of(c.position), []).append(c.id)
+    voxels = [small_mesh.voxels_of(c.position).item() for c in cont.cells]
+    for v, c in zip(voxels, cont.cells):
+        oracle.setdefault(v, []).append(c.id)
     assert bin_ids(cont) == oracle
     assert cont.nonempty_voxels.tolist() == sorted(oracle)
-    for c in cont.cells:
-        assert c.voxel_index == small_mesh.voxel_of(c.position)
+    assert [c.voxel_index for c in cont.cells] == voxels
     cont.check_consistent()
 
 
 def test_rebin_preserves_storage_order_within_voxel(small_mesh):
     # Two cells share a voxel; rebinning keeps their reversed storage order,
     # and the bin lists them in id order whatever the storage order.
-    cont = cb.CellContainer(small_mesh)
-    a = cont.new_cell([10.0, 10.0, 10.0])
-    b = cont.new_cell([11.0, 10.0, 10.0])
+    cont = make_container(small_mesh, [(10.0, 10.0, 10.0), (11.0, 10.0, 10.0)])
     cont.take([1, 0])
     cb.rebin_cells(cont)
-    assert bin_ids(cont) == {a.voxel_index: [a.id, b.id]}
-    assert [c.id for c in cont.cells] == [b.id, a.id]
+    assert bin_ids(cont) == {0: [0, 1]}
+    assert cont.ids.tolist() == [1, 0]
 
 
 def test_appends_reallocate_logarithmically(small_mesh):

@@ -286,8 +286,7 @@ def test_exchange_is_storage_order_independent(pool2):
         cont = cb.CellContainer(mesh)
         # two different-sized cells in one voxel: application order matters,
         # so the ascending-id rule is what keeps layouts equivalent
-        cont.new_cell([10.0, 10.0, 10.0], radius=8.0)
-        cont.new_cell([12.0, 11.0, 10.0], radius=6.0)
+        cont.add_cells([[10.0, 10.0, 10.0], [12.0, 11.0, 10.0]], radius=[8.0, 6.0])
         if reverse:
             cont.take([1, 0])
         cb.rebin_cells(cont)

@@ -35,10 +35,7 @@ PAIR_MESH = cb.CartesianMesh(4, 4, 4, dx=30.0, dy=30.0, dz=30.0,
 
 def pair_velocities(pi, pj, params, ri=8.0, rj=8.0):
     """Velocities `update_velocities` gives two cells that see only each other."""
-    cont = cb.CellContainer(PAIR_MESH)
-    cont.new_cell(list(pi), radius=ri)
-    cont.new_cell(list(pj), radius=rj)
-    cb.rebin_cells(cont)
+    cont = make_container(PAIR_MESH, [pi, pj], radius=[ri, rj])
     check_binning_exact(cont, PAIR_MESH, params)
     with WorkerPool(1) as pool:
         update_velocities(cont, PAIR_MESH, params,
@@ -168,7 +165,7 @@ def test_voxel_schedule_iterates_empty_voxels_too(small_mesh):
 
 def test_update_requires_consistent_binning(small_mesh):
     cont = clustered_container(small_mesh)
-    cont.new_cell([33.0, 33.0, 33.0])  # appended but not rebinned
+    cont.add_cells([[33.0, 33.0, 33.0]])  # appended but not rebinned
     with WorkerPool(1) as pool:
         with pytest.raises(cb.ContainerStateError):
             update_velocities(cont, small_mesh, InteractionParams(),
@@ -245,12 +242,10 @@ def test_pair_kernel_matches_brute_force(nx, ny, nz, cells, block):
     # split a chunk's targets the way a large container does
     mesh = cb.CartesianMesh(nx, ny, nz)
     ux, uy, uz = mesh.upper
-    cont = cb.CellContainer(mesh)
-    for (fx, fy, fz), radius in cells:
-        p = [fx * ux, fy * uy, fz * uz]
+    positions = [[fx * ux, fy * uy, fz * uz] for (fx, fy, fz), _ in cells]
+    for p in positions:
         mesh.clamp_inside(p)
-        cont.new_cell(p, radius=radius)
-    cb.rebin_cells(cont)
+    cont = make_container(mesh, positions, radius=[radius for _, radius in cells])
     params = InteractionParams()
     check_binning_exact(cont, mesh, params)
 

@@ -60,7 +60,7 @@ def populated(mesh, n=6, rate=0.0, radius=8.0):
 def test_no_rate_means_no_divisions(small_mesh):
     cont = populated(small_mesh, rate=0.0)
     daughters = attempt_divisions(cont, seed=1, dt=1.0, mesh=small_mesh, step=0)
-    assert daughters == []
+    assert len(daughters) == 0
     assert len(cont) == 6
     assert not cont.positions_dirty
 
@@ -74,17 +74,17 @@ def test_certain_division_doubles_the_population(small_mesh):
     cont.check_consistent()
 
     # fresh ids above every existing id, assigned in parent-id order
-    assert [d.id for d in daughters] == list(range(6, 12))
+    assert list(daughters) == list(range(6, 12))
     # appended at the end: the highest storage indices, in order
-    assert cont.cells[6:] == daughters
+    assert cont.ids[6:].tolist() == list(daughters)
 
 
 def test_daughter_copies_parent_and_sits_half_radius_away(small_mesh):
     cont = populated(small_mesh, n=1, rate=50.0, radius=7.0)
-    parent = cont.cells[0]
-    parent.velocity[:] = [0.5, -0.25, 1.0]
-    daughter = attempt_divisions(cont, seed=9, dt=1.0, mesh=small_mesh,
-                                 step=4)[0]
+    cont.velocities[0] = [0.5, -0.25, 1.0]
+    (daughter_id,) = attempt_divisions(cont, seed=9, dt=1.0, mesh=small_mesh, step=4)
+    parent, daughter = cont.cells
+    assert daughter.id == daughter_id
     assert daughter.radius == parent.radius
     assert daughter.division_rate == parent.division_rate
     assert daughter.velocity.tolist() == parent.velocity.tolist()
@@ -104,7 +104,7 @@ def test_probability_matches_the_draw_rule(small_mesh):
     daughters = attempt_divisions(cont, seed=seed, dt=dt, mesh=small_mesh,
                                   step=step)
     parents_of = list(range(6, 6 + len(expected)))
-    assert [d.id for d in daughters] == parents_of
+    assert list(daughters) == parents_of
     assert len(daughters) == len(expected)
 
 
@@ -117,7 +117,8 @@ def test_divisions_ignore_storage_order(small_mesh):
             cb.rebin_cells(cont)
         daughters = attempt_divisions(cont, seed=5, dt=1.0, mesh=small_mesh,
                                       step=2)
-        outcomes.append([(d.id, tuple(d.position)) for d in daughters])
+        outcomes.append([(c.id, tuple(c.position)) for c in cont.cells
+                         if c.id in daughters])
     assert outcomes[0] == outcomes[1]
     assert outcomes[0]  # the seed was chosen so somebody divides
 
@@ -155,18 +156,16 @@ def test_storage_order_literals():
 
 
 def test_sort_cells_by_voxel_orders_storage(small_mesh):
-    cont = cb.CellContainer(small_mesh)
-    a = cont.new_cell([70.0, 70.0, 70.0])  # high voxel, low id
-    b = cont.new_cell([10.0, 10.0, 10.0])
-    c = cont.new_cell([11.0, 10.0, 10.0])
-    cb.rebin_cells(cont)
+    # ids 0, 1, 2: the high voxel has the lowest id
+    cont = make_container(small_mesh, [(70.0, 70.0, 70.0), (10.0, 10.0, 10.0),
+                                       (11.0, 10.0, 10.0)])
     sort_cells_by_voxel(cont)
-    assert [x.id for x in cont.cells] == [b.id, c.id, a.id]
-    assert cont.cells[2] == a
+    assert cont.ids.tolist() == [1, 2, 0]
+    assert cont.positions[2].tolist() == [70.0, 70.0, 70.0]
     cont.check_consistent()
     # idempotent
     sort_cells_by_voxel(cont)
-    assert [x.id for x in cont.cells] == [b.id, c.id, a.id]
+    assert cont.ids.tolist() == [1, 2, 0]
 
 
 def test_sorting_never_changes_velocities(small_mesh):
@@ -205,8 +204,7 @@ def test_locality_reflects_storage_scatter(small_mesh):
     positions = [(1.0 + 7.0 * i, 10.0, 10.0) for i in range(8)]
     tidy = make_container(small_mesh, positions)
     scattered = cb.CellContainer(small_mesh)
-    for p in positions:
-        scattered.new_cell(list(p))
+    scattered.add_cells(positions)
     scattered.take([0, 4, 1, 5, 2, 6, 3, 7])
     cb.rebin_cells(scattered)
     assert locality_metric(scattered) > locality_metric(tidy)

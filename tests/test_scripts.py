@@ -12,7 +12,6 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize("script, args", [
     ("locality_experiment.py", ["--cells", "20", "--steps", "5"]),
-    ("chunk_model_stairs.py", ["--max-workers", "4"]),
 ])
 def test_script_runs(tmp_path, script, args):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
