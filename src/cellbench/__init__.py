@@ -65,14 +65,13 @@ from .mechanics import (
 )
 from .metrics import (
     RegionTiming,
-    Scalabilities,
     aggregate_timings,
     chunk_lb_model,
     chunk_speedup_model,
     communication_efficiency,
+    computation_scalability,
     load_balance,
     parallel_efficiency,
-    scalabilities,
     timing_from_record,
 )
 from .parallel import RegionRecord, WorkerCtx, WorkerPool, WorkerStats, static_ranges

@@ -28,8 +28,9 @@ from .metrics import (
     UndefinedMetricError,
     aggregate_timings,
     communication_efficiency,
+    computation_scalability,
     load_balance,
-    scalabilities,
+    parallel_efficiency,
     timing_from_record,
 )
 from .parallel import WorkerPool
@@ -98,8 +99,8 @@ def efficiency_rows(result: RunResult, run_id: str,
         try:
             lb = load_balance(timing)
             comm = communication_efficiency(timing)
-            scal = (scalabilities(base_timings[region], timing)
-                    if region in base_timings else None)
+            comp = (f"{computation_scalability(base_timings[region], timing):.6f}"
+                    if region in base_timings else "")
         except UndefinedMetricError:
             continue
         rows.append({
@@ -109,11 +110,8 @@ def efficiency_rows(result: RunResult, run_id: str,
             **axes,
             "lb": f"{lb:.6f}",
             "comm_eff": f"{comm:.6f}",
-            "par_eff": f"{lb * comm:.6f}",
-            "comp_scal": _fmt(scal and scal.computation_scalability),
-            "instr_scal": _fmt(scal and scal.instruction_scalability),
-            "ipc_scal": _fmt(scal and scal.ipc_scalability),
-            "freq_scal": _fmt(scal and scal.frequency_scalability),
+            "par_eff": f"{parallel_efficiency(timing):.6f}",
+            "comp_scal": comp,
             "mean_busy_s": f"{timing.total_busy / timing.workers:.9f}",
             "max_busy_s": f"{max(timing.busy):.9f}",
             "elapsed_s": f"{timing.elapsed:.9f}",
@@ -124,13 +122,8 @@ def efficiency_rows(result: RunResult, run_id: str,
 
 EFFICIENCY_FIELDS = [
     "run_id", "region", "workers", *STRATEGY_PARTS, "lb", "comm_eff", "par_eff",
-    "comp_scal", "instr_scal", "ipc_scal", "freq_scal", "mean_busy_s",
-    "max_busy_s", "elapsed_s", "alloc_events",
+    "comp_scal", "mean_busy_s", "max_busy_s", "elapsed_s", "alloc_events",
 ]
-
-
-def _fmt(value) -> str:
-    return "" if value is None else f"{value:.6f}"
 
 
 def write_efficiency_csv(path: str, rows: list[dict]) -> None:

@@ -3,11 +3,9 @@
 The model is multiplicative: parallel efficiency splits into load balance
 (mean busy over max busy) and communication efficiency (max busy over region
 wall time, absorbing fork/join and scheduling overhead).  Against a base-case
-run, computation scalability splits further into instruction, IPC, and
-frequency scalability when both timings carry per-worker (instructions,
-cycles) deltas in `RegionTiming.counters`; without counters only the
-time-based computation scalability is defined.  The simulation itself
-records no counters, so its reports leave the counter-based columns empty.
+run, computation scalability is the base's total busy time over the current
+one's.  The finer instruction, IPC and frequency terms of the hierarchy need
+hardware counters, which no run records, so they are not computed.
 
 `chunk_lb_model` is the closed-form load balance of statically even-split
 uniform chunks: N/(T*ceil(N/T)).  It predicts the staircase scalability of
@@ -18,11 +16,9 @@ profile after collapsing to thousands of chunks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import DomainError, InconsistentTraceError, UndefinedMetricError
-
-Counters = tuple[tuple[int, int], ...]  # per-worker (instructions, cycles)
 
 
 @dataclass(frozen=True)
@@ -32,7 +28,6 @@ class RegionTiming:
     region: str
     busy: tuple[float, ...]
     elapsed: float
-    counters: Optional[Counters] = None
 
     def __post_init__(self):
         if len(self.busy) < 1:
@@ -44,8 +39,6 @@ class RegionTiming:
                 "region %r elapsed %.9f below max busy %.9f"
                 % (self.region, self.elapsed, max(self.busy))
             )
-        if self.counters is not None and len(self.counters) != len(self.busy):
-            raise InconsistentTraceError("counters must cover all workers or be absent")
 
     @property
     def workers(self) -> int:
@@ -71,16 +64,7 @@ def aggregate_timings(timings: Sequence[RegionTiming], region: str = "all") -> R
         raise InconsistentTraceError("aggregation requires a fixed worker count")
     busy = tuple(sum(t.busy[w] for t in timings) for w in range(workers))
     elapsed = sum(t.elapsed for t in timings)
-    counters: Optional[Counters] = None
-    if all(t.counters is not None for t in timings):
-        counters = tuple(
-            (
-                sum(t.counters[w][0] for t in timings),
-                sum(t.counters[w][1] for t in timings),
-            )
-            for w in range(workers)
-        )
-    return RegionTiming(region=region, busy=busy, elapsed=elapsed, counters=counters)
+    return RegionTiming(region=region, busy=busy, elapsed=elapsed)
 
 
 # -- the efficiency hierarchy ------------------------------------------------
@@ -97,50 +81,18 @@ def load_balance(t: RegionTiming) -> float:
 def communication_efficiency(t: RegionTiming) -> float:
     if t.elapsed <= 0.0:
         raise UndefinedMetricError("communication efficiency needs elapsed > 0")
-    return min(1.0, max(t.busy) / t.elapsed)
+    return max(t.busy) / t.elapsed
 
 
 def parallel_efficiency(t: RegionTiming) -> float:
     return load_balance(t) * communication_efficiency(t)
 
 
-@dataclass(frozen=True)
-class Scalabilities:
-    computation_scalability: float
-    global_efficiency: float
-    instruction_scalability: Optional[float] = None
-    ipc_scalability: Optional[float] = None
-    frequency_scalability: Optional[float] = None
-
-
-def _sum_counters(t: RegionTiming) -> tuple[int, int]:
-    instr = sum(c[0] for c in t.counters)
-    cycles = sum(c[1] for c in t.counters)
-    return instr, cycles
-
-
-def scalabilities(base: RegionTiming, cur: RegionTiming) -> Scalabilities:
-    """Base-case-relative scalability components; counter terms only when both traces carry counters."""
+def computation_scalability(base: RegionTiming, cur: RegionTiming) -> float:
+    """Base-case total busy time over the current total: above 1 when the work shrank."""
     if cur.total_busy == 0.0 or base.total_busy == 0.0:
         raise UndefinedMetricError("computation scalability undefined for zero busy time")
-    comp = base.total_busy / cur.total_busy
-    glob = parallel_efficiency(cur) * comp
-    if base.counters is None or cur.counters is None:
-        return Scalabilities(computation_scalability=comp, global_efficiency=glob)
-    bi, bc = _sum_counters(base)
-    ci, cc = _sum_counters(cur)
-    if ci == 0 or bc == 0 or cc == 0 or bi == 0:
-        raise UndefinedMetricError("scalability with zero instruction or cycle totals")
-    instr_scal = bi / ci
-    ipc_scal = (ci / cc) / (bi / bc)
-    freq_scal = (cc / cur.total_busy) / (bc / base.total_busy)
-    return Scalabilities(
-        computation_scalability=comp,
-        global_efficiency=glob,
-        instruction_scalability=instr_scal,
-        ipc_scalability=ipc_scal,
-        frequency_scalability=freq_scal,
-    )
+    return base.total_busy / cur.total_busy
 
 
 # -- analytic chunk-granularity model ----------------------------------------

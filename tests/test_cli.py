@@ -253,8 +253,13 @@ def test_sweep_outputs(cfg_file, tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "baseline  inplace/outer/cell_static/append" in stdout
     assert stdout.count("\tok") == 4
-    assert (tmp_path / "sw" / "efficiency.csv").exists()
     assert (tmp_path / "sw" / "speedup.tsv").exists()
+    # every row of a sweep has a base run, so no efficiency column is blank
+    with open(tmp_path / "sw" / "efficiency.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert {(row["allocation"], row["workers"]) for row in rows} == {
+        ("inplace", "1"), ("inplace", "2"), ("temp", "1"), ("temp", "2")}
+    assert {key for row in rows for key, value in row.items() if value == ""} == set()
 
 
 @pytest.mark.parametrize("flag, value", [

@@ -100,10 +100,8 @@ def test_efficiency_rows_schema_and_identity():
         assert 0.0 < lb <= 1.0
         assert 0.0 < comm <= 1.0
         assert pe == pytest.approx(lb * comm, abs=2e-6)  # 6-decimal rounding
-        # base is the run itself, so time scalability is unity and the
-        # counter-based terms stay blank (no counter source configured)
+        # base is the run itself, so computation scalability is unity
         assert float(row["comp_scal"]) == pytest.approx(1.0, abs=1e-6)
-        assert row["instr_scal"] == ""
         assert int(row["alloc_events"]) == 0  # in-place default
 
 
@@ -129,12 +127,11 @@ def test_efficiency_rows_carry_the_hierarchy():
         assert row["lb"] == f"{lb:.6f}"
         assert row["comm_eff"] == f"{comm:.6f}"
         assert row["par_eff"] == f"{lb * comm:.6f}"
-        scal = cb.scalabilities(base_t[row["region"]], t)
-        assert row["comp_scal"] == f"{scal.computation_scalability:.6f}"
+        comp = cb.computation_scalability(base_t[row["region"]], t)
+        assert row["comp_scal"] == f"{comp:.6f}"
         assert row["mean_busy_s"] == f"{t.total_busy / t.workers:.9f}"
-    scal_columns = ("comp_scal", "instr_scal", "ipc_scal", "freq_scal")
     for row in efficiency_rows(result, "rid"):
-        assert [row[k] for k in scal_columns] == [""] * 4
+        assert row["comp_scal"] == ""  # no base run, no scalability
 
 
 def test_efficiency_csv_roundtrip(tmp_path):
@@ -328,38 +325,38 @@ ACCOUNTING_DIGESTS = {
     "cell_static": {
         "timings_full": "515705d8d6306882",
         "timings_aggregate": "1507447ea99ebf9c",
-        "efficiency": "48e5ae2a7c893a8c",
-        "efficiency_base": "77bf9db4df72fbbc",
+        "efficiency": "808dca303ea8219b",
+        "efficiency_base": "c1e1456d5840d991",
     },
     "cell_dynamic": {
         "timings_full": "f351de0fdd2022bb",
         "timings_aggregate": "3eb3ffec1e329504",
-        "efficiency": "d83917860e5d1b11",
-        "efficiency_base": "a8550862e8ccd7e2",
+        "efficiency": "2583bf9782d78944",
+        "efficiency_base": "5ad70ae12c1ba600",
     },
     "voxel": {
         "timings_full": "bd115552f45aa023",
         "timings_aggregate": "87d6fa4aec6bc966",
-        "efficiency": "e20a313f7a808080",
-        "efficiency_base": "5333a20011148fb2",
+        "efficiency": "d2475f34a6f47f41",
+        "efficiency_base": "7768ca99be5b348b",
     },
     "nonempty_voxel": {
         "timings_full": "a231086634ed7433",
         "timings_aggregate": "c5b4954c30c80595",
-        "efficiency": "2140d5b28ebc003f",
-        "efficiency_base": "b6e604ff9c38b3ed",
+        "efficiency": "767cf9a183c1a022",
+        "efficiency_base": "71adae66851f19b9",
     },
     "divide_sorted": {
         "timings_full": "0b2d87098ad0571b",
         "timings_aggregate": "278e75e0a4bd8a6a",
-        "efficiency": "cdb5529949aee392",
-        "efficiency_base": "61ce305345360f4b",
+        "efficiency": "29a91ad22d0526ec",
+        "efficiency_base": "7f35bfff18711836",
     },
     "no_cells": {
         "timings_full": "bb30d202c31e174b",
         "timings_aggregate": "1f02321f2cffe60f",
-        "efficiency": "ebd3eb267044bac8",
-        "efficiency_base": "c323bda7823b9927",
+        "efficiency": "d57fdd21ae147705",
+        "efficiency_base": "72108d2aaf9f23cd",
     },
 }
 

@@ -1,4 +1,4 @@
-"""Efficiency hierarchy, scalability factorization, and the chunk model."""
+"""Efficiency hierarchy, computation scalability, and the chunk model."""
 
 import math
 
@@ -16,26 +16,19 @@ from cellbench import (
     chunk_lb_model,
     chunk_speedup_model,
     communication_efficiency,
+    computation_scalability,
     load_balance,
     parallel_efficiency,
-    scalabilities,
 )
 
 busy_times = st.lists(st.floats(0.001, 100.0), min_size=1, max_size=16)
 
 
 @st.composite
-def traces(draw, with_counters=False):
+def traces(draw):
     busy = tuple(draw(busy_times))
     slack = draw(st.floats(0.0, 10.0))
-    counters = None
-    if with_counters:
-        counters = tuple(
-            (draw(st.integers(1, 10**9)), draw(st.integers(1, 10**9)))
-            for _ in busy
-        )
-    return RegionTiming(region="r", busy=busy, elapsed=max(busy) + slack,
-                        counters=counters)
+    return RegionTiming(region="r", busy=busy, elapsed=max(busy) + slack)
 
 
 # ---------------------------------------------------------------- hierarchy
@@ -87,8 +80,6 @@ def test_trace_validation():
         RegionTiming("r", busy=(-0.1, 1.0), elapsed=1.0)
     with pytest.raises(InconsistentTraceError):
         RegionTiming("r", busy=(2.0,), elapsed=1.0)  # elapsed < max busy
-    with pytest.raises(InconsistentTraceError):
-        RegionTiming("r", busy=(1.0, 1.0), elapsed=2.0, counters=((1, 1),))
 
 
 def test_undefined_metrics_raise():
@@ -99,86 +90,32 @@ def test_undefined_metrics_raise():
         communication_efficiency(idle)
     live = RegionTiming("r", busy=(1.0,), elapsed=1.0)
     with pytest.raises(UndefinedMetricError):
-        scalabilities(idle, live)
+        computation_scalability(idle, live)
     with pytest.raises(UndefinedMetricError):
-        scalabilities(live, idle)
+        computation_scalability(live, idle)
 
 
 # ---------------------------------------------------------------- scalability
 
-def base_cur_pair():
-    base = RegionTiming("r", busy=(5.0, 5.0), elapsed=5.5,
-                        counters=((1000, 2000), (1000, 2000)))
-    return base
-
-
 def test_base_case_scores_one_against_itself():
-    base = base_cur_pair()
-    s = scalabilities(base, base)
-    assert s.computation_scalability == 1.0
-    assert s.instruction_scalability == 1.0
-    assert s.ipc_scalability == 1.0
-    assert s.frequency_scalability == 1.0
-    assert s.global_efficiency == parallel_efficiency(base)
-
-
-def test_instruction_growth_shows_up_in_instruction_scalability():
-    base = base_cur_pair()
-    cur = RegionTiming("r", busy=(5.0, 5.0), elapsed=5.5,
-                       counters=((1100, 2200), (1100, 2200)))
-    s = scalabilities(base, cur)
-    assert s.instruction_scalability == pytest.approx(1000.0 / 1100.0, rel=1e-12)
-    assert s.instruction_scalability == pytest.approx(0.9091, abs=5e-5)
-    assert s.computation_scalability == 1.0  # same busy time
-
-
-def test_cycle_doubling_splits_into_ipc_and_frequency():
-    base = base_cur_pair()
-    cur = RegionTiming("r", busy=(5.0, 5.0), elapsed=5.5,
-                       counters=((1000, 4000), (1000, 4000)))
-    s = scalabilities(base, cur)
-    assert s.instruction_scalability == 1.0
-    assert s.ipc_scalability == pytest.approx(0.5, rel=1e-12)
-    assert s.frequency_scalability == pytest.approx(2.0, rel=1e-12)
-    assert s.computation_scalability == 1.0
-
-
-@given(traces(with_counters=True), traces(with_counters=True))
-def test_counter_factorization_identity(base, cur):
-    s = scalabilities(base, cur)
-    product = (s.instruction_scalability * s.ipc_scalability
-               * s.frequency_scalability)
-    assert s.computation_scalability == pytest.approx(product, rel=1e-12)
+    base = RegionTiming("r", busy=(5.0, 5.0), elapsed=5.5)
+    assert computation_scalability(base, base) == 1.0
 
 
 @given(traces(), traces())
-def test_time_only_scalability_leaves_counter_terms_unset(base, cur):
-    s = scalabilities(base, cur)
-    assert s.computation_scalability == pytest.approx(
-        base.total_busy / cur.total_busy, rel=1e-12)
-    assert s.instruction_scalability is None
-    assert s.ipc_scalability is None
-    assert s.frequency_scalability is None
-    assert s.global_efficiency == pytest.approx(
-        parallel_efficiency(cur) * s.computation_scalability, rel=1e-12)
+def test_computation_scalability_is_the_busy_time_ratio(base, cur):
+    assert computation_scalability(base, cur) == base.total_busy / cur.total_busy
 
 
 # ---------------------------------------------------------------- aggregation
 
-def test_aggregate_sums_busy_elapsed_and_counters():
-    a = RegionTiming("x", busy=(1.0, 2.0), elapsed=2.5, counters=((100, 200), (300, 400)))
-    b = RegionTiming("y", busy=(3.0, 1.0), elapsed=3.5, counters=((10, 20), (30, 40)))
+def test_aggregate_sums_busy_and_elapsed():
+    a = RegionTiming("x", busy=(1.0, 2.0), elapsed=2.5)
+    b = RegionTiming("y", busy=(3.0, 1.0), elapsed=3.5)
     agg = aggregate_timings([a, b])
     assert agg.region == "all"
     assert agg.busy == (4.0, 3.0)
     assert agg.elapsed == 6.0
-    assert agg.counters == ((110, 220), (330, 440))
-
-
-def test_aggregate_drops_counters_unless_all_regions_have_them():
-    a = RegionTiming("x", busy=(1.0,), elapsed=1.0, counters=((1, 1),))
-    b = RegionTiming("y", busy=(1.0,), elapsed=1.0)
-    assert aggregate_timings([a, b]).counters is None
 
 
 def test_aggregate_rejects_mixed_worker_counts():
@@ -197,7 +134,7 @@ def test_timing_from_record_lifts_pool_output():
     assert t.workers == 2
     assert t.busy == tuple(w.busy for w in record.workers)
     assert t.elapsed == record.elapsed
-    assert t.region == "demo" and t.counters is None
+    assert t.region == "demo"
 
 
 # ---------------------------------------------------------------- chunk model
