@@ -66,6 +66,17 @@ def test_norm_returns_one_length_per_vector():
     assert smallvec.norm(batch).tolist() == [5.0, 2.0, 3.0]
 
 
+@pytest.mark.parametrize("mode", list(AllocationMode))
+def test_scalar_valued_operators_record_nothing(mode):
+    # Taking the norm of a mode's result leaves that mode's count unchanged.
+    ops, counter = fresh(mode)
+    r = ops.add([3.0, 0.0, 0.0], [0.0, 4.0, 0.0], np.zeros(3))
+    events = counter.alloc_events
+    assert smallvec.norm(r) == 5.0
+    assert smallvec.norm(np.stack([r, r])).tolist() == [5.0, 5.0]
+    assert counter.alloc_events == events
+
+
 def test_in_place_operators_return_their_out_argument():
     ops, _ = fresh(AllocationMode.IN_PLACE)
     out = np.zeros(3)
