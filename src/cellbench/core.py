@@ -159,6 +159,14 @@ class CellContainer:
     are `bin_rows[bin_ptr[k]:bin_ptr[k + 1]]`, in ascending id order, and
     `bin_of_row[i]` is the k of row i.  Every bin array scales with the cell
     count, not the voxel count.
+
+    The bins depend only on the voxels, ids and order of the rows, so they
+    are kept while no cell changes voxel: `add_cells` and `take` mark the
+    rows changed, and `rebin_cells` rebuilds only after such a change or a
+    voxel change.  `candidates` caches whatever index arrays are derived from
+    the bins alone (the velocity kernel's candidate table); a rebuild resets
+    it to None.  It never holds a view of a column, since an append may
+    reallocate the columns.
     """
 
     #: (attribute, row shape, dtype) of every per-cell column.
@@ -176,6 +184,8 @@ class CellContainer:
         self.bin_of_row = np.zeros(0, dtype=np.intp)
         self.next_id = 0
         self.positions_dirty = False
+        self.rows_changed = False
+        self.candidates = None
 
     def _allocate(self, capacity: int) -> None:
         """(Re)allocate every column at `capacity` rows, keeping the first n."""
@@ -248,7 +258,7 @@ class CellContainer:
         self._voxel[lo:hi] = -1
         self._n = hi
         self.next_id = new_ids.stop
-        self.positions_dirty = True
+        self.positions_dirty = self.rows_changed = True
         return new_ids
 
     def take(self, rows) -> None:
@@ -259,7 +269,7 @@ class CellContainer:
             column = getattr(self, name)
             column[:len(rows)] = column[rows]
         self._n = len(rows)
-        self.positions_dirty = True
+        self.positions_dirty = self.rows_changed = True
 
     def check_consistent(self) -> None:
         """Verify the container invariants; raises AssertionError on violation."""
@@ -275,14 +285,20 @@ class CellContainer:
 
 
 def rebin_cells(container: CellContainer) -> CellContainer:
-    """Recompute every row's voxel and rebuild the CSR voxel bins.
+    """Recompute every row's voxel and bring the CSR voxel bins up to date.
 
     Serial; the single place where the spatial index is brought back in sync
-    with positions after moves, divisions or reorders.  The bins come from
-    one sort of the rows by (voxel, id).
+    with positions after moves, divisions or reorders.  Every voxel is
+    recomputed, so a position outside the mesh always raises.  If no row
+    was added or reordered since the last rebin and no cell changed voxel,
+    the bins and the cached `candidates` are kept.  Otherwise the bins come
+    from one sort of the rows by (voxel, id) and `candidates` is dropped.
     """
     voxels = container.mesh.voxels_of(container.positions)
     n = len(voxels)
+    if not container.rows_changed and (voxels == container.voxels).all():
+        container.positions_dirty = False
+        return container
     container._voxel[:n] = voxels
     rows = (voxels * container.next_id + container.ids).argsort(kind="stable")
     binned = voxels[rows]
@@ -294,20 +310,7 @@ def rebin_cells(container: CellContainer) -> CellContainer:
     container.bin_rows = rows
     container.bin_of_row = np.empty(n, dtype=np.intp)
     container.bin_of_row[rows] = np.arange(len(starts)).repeat(container.bin_ptr[1:] - starts)
-    container.positions_dirty = False
+    container.candidates = None
+    container.positions_dirty = container.rows_changed = False
     return container
 
-
-def rank_prefixes(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Order segments longest first, and count those longer than each rank.
-
-    Returns (order, longer): `order` lists the segments by descending length
-    (stable), and `longer[r]` is the number of segments with more than r
-    items, so the segments that have an item of rank r are
-    `order[:longer[r]]`.  For non-empty `counts` the last entry is 0.  A
-    recurrence over each segment's items then runs rank by rank, one vector
-    step per rank over a contiguous prefix.
-    """
-    order = (-counts).argsort(kind="stable")
-    longer = len(counts) - np.add.accumulate(np.bincount(counts))
-    return order, longer

@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import CartesianMesh, CellContainer, Microenvironment, rank_prefixes
+from .core import CartesianMesh, CellContainer, Microenvironment
 from .errors import DomainError, NumericError
 from .parallel import RegionRecord, WorkerPool
 
@@ -120,6 +120,21 @@ def lod_step(micro: Microenvironment, mesh: CartesianMesh, dt: float,
     return records
 
 
+def _rank_prefixes(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Order segments longest first, and count those longer than each rank.
+
+    Returns (order, longer): `order` lists the segments by descending length
+    (stable), and `longer[r]` is the number of segments with more than r
+    items, so the segments that have an item of rank r are
+    `order[:longer[r]]`.  For non-empty `counts` the last entry is 0.  A
+    recurrence over each segment's items then runs rank by rank, one vector
+    step per rank over a contiguous prefix.
+    """
+    order = (-counts).argsort(kind="stable")
+    longer = len(counts) - np.add.accumulate(np.bincount(counts))
+    return order, longer
+
+
 def apply_cell_exchange(micro: Microenvironment, container: CellContainer, dt: float,
                         secretion: float, uptake: float, saturation: float,
                         pool: WorkerPool) -> RegionRecord:
@@ -142,7 +157,7 @@ def apply_cell_exchange(micro: Microenvironment, container: CellContainer, dt: f
     bin_ptr, bin_rows = container.bin_ptr, container.bin_rows
 
     def body(lo, hi, ctx):
-        order, longer = rank_prefixes(bin_ptr[lo + 1:hi + 1] - bin_ptr[lo:hi])
+        order, longer = _rank_prefixes(bin_ptr[lo + 1:hi + 1] - bin_ptr[lo:hi])
         first = bin_ptr[lo:hi][order]
         chunk = voxels[lo:hi][order]
         rho = dens[chunk]

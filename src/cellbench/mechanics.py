@@ -9,17 +9,20 @@ orders, and allocation modes: the strategies may only move work around, never
 change it.
 
 One vectorized pair kernel (`PairKernel`) serves the velocity update and the
-locality metric.  Per call it builds a candidate table from the container's
+locality metric.  It reads a candidate table derived from the container's
 CSR voxel bins: for each non-empty voxel, the storage rows of the cells in its
 Moore 3x3x3 neighborhood, in ascending id order (`_candidate_order` is the
-one step that sets that order).  Binning is exact, not approximate, provided
-the voxel edge is at least the largest interaction range (checked by
-`check_binning_exact` at run start).  A chunk expands its target cells
-against the table in blocks of about `BLOCK` candidate pairs, so the pair
-arrays stay bounded whatever the cell count.  Each target's contributions
-are then added rank by rank: rank r adds every target's r-th in-range
-neighbor in one vector step, which keeps each sum in ascending id order.
-Squares are `np.float_power(x, 2.0)`, which calls libm pow as Python's `**`
+one step that sets that order).  The table is cached on the container and
+built again only after `rebin_cells` rebuilt the bins, which it does only
+when a row was added or reordered or a cell changed voxel.  Binning is
+exact, not approximate, provided the voxel edge is at least the largest
+interaction range (checked by `check_binning_exact` at run start).  A chunk
+expands its target cells against the table in blocks of about `BLOCK`
+candidate pairs, so the pair arrays stay bounded whatever the cell count.
+Each block's contributions are then summed by one `ops.sum_segments`: every
+pair goes to row (its rank among its target's pairs) of a zero-padded
+buffer, and one sequential `np.add.accumulate` over the rows keeps each sum
+in ascending id order, from 0.0.  Squares are `np.float_power(x, 2.0)`, which calls libm pow as Python's `**`
 does; the norm is d0*d0 + d1*d1 + d2*d2.
 
 The vector-valued operators come from `smallvec.vector_ops`: under `temp`
@@ -46,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CartesianMesh, CellContainer, rank_prefixes
+from .core import CartesianMesh, CellContainer
 from .errors import ContainerStateError, DomainError, NumericError
 from .parallel import RegionRecord, WorkerPool
 from .smallvec import AllocationMode, norm, vector_ops
@@ -139,32 +142,57 @@ def _candidate_entries(container: CellContainer) -> tuple[np.ndarray, np.ndarray
     return k.repeat(counts), container.bin_rows[_ranges(lo, counts)]
 
 
-class PairKernel:
-    """The candidate table of one binned container state, and the pair kernel.
+def _candidate_table(container: CellContainer) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cand_rows, row_lo, row_count) of the container's current bins.
 
-    `cand_rows[cand_ptr[k]:cand_ptr[k + 1]]` are the storage rows of every
-    cell in the neighborhood of non-empty voxel k, in ascending id order.
+    `cand_rows[cand_ptr[k]:cand_ptr[k + 1]]` are the candidate rows of
+    non-empty voxel k; each storage row takes the range of its voxel.
+    """
+    bins, rows = _candidate_entries(container)
+    cand_rows = rows[_candidate_order(bins, container.ids[rows], container.next_id)]
+    cand_ptr = np.concatenate(([0], np.add.accumulate(
+        np.bincount(bins, minlength=len(container.nonempty_voxels)))))
+    row_lo = cand_ptr[container.bin_of_row]
+    return cand_rows, row_lo, cand_ptr[container.bin_of_row + 1] - row_lo
+
+
+class PairKernel:
+    """The pair kernel over the candidate table of one binned container state.
+
+    `cand_rows[row_lo[i]:row_lo[i] + row_count[i]]` are the storage rows of
+    every cell in the neighborhood of row i's voxel, row i itself included,
+    in ascending id order.  The table holds only index arrays derived from
+    the bins, so it is cached on the container (`CellContainer.candidates`)
+    and built only after `rebin_cells` rebuilt the bins; positions and radii
+    are read from the container on each construction.
     """
 
     def __init__(self, container: CellContainer, params: InteractionParams):
         self.pos = container.positions
         self.radii = container.radii
         self.params = params
-        bins, rows = _candidate_entries(container)
-        self.cand_rows = rows[_candidate_order(bins, container.ids[rows], container.next_id)]
-        self.cand_ptr = np.concatenate(([0], np.add.accumulate(
-            np.bincount(bins, minlength=len(container.nonempty_voxels)))))
-        # where each storage row's candidates start, and how many it has
-        self.row_lo = self.cand_ptr[container.bin_of_row]
-        self.row_count = self.cand_ptr[container.bin_of_row + 1] - self.row_lo
+        if container.candidates is None:
+            container.candidates = _candidate_table(container)
+        self.cand_rows, self.row_lo, self.row_count = container.candidates
+        self.widest = int(self.row_count.max(initial=0))
 
     def blocks(self, rows: np.ndarray):
         """Split target rows, in order, into blocks of at most BLOCK
-        candidate pairs; a block holds at least one target."""
-        ends = np.add.accumulate(self.row_count[rows])
+        candidate pairs; a block holds at least one target.
+
+        A block's target count times its largest candidate count bounds the
+        rank-padded buffer of `ops.sum_segments`, so that product is kept
+        within 4 * BLOCK too: one crowded target among many sparse ones
+        would otherwise pad every sparse target to its pair count.
+        """
+        counts = self.row_count[rows]
+        ends = np.add.accumulate(counts)
         lo, done = 0, 0
         while lo < len(rows):
             hi = max(lo + 1, int(ends.searchsorted(done + BLOCK, side="right")))
+            if (hi - lo) * self.widest > 4 * BLOCK:
+                padded = np.maximum.accumulate(counts[lo:hi]) * np.arange(1, hi - lo + 1)
+                hi = lo + max(1, int(padded.searchsorted(4 * BLOCK, side="right")))
             yield rows[lo:hi]
             lo, done = hi, ends[hi - 1]
 
@@ -182,22 +210,23 @@ class PairKernel:
         i = targets[t]
         other = j != i
         t, i, j = t[other], i[other], j[other]
-        pj = self.pos[j]
-        dvec = ops.sub(pj, self.pos[i], pj)
+        # `np.take` gathers rows several times faster than fancy indexing
+        pj = np.take(self.pos, j, axis=0)
+        dvec = ops.sub(pj, np.take(self.pos, i, axis=0), pj)
         d = norm(dvec)
         contact = self.radii[i]
         contact += self.radii[j]
         reach = self.params.adhesion_multiplier * contact
         near = (~((d < EPS_SKIP) | (d >= reach))).nonzero()[0]
-        return t[near], j[near], dvec[near], d[near], contact[near], reach[near]
+        return (t[near], j[near], np.take(dvec, near, axis=0), d[near], contact[near],
+                reach[near])
 
     def velocities(self, targets: np.ndarray, ops, out: np.ndarray) -> None:
         """Write the velocities of the target rows into `out`.
 
-        Targets are ordered by in-range pair count, most first, so the
-        targets with a pair of rank r are a prefix and rank r is one
-        `ops.add` over it.  Under `temp`, a target's sum is bound to its
-        velocity row once its last rank is added.
+        A pair's rank is its place among its target's pairs, so each
+        target's contributions are summed from 0.0 in ascending neighbor id
+        by one `ops.sum_segments`.
         """
         t, _, dvec, d, contact, reach = self.pairs(targets, ops)
         p = self.params
@@ -206,15 +235,8 @@ class PairKernel:
         adh = p.adhesion * np.float_power(1.0 - d / reach, 2.0)
         contrib = ops.scale((rep + adh) / d, dvec, dvec)
         counts = np.bincount(t, minlength=len(targets))
-        order, longer = rank_prefixes(counts)
-        first = (np.add.accumulate(counts) - counts)[order]
-        vel = np.zeros((len(targets), 3))
-        acc = vel[:longer[0]]
-        for rank, n in enumerate(longer.tolist()):
-            ops.assign(vel[n:len(acc)], acc[n:])  # targets with `rank` pairs are done
-            if n:
-                acc = ops.add(acc[:n], contrib[first[:n] + rank], acc[:n])
-        out[targets[order]] = vel
+        rank = np.arange(len(t)) - (np.add.accumulate(counts) - counts)[t]
+        out[targets] = ops.sum_segments(contrib, t, rank, len(targets))
 
 
 def update_velocities(container: CellContainer, mesh: CartesianMesh,
@@ -223,8 +245,9 @@ def update_velocities(container: CellContainer, mesh: CartesianMesh,
                       alloc_mode: AllocationMode = AllocationMode.IN_PLACE) -> RegionRecord:
     """Recompute every cell's velocity from its in-range neighbors.
 
-    The candidate table is built once, before the dispatch; each chunk then
-    computes the velocities of its own cells.
+    The kernel takes the container's cached candidate table, or builds it
+    once, before the dispatch, if `rebin_cells` rebuilt the bins since the
+    last call; each chunk then computes the velocities of its own cells.
     """
     if container.positions_dirty:
         raise ContainerStateError("velocity update requires a rebinned container")

@@ -17,6 +17,11 @@ operators would, which makes the accounting portable and exactly testable.
 The temporary mode still performs real dynamic acquisitions (a new array per
 operator), so wall-clock allocation overhead is also observable.  The
 scalar-valued ``norm`` records no events in either mode.
+
+``sum_segments`` adds ragged runs of 3-vectors, each run from 0.0 in its
+given order, and counts what the scalar program ``acc = acc + term`` per
+term, then ``v = acc`` per non-empty run, would: one event per term and one
+per run.
 """
 
 from __future__ import annotations
@@ -36,6 +41,22 @@ def norm(a):
     a = np.asarray(a)
     x, y, z = a[..., 0], a[..., 1], a[..., 2]
     return np.sqrt(x * x + y * y + z * z)
+
+
+def segment_sums(terms, segment, rank, segments: int) -> np.ndarray:
+    """Sum of each segment's terms, 0.0 + t0 + t1 + ... in ascending rank.
+
+    Term k is the `rank[k]`-th of segment `segment[k]`; each segment's ranks
+    are 0, 1, ... with no gap.  The terms are scattered into a zero-filled
+    (max rank + 2, segments, 3) buffer, one row per rank after a leading zero
+    row, and summed by one `np.add.accumulate` along the ranks, which adds
+    row after row.  A running sum from +0.0 is never -0.0, so the zero
+    padding after a segment's last term changes no bit.
+    """
+    buf = np.zeros((int(rank.max(initial=-1)) + 2, segments, 3))
+    buf[rank + 1, segment] = terms
+    np.add.accumulate(buf, axis=0, out=buf)
+    return buf[-1]
 
 
 def _per_vector(s):
@@ -72,6 +93,12 @@ class TempAllocVectorOps:
         """Bind a result to a named destination: one fresh copy, its events."""
         dst[:] = self._fresh(np.array(src, dtype=np.float64))
 
+    def sum_segments(self, terms, segment, rank, segments: int) -> np.ndarray:
+        """`segment_sums`, bound to fresh results: one event per term added
+        and one per segment that has a term."""
+        self.stats.alloc_events += len(terms) + int(np.count_nonzero(rank == 0))
+        return segment_sums(terms, segment, rank, segments)
+
 
 class InPlaceVectorOps:
     """Operators write into caller-provided storage; zero allocation events."""
@@ -92,6 +119,9 @@ class InPlaceVectorOps:
 
     def assign(self, dst, src) -> None:
         dst[:] = src
+
+    def sum_segments(self, terms, segment, rank, segments: int) -> np.ndarray:
+        return segment_sums(terms, segment, rank, segments)
 
 
 def vector_ops(mode: AllocationMode, stats):

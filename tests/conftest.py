@@ -38,13 +38,13 @@ def make_container(mesh, positions, **cell_kwargs):
 
 @pytest.fixture
 def temp_add_drifts(monkeypatch):
-    """Make `temp` allocation compute different physics: its vector sum moves
-    the x components one ulp up, while `inplace` stays exact."""
-    add = cb.TempAllocVectorOps.add
+    """Make `temp` allocation compute different physics: its velocity sums
+    move the x components one ulp up, while `inplace` stays exact."""
+    sum_segments = cb.TempAllocVectorOps.sum_segments
 
-    def drifting_add(self, a, b, out=None):
-        total = add(self, a, b, out)
+    def drifting_sum(self, *args):
+        total = sum_segments(self, *args)
         total[..., 0] = np.nextafter(total[..., 0], np.inf)
         return total
 
-    monkeypatch.setattr(cb.TempAllocVectorOps, "add", drifting_add)
+    monkeypatch.setattr(cb.TempAllocVectorOps, "sum_segments", drifting_sum)

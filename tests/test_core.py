@@ -172,6 +172,42 @@ def test_rebin_preserves_storage_order_within_voxel(small_mesh):
     assert cont.ids.tolist() == [1, 0]
 
 
+def test_rebin_without_a_voxel_change_keeps_the_bins(small_mesh):
+    cont = make_container(small_mesh, [(10.0, 10.0, 10.0), (11.0, 10.0, 10.0),
+                                       (70.0, 70.0, 70.0)])
+    bins, table = cont.bin_rows, object()
+    cont.candidates = table
+    cont.positions[:] += 1.0  # every cell stays in its voxel
+    cont.positions_dirty = True
+    cb.rebin_cells(cont)
+    assert cont.bin_rows is bins and cont.candidates is table
+    assert not cont.positions_dirty
+    cont.check_consistent()
+    cont.positions[2] = (50.0, 70.0, 70.0)  # one cell crosses a voxel face
+    cb.rebin_cells(cont)
+    assert cont.bin_rows is not bins and cont.candidates is None
+    cont.check_consistent()
+
+
+def test_rebin_after_a_permutation_rebuilds_the_bins(small_mesh):
+    # no cell moves, so every voxel compares equal, but the bins name the
+    # rows of the old order
+    cont = make_container(small_mesh, [(10.0, 10.0, 10.0), (11.0, 10.0, 10.0),
+                                       (70.0, 70.0, 70.0)])
+    assert cont.bin_rows.tolist() == [0, 1, 2]
+    cont.take([2, 1, 0])
+    cb.rebin_cells(cont)
+    assert cont.bin_rows.tolist() == [2, 1, 0]
+    cont.check_consistent()
+
+
+def test_rebin_still_rejects_a_position_outside_the_mesh(small_mesh):
+    cont = make_container(small_mesh, [(10.0, 10.0, 10.0)])
+    cont.positions[0] = (-1.0, 10.0, 10.0)
+    with pytest.raises(DomainError):
+        cb.rebin_cells(cont)
+
+
 def test_appends_reallocate_logarithmically(small_mesh):
     # daughters arrive a few at a time; capacity doubling keeps the copies of
     # the whole arrays to O(log n), not one per append

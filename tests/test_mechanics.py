@@ -249,26 +249,94 @@ def test_pair_kernel_matches_brute_force(nx, ny, nz, cells, block):
     params = InteractionParams()
     check_binning_exact(cont, mesh, params)
 
-    t, j, *_ = mechanics.PairKernel(cont, params).pairs(np.arange(len(cont)),
-                                                        cb.InPlaceVectorOps(None))
-    got = list(zip(cont.ids[t].tolist(), cont.ids[j].tolist()))
-    assert len(got) == len(set(got))
-    assert set(got) == brute_force_pairs(cont, params)
-
-    expected = scalar_velocities(cont, params)
     saved = mechanics.BLOCK
     mechanics.BLOCK = block
     try:
-        for workers in (1, 2, 3):
-            with WorkerPool(workers) as pool:
-                for schedule in ALL_SCHEDULES:
-                    for mode in AllocationMode:
-                        cont.velocities[:] = math.nan
-                        update_velocities(cont, mesh, params, schedule, pool, alloc_mode=mode)
-                        got = dict(zip(cont.ids.tolist(), cont.velocities.tolist()))
-                        assert got == expected, (workers, schedule, mode)
+        for worker_counts in ((1, 2, 3), (1,)):
+            if worker_counts == (1,):
+                # again on kept bins and candidate table: every cell moves
+                # halfway to its voxel's centre, so none changes voxel
+                table = cont.candidates
+                centres = (np.stack(np.unravel_index(cont.voxels, (nz, ny, nx))[::-1],
+                                    axis=1) + 0.5) * 20.0
+                cont.positions[:] = 0.5 * (cont.positions + centres)
+                cont.positions_dirty = True
+                cb.rebin_cells(cont)
+                assert cont.candidates is table
+            t, j, *_ = mechanics.PairKernel(cont, params).pairs(np.arange(len(cont)),
+                                                                cb.InPlaceVectorOps(None))
+            got = list(zip(cont.ids[t].tolist(), cont.ids[j].tolist()))
+            assert len(got) == len(set(got))
+            assert set(got) == brute_force_pairs(cont, params)
+
+            expected = scalar_velocities(cont, params)
+            for workers in worker_counts:
+                with WorkerPool(workers) as pool:
+                    for schedule in ALL_SCHEDULES:
+                        for mode in AllocationMode:
+                            cont.velocities[:] = math.nan
+                            update_velocities(cont, mesh, params, schedule, pool, alloc_mode=mode)
+                            got = dict(zip(cont.ids.tolist(), cont.velocities.tolist()))
+                            assert got == expected, (workers, schedule, mode)
     finally:
         mechanics.BLOCK = saved
+
+
+def fresh_copy(cont):
+    """A container built and binned anew with the same rows (ids,
+    positions, radii, storage order) as `cont`."""
+    by_id = np.argsort(cont.ids)
+    fresh = cb.CellContainer(cont.mesh)
+    fresh.add_cells(cont.positions[by_id], radius=cont.radii[by_id])
+    fresh.take(cont.ids)
+    return cb.rebin_cells(fresh)
+
+
+unit = st.floats(0.0, 0.999)
+cache_steps = st.one_of(
+    st.tuples(st.just("inside"), st.integers(0, 99), st.tuples(unit, unit, unit)),
+    st.tuples(st.just("across"), st.integers(0, 99), st.tuples(unit, unit, unit),
+              st.integers(0, 2)),
+    st.tuples(st.just("add"), st.lists(st.tuples(unit, unit, unit), min_size=1, max_size=3)),
+    st.tuples(st.just("take"), st.randoms(use_true_random=False)),
+)
+
+
+@settings(max_examples=60)
+@given(st.lists(cache_steps, min_size=1, max_size=8), st.sampled_from(ALL_SCHEDULES),
+       st.sampled_from(list(AllocationMode)))
+def test_kept_bins_give_the_velocities_of_a_fresh_container(steps, schedule, mode):
+    # each step is followed by a rebin; the bins and candidate table kept
+    # while no cell changes voxel must give what fresh ones give, bit for bit
+    mesh = cb.CartesianMesh(4, 4, 4)
+    cont = clustered_container(mesh, n=12)
+    params = InteractionParams()
+    with WorkerPool(2) as pool:
+        update_velocities(cont, mesh, params, schedule, pool, alloc_mode=mode)
+        for step in steps:
+            kind, table = step[0], cont.candidates
+            if kind in ("inside", "across"):
+                row = step[1] % len(cont)
+                corner = np.array(mesh.unflatten(int(cont.voxels[row])), dtype=float)
+                if kind == "across":  # to the next voxel along one axis, or the previous
+                    axis = step[3]
+                    corner[axis] += 1.0 if corner[axis] + 1 < 4 else -1.0
+                cont.positions[row] = (corner + step[2]) * 20.0
+                cont.positions_dirty = True
+            elif kind == "add":
+                cont.add_cells([[20.0 + 40.0 * f for f in p] for p in step[1]], radius=8.0)
+            else:
+                rows = list(range(len(cont)))
+                step[1].shuffle(rows)
+                cont.take(rows)
+            cb.rebin_cells(cont)
+            cont.check_consistent()
+            assert (cont.candidates is table) == (kind == "inside")
+            fresh = fresh_copy(cont)
+            for c in (cont, fresh):
+                c.velocities[:] = math.nan
+                update_velocities(c, mesh, params, schedule, pool, alloc_mode=mode)
+            assert cont.velocities.tobytes() == fresh.velocities.tobytes(), step
 
 
 #: Peak allocation of one velocity call on the 900 packed cells below.  The
@@ -291,6 +359,28 @@ def test_one_velocity_call_stays_in_blocks():
         tracemalloc.start()
         try:
             update_velocities(cont, mesh, params, schedule, pool)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < VELOCITY_PEAK_BOUND
+
+
+def test_one_crowded_target_does_not_pad_its_block():
+    # a clump of 200 cells, one of them stored first, among 1728 cells that
+    # see only themselves: a block of the first row and its sparse successors
+    # would pad every sparse target to the clump's pair count (about 8 MiB)
+    mesh = cb.CartesianMesh(24, 24, 24)
+    clump = [(248.0 + 4.0 * u1, 248.0 + 4.0 * u2, 248.0 + 4.0 * u3)
+             for u1, u2, u3 in (cb.division_draws(3, i, 0) for i in range(200))]
+    sparse = [(40.0 * x + 10.0, 40.0 * y + 10.0, 40.0 * z + 10.0)
+              for x in range(12) for y in range(12) for z in range(12)]
+    cont = make_container(mesh, clump[:1] + sparse + clump[1:], radius=8.0)
+    with WorkerPool(1) as pool:
+        schedule = MechanicsSchedule(ScheduleKind.CELL_STATIC)
+        update_velocities(cont, mesh, InteractionParams(), schedule, pool)
+        tracemalloc.start()
+        try:
+            update_velocities(cont, mesh, InteractionParams(), schedule, pool)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

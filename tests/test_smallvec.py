@@ -98,6 +98,29 @@ def test_modes_are_bit_identical(s, v1, v2, v3):
     assert smallvec.norm(r_temp) == smallvec.norm(r_inpl)
 
 
+@given(st.lists(st.lists(st.sampled_from([-0.0, 0.0, 1.5, -2.25]) | finite, max_size=4),
+                max_size=5))
+def test_segment_sums_match_the_scalar_program(runs):
+    # each run's components summed from 0.0 in order; -0.0 terms and the
+    # zero padding of shorter runs included
+    segment = np.array([k for k, run in enumerate(runs) for _ in run], dtype=np.intp)
+    rank = np.array([r for run in runs for r in range(len(run))], dtype=np.intp)
+    terms = np.array([[x, -x, 0.5 * x] for run in runs for x in run]).reshape(-1, 3)
+    expected = []
+    for run in runs:
+        acc = [0.0, 0.0, 0.0]
+        for x in run:
+            acc = [acc[0] + x, acc[1] + -x, acc[2] + 0.5 * x]
+        expected.append(acc)
+    for mode in AllocationMode:
+        ops, counter = fresh(mode)
+        sums = ops.sum_segments(terms, segment, rank, len(runs))
+        assert np.array(expected).reshape(-1, 3).tobytes() == sums.tobytes()
+        in_temp = mode is AllocationMode.TEMPORARY_ALLOCATING
+        # one event per term added, one per run bound to its result
+        assert counter.alloc_events == in_temp * (len(terms) + sum(1 for r in runs if r))
+
+
 def test_counter_reset_and_merge():
     # the pool counts into fresh worker stats per dispatch and sums them
     def body(lo, hi, ctx):
