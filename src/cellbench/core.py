@@ -92,7 +92,13 @@ class CartesianMesh:
 class Microenvironment:
     """Per-substrate density and gradient fields plus diffusion/decay rates.
 
-    densities has shape (substrates, voxels); gradients (substrates, voxels, 3).
+    `densities` has shape (substrates, voxels).  The gradients are stored
+    planar, as the C-contiguous `gradient_planes` of shape (substrates, 3,
+    voxels), so each component is one unit-stride plane.  `gradients` is the
+    (substrates, voxels, 3) `np.moveaxis` view of it: reads and writes
+    through it reach the planes, and `tobytes()` emits its logical
+    (voxel, component) order.  A reshape of it that merges the voxel and
+    component axes is a copy, so never write through a reshape.
     """
 
     def __init__(self, mesh: CartesianMesh, diffusion, decay, initial=None):
@@ -111,7 +117,8 @@ class Microenvironment:
             if init.shape[0] != s:
                 raise DomainError("one initial density per substrate required")
             self.densities += init[:, None]
-        self.gradients = np.zeros((s, n, 3), dtype=np.float64)
+        self.gradient_planes = np.zeros((s, 3, n), dtype=np.float64)
+        self.gradients = np.moveaxis(self.gradient_planes, 1, 2)
 
     @property
     def substrate_count(self) -> int:
@@ -123,7 +130,10 @@ class Microenvironment:
         return self.densities[s].reshape(m.nz, m.ny, m.nx)
 
     def check_state(self) -> None:
-        if not np.isfinite(self.densities).all() or (self.densities < 0.0).any():
+        # two reductions, no field-sized temporary; a NaN fails the first
+        # comparison, and -0.0 passes it
+        d = self.densities
+        if not (d.min(initial=0.0) >= 0.0 and d.max(initial=0.0) < np.inf):
             raise NumericError("substrate field left finite/non-negative range")
 
 

@@ -14,6 +14,13 @@ z lines are the density grid itself, reshaped to (nz, ny*nx) and solved in
 place; the x and y lines are solved in a contiguous transposed copy that is
 written back.  Lines are numbered z*ny + y on the x sweep, z*nx + x on the y
 sweep and y*nx + x on the z sweep, so a chunk is a contiguous column range.
+A chunk's recurrences write into its rows in place and form each product in
+one scratch row, so no step allocates.
+
+Both kernels write at unit stride: the gradients are stored planar, one
+(voxels,) plane per component (`Microenvironment.gradient_planes`), and each
+component is one flat difference written straight into its plane, with no
+field-sized temporary.
 
 The traversal mode sets only the chunk size, i.e. how many grid lines (or
 gradient rows) one schedulable chunk holds; the per-chunk kernel is the same
@@ -51,33 +58,37 @@ def _line_factors(n: int, r: float, lam3: float):
 
     The line system has sub/super diagonal -r, interior diagonal 1+lam3+2r and
     boundary diagonal 1+lam3+r (no-flux), except the n=1 line, which has no
-    neighbor terms at all.  Returned arrays are shared read-only.
+    neighbor terms at all.  Returned as tuples of Python floats, so the
+    recurrences read a factor without creating a numpy scalar.
     """
     if n == 1:
-        return np.array([1.0 / (1.0 + lam3)]), np.zeros(0)
-    diag = np.full(n, 1.0 + lam3 + 2.0 * r)
+        return (1.0 / (1.0 + lam3),), ()
+    diag = [1.0 + lam3 + 2.0 * r] * n
     diag[0] = diag[-1] = 1.0 + lam3 + r
-    inv = np.empty(n)
-    gamma = np.empty(n)
-    inv[0] = 1.0 / diag[0]
-    gamma[0] = r * inv[0]
+    inv = [1.0 / diag[0]]
+    gamma = [r * inv[0]]
     for i in range(1, n):
-        inv[i] = 1.0 / (diag[i] - r * gamma[i - 1])
-        gamma[i] = r * inv[i]
-    return inv, gamma
+        inv.append(1.0 / (diag[i] - r * gamma[i - 1]))
+        gamma.append(r * inv[i])
+    return tuple(inv), tuple(gamma)
 
 
-def _solve_columns(lines: np.ndarray, lo: int, hi: int, inv: np.ndarray,
-                   gamma: np.ndarray, r: float) -> None:
-    """In-place solve of lines[:, lo:hi], one line per column, swept axis first."""
-    d = lines[:, lo:hi]
-    n = d.shape[0]
+def _solve_columns(lines: np.ndarray, lo: int, hi: int, inv, gamma, r: float) -> None:
+    """In-place solve of lines[:, lo:hi], one line per column, swept axis first.
+
+    Forward, d[i] = (d[i] + r*d[i-1]) * inv[i]; back, d[i] += gamma[i]*d[i+1].
+    Each product goes into one scratch row, so a step allocates nothing.
+    """
+    d = list(lines[:, lo:hi])
+    tmp = np.empty_like(d[0])
     d[0] *= inv[0]
-    for i in range(1, n):
-        d[i] += r * d[i - 1]
+    for i in range(1, len(d)):
+        np.multiply(d[i - 1], r, out=tmp)
+        d[i] += tmp
         d[i] *= inv[i]
-    for i in range(n - 2, -1, -1):
-        d[i] += gamma[i] * d[i + 1]
+    for i in range(len(d) - 2, -1, -1):
+        np.multiply(d[i + 1], gamma[i], out=tmp)
+        d[i] += tmp
 
 
 def _sweep(lines: np.ndarray, lines_per_item: int, inv, gamma, r,
@@ -183,33 +194,43 @@ def compute_gradients(micro: Microenvironment, mesh: CartesianMesh,
 
     One kernel computes the x, y and z differences vectorized over a run of
     consecutive (z, y) rows; the traversal mode sets only how many rows one
-    chunk holds (ny under OuterLoop, 1 under Collapsed).  Writes stay inside
-    the chunk's own rows and the density field is read-only here, so the
-    values are identical for every chunk size and worker split.
+    chunk holds (ny under OuterLoop, 1 under Collapsed).  Each difference is
+    written straight into its unit-stride plane of `micro.gradient_planes`,
+    as (a - b) * s, and only the face entries are zeroed: the x ends of each
+    row, the y = 0 and y = ny - 1 rows and the z = 0 and z = nz - 1 slabs.
+    Writes stay inside the chunk's own rows and the density field is
+    read-only here, so the values are identical for every chunk size and
+    worker split.
     """
     nx, ny, nz = mesh.nx, mesh.ny, mesh.nz
-    n_rows = nz * ny
-    sx, sy, sz = 0.5 / mesh.dx, 0.5 / mesh.dy, 0.5 / mesh.dz
+    n, n_rows = mesh.voxel_count, nz * ny
+    # flat offset of the x, y and z neighbours, and each axis' 1 / (2h)
+    steps, scales = (1, nx, ny * nx), (0.5 / mesh.dx, 0.5 / mesh.dy, 0.5 / mesh.dz)
+    x_ends = slice(None, None, max(nx - 1, 1))  # columns 0 and nx - 1
     rows_per_item = mode.lines_per_chunk(ny)
     records = []
     for s in range(micro.substrate_count):
-        d = micro.densities[s].reshape(n_rows, nx)
-        g = micro.gradients[s].reshape(n_rows, nx, 3)
+        d, planes = micro.densities[s], micro.gradient_planes[s]
+        diffs = tuple(zip(planes, steps, scales))
+        gx, gy, gz = (p.reshape(n_rows, nx) for p in planes)
 
-        def body(lo, hi, ctx, d=d, g=g):
+        def body(lo, hi, ctx, d=d, diffs=diffs, gx=gx, gy=gy, gz=gz):
             lo, hi = lo * rows_per_item, hi * rows_per_item
-            g[lo:hi] = 0.0
-            g[lo:hi, 1:-1, 0] = (d[lo:hi, 2:] - d[lo:hi, :-2]) * sx
-            # row z*ny + y has its y neighbours one row away; the rows of the
-            # y = 0 and y = ny - 1 faces take a difference across a z boundary
-            # here and are zeroed again below
-            ylo, yhi = max(lo, 1), min(hi, n_rows - 1)
-            if yhi > ylo:
-                g[ylo:yhi, :, 1] = (d[ylo + 1:yhi + 1] - d[ylo - 1:yhi - 1]) * sy
-            g[lo + -lo % ny:hi:ny, :, 1] = 0.0
-            g[lo + (ny - 1 - lo) % ny:hi:ny, :, 1] = 0.0
-            zlo, zhi = max(lo, ny), min(hi, n_rows - ny)
-            if zhi > zlo:
-                g[zlo:zhi, :, 2] = (d[zlo + ny:zhi + ny] - d[zlo - ny:zhi - ny]) * sz
+            # each component is one flat difference over the chunk's rows;
+            # its face entries take a difference across a row end or a z slab
+            # boundary, or none at all, and are zeroed below
+            for g, step, scale in diffs:
+                i, j = max(lo * nx, step), min(hi * nx, n - step)
+                if j > i:
+                    out = g[i:j]
+                    np.subtract(d[i + step:j + step], d[i - step:j - step], out=out)
+                    out *= scale
+            gx[lo:hi, x_ends] = 0.0
+            for first in (lo + -lo % ny, lo + (ny - 1 - lo) % ny):
+                if first < hi:
+                    gy[first:hi:ny] = 0.0
+            for flo, fhi in ((lo, min(hi, ny)), (max(lo, n_rows - ny), hi)):
+                if fhi > flo:
+                    gz[flo:fhi] = 0.0
         records.append(pool.run_static(n_rows // rows_per_item, body))
     return records

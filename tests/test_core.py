@@ -106,6 +106,15 @@ def test_microenvironment_shapes(small_mesh):
     # grid_view is a view, not a copy
     micro.grid_view(1)[2, 1, 3] = 7.0
     assert micro.densities[1, small_mesh.flatten(3, 1, 2)] == 7.0
+    # the gradients are a (substrate, voxel, axis) view of C-contiguous
+    # (substrate, axis, voxel) planes, and writes through it reach them
+    planes = micro.gradient_planes
+    assert planes.shape == (2, 3, 64) and planes.flags.c_contiguous
+    assert np.shares_memory(micro.gradients, planes)
+    micro.gradients[1, 5, 2] = 7.0
+    assert planes[1, 2, 5] == 7.0
+    micro.gradients[...] = np.nan
+    assert np.isnan(planes).all()
 
 
 def test_microenvironment_rejects_negative_coefficients(small_mesh):
@@ -120,12 +129,12 @@ def test_microenvironment_rejects_negative_coefficients(small_mesh):
 def test_check_state_catches_bad_values(small_mesh):
     micro = cb.Microenvironment(small_mesh, [10.0], [0.0], [1.0])
     micro.check_state()
-    micro.densities[0, 5] = -1e-9
-    with pytest.raises(NumericError):
-        micro.check_state()
-    micro.densities[0, 5] = float("nan")
-    with pytest.raises(NumericError):
-        micro.check_state()
+    for bad in (-1e-9, -1e-300, math.nan, math.inf, -math.inf):
+        micro.densities[0, 5] = bad
+        with pytest.raises(NumericError):
+            micro.check_state()
+    micro.densities[0, 5] = -0.0  # compares equal to 0.0, so it passes
+    micro.check_state()
 
 
 # ---------------------------------------------------------------- cells

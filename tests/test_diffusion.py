@@ -76,6 +76,39 @@ def test_thomas_matches_dense_oracle():
     assert line_solve_worst_error(np.random.default_rng(7)) <= 1e-12
 
 
+def allocating_solve_columns(lines, lo, hi, inv, gamma, r):
+    """The recurrence `_solve_columns` replaced, one temporary row per step.
+
+    `_solve_columns` must apply the same operations in the same order, so
+    its results are compared with this one bit for bit.
+    """
+    d = lines[:, lo:hi]
+    n = d.shape[0]
+    d[0] *= inv[0]
+    for i in range(1, n):
+        d[i] += r * d[i - 1]
+        d[i] *= inv[i]
+    for i in range(n - 2, -1, -1):
+        d[i] += gamma[i] * d[i + 1]
+
+
+@given(n=st.integers(1, 16), width=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       cuts=st.lists(st.integers(1, 11), max_size=4))
+def test_solve_columns_matches_the_allocating_recurrence(n, width, seed, cuts):
+    # the field pins cover one small mesh; this covers any line length and
+    # any split of the lines into chunks
+    rng = np.random.default_rng(seed)
+    r, lam3 = float(rng.uniform(0.0, 30.0)), float(rng.uniform(0.0, 0.5))
+    inv, gamma = _line_factors(n, r, lam3)
+    want = rng.uniform(-10.0, 10.0, (n, width))
+    got = want.copy()
+    allocating_solve_columns(want, 0, width, inv, gamma, r)
+    bounds = sorted({0, width, *(c for c in cuts if c < width)})
+    for lo, hi in zip(bounds, bounds[1:]):
+        _solve_columns(got, lo, hi, inv, gamma, r)
+    assert got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------- lod step
 
 # 1..6 voxels per axis covers the n=1 and n=2 axes, where a line has no
@@ -378,6 +411,22 @@ def test_gradient_modes_and_workers_agree_bitwise(mesh, mode, workers):
     with WorkerPool(workers) as pool:
         compute_gradients(micro, mesh, mode, pool)
     assert np.array_equal(micro.gradients[0], gradient_oracle(micro, mesh))
+
+
+def test_compute_gradients_allocates_no_field_sized_temporary():
+    # each difference is written straight into its plane; a (a - b) * s
+    # temporary over the chunk would put the peak above one field
+    mesh = cb.CartesianMesh(32, 24, 16)
+    micro = random_micro(mesh, diffusion=1000.0, decay=0.0)
+    with WorkerPool(1) as pool:
+        compute_gradients(micro, mesh, TraversalMode.OUTER_LOOP, pool)
+        tracemalloc.start()
+        try:
+            compute_gradients(micro, mesh, TraversalMode.OUTER_LOOP, pool)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < micro.densities[0].nbytes
 
 
 @given(mesh=meshes, mode=traversals, workers=worker_counts)
