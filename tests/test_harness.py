@@ -254,6 +254,13 @@ def test_divergence_locator_names_the_first_difference():
     rb.micro.densities[0, 17] *= 1.0 + 1e-15
     assert "(substrate, voxel)" in _first_divergence(ra, rb)
 
+    # the gradients are indexed (substrate, voxel, axis), whatever their storage
+    rb = run_simulation(cfg)
+    rb.micro.gradients[0, 17, 2] += 1.0
+    rb.micro.gradients[0, 18, 0] += 1.0
+    first = tuple(np.array([0, 17, 2]))  # formatted as the locator formats an index
+    assert _first_divergence(ra, rb).endswith(f"(substrate, voxel, axis) = {first}")
+
     rb = run_simulation(cfg)
     rb.container.take(np.arange(len(rb.container) - 1))
     rb.final_cell_count -= 1
