@@ -216,7 +216,8 @@ def compute_gradients(micro: Microenvironment, mesh: CartesianMesh,
 
         def body(lo, hi, ctx, d=d, diffs=diffs, gx=gx, gy=gy, gz=gz):
             lo, hi = lo * rows_per_item, hi * rows_per_item
-            # each component is one flat difference over the chunk's rows;
+            # each component is one flat difference over the chunk's rows, so
+            # every ufunc operand is contiguous and numpy allocates no buffer;
             # its face entries take a difference across a row end or a z slab
             # boundary, or none at all, and are zeroed below
             for g, step, scale in diffs:
