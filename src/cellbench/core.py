@@ -174,9 +174,9 @@ class CellContainer:
     are kept while no cell changes voxel: `add_cells` and `take` mark the
     rows changed, and `rebin_cells` rebuilds only after such a change or a
     voxel change.  `candidates` caches whatever index arrays are derived from
-    the bins alone (the velocity kernel's candidate table); a rebuild resets
-    it to None.  It never holds a view of a column, since an append may
-    reallocate the columns.
+    the bins alone (the velocity kernel's half-shell pair lists,
+    `mechanics.HalfShells`); a rebuild resets it to None.  It never holds a
+    view of a column, since an append may reallocate the columns.
     """
 
     #: (attribute, row shape, dtype) of every per-cell column.
@@ -299,11 +299,16 @@ def rebin_cells(container: CellContainer) -> CellContainer:
 
     Serial; the single place where the spatial index is brought back in sync
     with positions after moves, divisions or reorders.  Every voxel is
-    recomputed, so a position outside the mesh always raises.  If no row
-    was added or reordered since the last rebin and no cell changed voxel,
-    the bins and the cached `candidates` are kept.  Otherwise the bins come
-    from one sort of the rows by (voxel, id) and `candidates` is dropped.
+    recomputed, so a position outside the mesh always raises.  A container
+    with neither `positions_dirty` nor `rows_changed` set is returned at
+    once: whoever writes positions must set `positions_dirty`, as
+    `integrate_positions` does.  If no row was added or reordered since the
+    last rebin and no cell changed voxel, the bins and the cached
+    `candidates` are kept.  Otherwise the bins come from one sort of the
+    rows by (voxel, id) and `candidates` is dropped.
     """
+    if not (container.positions_dirty or container.rows_changed):
+        return container
     voxels = container.mesh.voxels_of(container.positions)
     n = len(voxels)
     if not container.rows_changed and (voxels == container.voxels).all():

@@ -276,10 +276,10 @@ def _first_divergence(ra: RunResult, rb: RunResult) -> str:
         return f"cell {cid} velocity differs: {va[k].tolist()} vs {vb[k].tolist()}"
     if not np.array_equal(ra.micro.densities, rb.micro.densities):
         idx = np.argwhere(ra.micro.densities != rb.micro.densities)[0]
-        return f"density differs first at (substrate, voxel) = {tuple(idx)}"
+        return f"density differs first at (substrate, voxel) = {tuple(idx.tolist())}"
     if not np.array_equal(ra.micro.gradients, rb.micro.gradients):
         idx = np.argwhere(ra.micro.gradients != rb.micro.gradients)[0]
-        return f"gradient differs first at (substrate, voxel, axis) = {tuple(idx)}"
+        return f"gradient differs first at (substrate, voxel, axis) = {tuple(idx.tolist())}"
     if ra.checksum != rb.checksum:
         return "checksums differ on identical fields (checksum logic error)"
     return ""

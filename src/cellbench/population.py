@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import CartesianMesh, CellContainer, rebin_cells
 from .errors import CapacityError, ContainerStateError, DomainError
-from .mechanics import InteractionParams, PairKernel
+from .mechanics import BLOCK, InteractionParams, PairKernel
 from .smallvec import InPlaceVectorOps
 
 _MASK = (1 << 64) - 1
@@ -153,18 +153,24 @@ def locality_metric(container: CellContainer,
     For each cell with at least one in-range neighbor, take the mean
     |index(i) - index(j)| over those neighbors, where index is the storage
     row; the metric is the mean over such cells, 0.0 when no interacting pair
-    exists.  The pairs come from the velocity kernel, and the per-cell means
-    are summed in storage order by Python's `sum`.
+    exists.  The pairs come from the velocity kernel, each once, and count
+    for both cells; the distance totals are integer-valued, so they are
+    exact in any order.  The per-cell means are summed in storage order by
+    Python's `sum`.
     """
     kernel = PairKernel(container, params)
-    ops = InPlaceVectorOps(None)
     n = len(container)
     totals = np.zeros(n)
     counts = np.zeros(n, dtype=np.int64)
-    for rows in kernel.blocks(np.arange(n)):
-        t, j, *_ = kernel.pairs(rows, ops)
-        counts[rows] = np.bincount(t, minlength=len(rows))
-        totals[rows] = np.bincount(t, weights=np.abs(rows[t] - j), minlength=len(rows))
+    first, second = kernel.shells.first, kernel.shells.second
+    for lo in range(0, len(first), BLOCK):
+        i, j, *_ = kernel.in_range(first[lo:lo + BLOCK], second[lo:lo + BLOCK],
+                                   InPlaceVectorOps(None))
+        i, j = kernel.bin_rows[i], kernel.bin_rows[j]
+        gap = np.abs(i - j)
+        for rows in (i, j):
+            counts += np.bincount(rows, minlength=n)
+            totals += np.bincount(rows, weights=gap, minlength=n)
     interacting = counts > 0
     per_cell = (totals[interacting] / counts[interacting]).tolist()
     if not per_cell:

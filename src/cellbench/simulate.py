@@ -2,9 +2,10 @@
 
 One mechanics step runs, in order: per diffusion substep, the cell exchange
 and the operator-split solve; then a gradient refresh; the velocity update
-under the configured schedule and allocation mode; position integration; a
-serial rebin; the serial division pass; and, for the voxel-sorted storage
-policy, a periodic resort.  Every region is timed per worker every step, including the
+under the configured schedule and allocation mode; position integration; the
+serial division pass; a serial rebin, which has nothing left to do when
+divisions rebinned; and, for the voxel-sorted storage policy, a periodic
+resort.  Every region is timed per worker every step, including the
 serial ones (attributed to worker 0) and the skipped ones (all-zero rows), so
 the timing output always has the same shape.
 
@@ -162,14 +163,17 @@ def run_simulation(cfg: RunConfig, record_locality: bool = False) -> RunResult:
             rec = integrate_positions(container, mesh, cfg.dt_mechanics, pool)
             _add_timed(records["integrate"], t0, [rec])
 
-            t0 = clock()
-            rebin_cells(container)
-            records["rebin"] = _serial(cfg.workers, clock() - t0, len(container))
-
+            # divisions read no bins, so they go first: their own rebin then
+            # bins the moved cells too, and the step's rebin has nothing left
+            moved = len(container)
             t0 = clock()
             daughters = attempt_divisions(container, cfg.seed, cfg.dt_mechanics,
                                           mesh, step, cap=cfg.cell_cap)
             records["divide"] = _serial(cfg.workers, clock() - t0, len(daughters))
+
+            t0 = clock()
+            rebin_cells(container)
+            records["rebin"] = _serial(cfg.workers, clock() - t0, moved)
 
             if sorted_storage and (step + 1) % resort_every == 0:
                 t0 = clock()

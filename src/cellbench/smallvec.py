@@ -21,7 +21,9 @@ scalar-valued ``norm`` records no events in either mode.
 ``sum_segments`` adds ragged runs of 3-vectors, each run from 0.0 in its
 given order, and counts what the scalar program ``acc = acc + term`` per
 term, then ``v = acc`` per non-empty run, would: one event per term and one
-per run.
+per run.  ``shared`` counts the displacements a pair kernel derives from a
+pair's other direction instead of computing them, as the scalar program
+computes each.
 """
 
 from __future__ import annotations
@@ -39,23 +41,29 @@ class AllocationMode(enum.Enum):
 def norm(a):
     """Euclidean length of each 3-vector, summed as a0*a0 + a1*a1 + a2*a2."""
     a = np.asarray(a)
-    x, y, z = a[..., 0], a[..., 1], a[..., 2]
-    return np.sqrt(x * x + y * y + z * z)
+    sq = a * a
+    return np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
 
 
 def segment_sums(terms, segment, rank, segments: int) -> np.ndarray:
     """Sum of each segment's terms, 0.0 + t0 + t1 + ... in ascending rank.
 
-    Term k is the `rank[k]`-th of segment `segment[k]`; each segment's ranks
-    are 0, 1, ... with no gap.  The terms are scattered into a zero-filled
-    (max rank + 2, segments, 3) buffer, one row per rank after a leading zero
-    row, and summed by one `np.add.accumulate` along the ranks, which adds
-    row after row.  A running sum from +0.0 is never -0.0, so the zero
-    padding after a segment's last term changes no bit.
+    Term k has place `rank[k]` in segment `segment[k]`; a segment's ranks
+    are distinct.  The terms are scattered into a zero-filled (max rank + 2,
+    segments, 3) buffer, one row per rank after a leading zero row, and
+    each row is added in place to the running sums of the row before it:
+    `term + acc` is the scalar program's `acc = acc + term`, as IEEE
+    addition commutes.  A running sum from +0.0 is never -0.0, so the zero
+    padding at an unused rank changes no bit.
     """
-    buf = np.zeros((int(rank.max(initial=-1)) + 2, segments, 3))
-    buf[rank + 1, segment] = terms
-    np.add.accumulate(buf, axis=0, out=buf)
+    rows = int(rank.max(initial=-1)) + 2
+    buf = np.zeros((rows, segments, 3))
+    at = rank * segments
+    at += segment
+    buf.reshape(-1, 3)[at + segments] = terms
+    layers = list(buf)
+    for before, layer in zip(layers, layers[1:]):
+        layer += before
     return buf[-1]
 
 
@@ -93,10 +101,17 @@ class TempAllocVectorOps:
         """Bind a result to a named destination: one fresh copy, its events."""
         dst[:] = self._fresh(np.array(src, dtype=np.float64))
 
+    def shared(self, count: int) -> None:
+        """Record the events of `count` displacements that a pair kernel
+        shares between a pair's two directions instead of computing: the
+        scalar program computes each."""
+        self.stats.alloc_events += count
+
     def sum_segments(self, terms, segment, rank, segments: int) -> np.ndarray:
         """`segment_sums`, bound to fresh results: one event per term added
         and one per segment that has a term."""
-        self.stats.alloc_events += len(terms) + int(np.count_nonzero(rank == 0))
+        self.stats.alloc_events += len(terms) + int(np.count_nonzero(
+            np.bincount(segment, minlength=segments)))
         return segment_sums(terms, segment, rank, segments)
 
 
@@ -119,6 +134,9 @@ class InPlaceVectorOps:
 
     def assign(self, dst, src) -> None:
         dst[:] = src
+
+    def shared(self, count: int) -> None:
+        pass
 
     def sum_segments(self, terms, segment, rank, segments: int) -> np.ndarray:
         return segment_sums(terms, segment, rank, segments)

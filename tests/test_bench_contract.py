@@ -17,7 +17,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import cellbench as cb
@@ -77,10 +76,10 @@ def test_workload_reproduces_its_golden_values(name):
 def kernel_pair_counts(container, params):
     """(candidate, interacting) pairs of one velocity call, counted by the kernel."""
     kernel = cb.mechanics.PairKernel(container, params)
-    ops = cb.InPlaceVectorOps(None)
-    interacting = sum(len(kernel.pairs(rows, ops)[0])
-                      for rows in kernel.blocks(np.arange(len(container))))
-    return int(kernel.row_count.sum()) - len(container), interacting
+    first, second = kernel.shells.first, kernel.shells.second
+    interacting, _, _ = kernel.contributions(first, second, cb.InPlaceVectorOps(None))
+    # the kernel lists each unordered pair once; the velocity call uses both directions
+    return 2 * len(first), 2 * len(interacting)
 
 
 def test_pair_counter_agrees_with_the_kernel():

@@ -193,6 +193,7 @@ def test_rebin_without_a_voxel_change_keeps_the_bins(small_mesh):
     assert not cont.positions_dirty
     cont.check_consistent()
     cont.positions[2] = (50.0, 70.0, 70.0)  # one cell crosses a voxel face
+    cont.positions_dirty = True
     cb.rebin_cells(cont)
     assert cont.bin_rows is not bins and cont.candidates is None
     cont.check_consistent()
@@ -213,8 +214,23 @@ def test_rebin_after_a_permutation_rebuilds_the_bins(small_mesh):
 def test_rebin_still_rejects_a_position_outside_the_mesh(small_mesh):
     cont = make_container(small_mesh, [(10.0, 10.0, 10.0)])
     cont.positions[0] = (-1.0, 10.0, 10.0)
+    cont.positions_dirty = True
     with pytest.raises(DomainError):
         cb.rebin_cells(cont)
+
+
+def test_rebin_of_a_clean_container_returns_at_once(small_mesh):
+    # with neither flag set nothing was written since the last rebin, so
+    # even a stale voxel is not looked at: writers of positions set the flag
+    cont = make_container(small_mesh, [(10.0, 10.0, 10.0), (70.0, 70.0, 70.0)])
+    bins, voxels = cont.bin_rows, cont.voxels.copy()
+    cont.positions[0] = (70.0, 10.0, 10.0)
+    cb.rebin_cells(cont)
+    assert cont.bin_rows is bins and (cont.voxels == voxels).all()
+    cont.positions_dirty = True
+    cb.rebin_cells(cont)
+    assert cont.bin_rows is not bins
+    cont.check_consistent()
 
 
 def test_appends_reallocate_logarithmically(small_mesh):

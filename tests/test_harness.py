@@ -252,14 +252,13 @@ def test_divergence_locator_names_the_first_difference():
 
     rb = run_simulation(cfg)
     rb.micro.densities[0, 17] *= 1.0 + 1e-15
-    assert "(substrate, voxel)" in _first_divergence(ra, rb)
+    assert _first_divergence(ra, rb).endswith("(substrate, voxel) = (0, 17)")
 
     # the gradients are indexed (substrate, voxel, axis), whatever their storage
     rb = run_simulation(cfg)
     rb.micro.gradients[0, 17, 2] += 1.0
     rb.micro.gradients[0, 18, 0] += 1.0
-    first = tuple(np.array([0, 17, 2]))  # formatted as the locator formats an index
-    assert _first_divergence(ra, rb).endswith(f"(substrate, voxel, axis) = {first}")
+    assert _first_divergence(ra, rb).endswith("(substrate, voxel, axis) = (0, 17, 2)")
 
     rb = run_simulation(cfg)
     rb.container.take(np.arange(len(rb.container) - 1))
@@ -268,16 +267,16 @@ def test_divergence_locator_names_the_first_difference():
 
 
 def test_broken_accumulation_order_is_caught(monkeypatch):
-    # negative control: the kernel's one ordering step lists candidates in
-    # descending id order in run B only; the float sums reorder, so the
-    # verifier must flag the divergence
+    # negative control: the kernel's one ordering step sorts each target's
+    # terms in descending neighbour id in run B only; the float sums
+    # reorder, so the verifier must flag the divergence
     cfg = tiny_config(steps=2)
     ra = run_simulation(cfg)
 
-    def descending_ids(bins, ids, next_id):
-        return np.lexsort((-ids, bins))
+    def descending_ids(targets, neighbors, next_id, target_count):
+        return np.lexsort((-neighbors, targets))
 
-    monkeypatch.setattr(cellbench.mechanics, "_candidate_order", descending_ids)
+    monkeypatch.setattr(cellbench.mechanics, "_term_order", descending_ids)
     rb = run_simulation(cfg)
     detail = _first_divergence(ra, rb)
     assert detail != ""

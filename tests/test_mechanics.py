@@ -254,7 +254,7 @@ def test_pair_kernel_matches_brute_force(nx, ny, nz, cells, block):
     try:
         for worker_counts in ((1, 2, 3), (1,)):
             if worker_counts == (1,):
-                # again on kept bins and candidate table: every cell moves
+                # again on kept bins and pair lists: every cell moves
                 # halfway to its voxel's centre, so none changes voxel
                 table = cont.candidates
                 centres = (np.stack(np.unravel_index(cont.voxels, (nz, ny, nx))[::-1],
@@ -263,23 +263,123 @@ def test_pair_kernel_matches_brute_force(nx, ny, nz, cells, block):
                 cont.positions_dirty = True
                 cb.rebin_cells(cont)
                 assert cont.candidates is table
-            t, j, *_ = mechanics.PairKernel(cont, params).pairs(np.arange(len(cont)),
-                                                                cb.InPlaceVectorOps(None))
-            got = list(zip(cont.ids[t].tolist(), cont.ids[j].tolist()))
+            kernel = mechanics.PairKernel(cont, params)
+            i, j, _ = kernel.contributions(kernel.shells.first, kernel.shells.second,
+                                           cb.InPlaceVectorOps(None))
+            a, b = kernel.ids[i].tolist(), kernel.ids[j].tolist()  # cells by bin position
+            got = [*zip(a, b), *zip(b, a)]  # each pair once, in both directions
             assert len(got) == len(set(got))
             assert set(got) == brute_force_pairs(cont, params)
 
             expected = scalar_velocities(cont, params)
+            events = temp_event_oracle(cont, mesh, params)
             for workers in worker_counts:
                 with WorkerPool(workers) as pool:
                     for schedule in ALL_SCHEDULES:
                         for mode in AllocationMode:
                             cont.velocities[:] = math.nan
-                            update_velocities(cont, mesh, params, schedule, pool, alloc_mode=mode)
+                            record = update_velocities(cont, mesh, params, schedule, pool,
+                                                       alloc_mode=mode)
                             got = dict(zip(cont.ids.tolist(), cont.velocities.tolist()))
                             assert got == expected, (workers, schedule, mode)
+                            # the scalar program's events, however the blocks fall
+                            assert record.total_alloc_events == (
+                                events if mode is AllocationMode.TEMPORARY_ALLOCATING else 0)
     finally:
         mechanics.BLOCK = saved
+
+
+# ---------------------------------------------------------------- pair lists
+
+def moore_pairs(cont):
+    """Every unordered pair of distinct cells in Moore-adjacent voxels, as
+    sorted id tuples, by an O(n^2) enumeration."""
+    cells = cont.cells
+    return sorted((min(a.id, b.id), max(a.id, b.id)) for k, a in enumerate(cells)
+                  for b in cells[k + 1:] if _moore_adjacent(cont.mesh, a.voxel_index,
+                                                            b.voxel_index))
+
+
+face = st.integers(0, 4).map(lambda k: 20.0 * k)  # on a voxel face, the mesh's lower one included
+spot = st.floats(0.0, 80.0) | face
+
+
+@settings(max_examples=150)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4),
+       st.lists(st.tuples(spot, spot, spot), max_size=30), st.randoms(use_true_random=False))
+def test_half_shells_list_each_adjacent_pair_once(nx, ny, nz, points, rnd):
+    # meshes with n=1 axes, cells on voxel faces, many cells in one voxel,
+    # and storage order unrelated to ids
+    mesh = cb.CartesianMesh(nx, ny, nz)
+    positions = [list(p) for p in points]
+    for p in positions:
+        mesh.clamp_inside(p)
+    cont = cb.CellContainer(mesh)
+    cont.add_cells(positions)
+    rows = list(range(len(cont)))
+    rnd.shuffle(rows)
+    cont.take(rows)
+    cb.rebin_cells(cont)
+    shells = mechanics.HalfShells(cont)
+    ids = cont.ids[cont.bin_rows]  # cells are named by bin position
+    first, second = shells.first.tolist(), shells.second.tolist()
+    got = sorted((min(ids[a], ids[b]), max(ids[a], ids[b])) for a, b in zip(first, second))
+    assert got == moore_pairs(cont)
+    # grouped by the first cell, whose forward partners all lie later
+    assert (np.diff(shells.ptr) >= 0).all() and shells.ptr[-1] == len(first)
+    assert (shells.first == np.arange(len(cont)).repeat(np.diff(shells.ptr))).all()
+    assert all(b > a for a, b in zip(first, second))
+    # both halves: every pair once in each direction, grouped by its first cell
+    shells.build_both(cont)
+    owner, partner, ptr = shells.both
+    assert sorted(zip(owner.tolist(), partner.tolist())) == sorted(
+        [*zip(first, second), *zip(second, first)])
+    assert (owner == np.arange(len(cont)).repeat(np.diff(ptr))).all()
+
+
+@pytest.mark.parametrize("in_bins", [False, True], ids=["storage_rows", "bin_positions"])
+def test_every_chunk_split_gives_the_whole_call(in_bins):
+    # a chunk that does not hold every cell evaluates each pair of its cells
+    # from its own side, those that cross a chunk boundary included, and
+    # every split gives the bytes of one chunk
+    mesh = cb.CartesianMesh(4, 4, 4)
+    cont = clustered_container(mesh, n=40)
+    cont.take(np.random.default_rng(3).permutation(len(cont)))
+    cb.rebin_cells(cont)
+    params = InteractionParams()
+    kernel = mechanics.PairKernel(cont, params, split=True)
+    ops = cb.InPlaceVectorOps(None)
+    whole = np.full((len(cont), 3), np.nan)
+    kernel.velocities(0, len(cont), in_bins, ops, whole)
+    assert np.isfinite(whole).all() and (whole != 0.0).any()
+    rows = cont.bin_rows if in_bins else np.arange(len(cont))
+    crossing = 0
+    for cut in range(1, len(cont)):
+        # the pairs with one cell on each side of the cut
+        left = set(rows[:cut].tolist())
+        crossing += sum((cont.bin_rows[a] in left) != (cont.bin_rows[b] in left)
+                        for a, b in zip(kernel.shells.first.tolist(),
+                                        kernel.shells.second.tolist()))
+        split = np.full_like(whole, np.nan)
+        kernel.velocities(0, cut, in_bins, ops, split)
+        kernel.velocities(cut, len(cont), in_bins, ops, split)
+        assert split.tobytes() == whole.tobytes(), cut
+    assert crossing > 0
+
+
+def test_kept_bins_reuse_the_pair_lists(small_mesh):
+    cont = clustered_container(small_mesh)
+    with WorkerPool(2) as pool:
+        schedule = MechanicsSchedule(ScheduleKind.NONEMPTY_VOXEL, 2)
+        update_velocities(cont, small_mesh, InteractionParams(), schedule, pool)
+        shells = cont.candidates
+        forward, both = shells.first, shells.both
+        assert both is not None  # a dispatch in chunks walks both halves
+        cont.positions_dirty = True  # no cell moved, so none changed voxel
+        cb.rebin_cells(cont)
+        update_velocities(cont, small_mesh, InteractionParams(), schedule, pool)
+    assert cont.candidates is shells
+    assert shells.first is forward and shells.both is both
 
 
 def fresh_copy(cont):
@@ -340,28 +440,55 @@ def test_kept_bins_give_the_velocities_of_a_fresh_container(steps, schedule, mod
 
 
 #: Peak allocation of one velocity call on the 900 packed cells below.  The
-#: scalar loop this kernel replaced stayed near 0.2 MiB there, the kernel
-#: in blocks stays near 0.75 MiB, and expanding every candidate pair of the
-#: call at once needs about 3 MiB.
+#: scalar loop this kernel replaced stayed near 0.2 MiB there; the kernel in
+#: blocks stays near 0.45 MiB on kept pair lists and near 0.7 MiB when it
+#: builds them, while summing every term of the call at once needs about
+#: 1.4 MiB.
 VELOCITY_PEAK_BOUND = 1 << 20
 
 
-def test_one_velocity_call_stays_in_blocks():
-    # blocks of candidate pairs keep the peak bounded whatever the pair count
+def packed_cells():
     mesh = cb.CartesianMesh(10, 10, 10)
     positions = [(20.0 + 160.0 * u1, 20.0 + 160.0 * u2, 20.0 + 160.0 * u3)
                  for u1, u2, u3 in (cb.division_draws(7, i, 0) for i in range(900))]
-    cont = make_container(mesh, positions, radius=8.0)
+    return make_container(mesh, positions, radius=8.0)
+
+
+def test_one_velocity_call_stays_in_blocks():
+    # blocks of pairs and of targets keep the peak bounded whatever the pair count
+    cont = packed_cells()
     params = InteractionParams()
     with WorkerPool(1) as pool:
         schedule = MechanicsSchedule(ScheduleKind.CELL_STATIC)
-        update_velocities(cont, mesh, params, schedule, pool)
+        update_velocities(cont, cont.mesh, params, schedule, pool)
         tracemalloc.start()
         try:
-            update_velocities(cont, mesh, params, schedule, pool)
+            update_velocities(cont, cont.mesh, params, schedule, pool)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+    assert peak < VELOCITY_PEAK_BOUND
+
+
+def test_the_call_that_builds_the_pair_list_stays_bounded():
+    # after a rebin that moved a cell to another voxel, the call builds the
+    # half-shell pair list first; that build counts against the same bound
+    cont = packed_cells()
+    params = InteractionParams()
+    with WorkerPool(1) as pool:
+        schedule = MechanicsSchedule(ScheduleKind.CELL_STATIC)
+        update_velocities(cont, cont.mesh, params, schedule, pool)
+        cont.positions[0] = cont.positions[-1]
+        cont.positions_dirty = True
+        cb.rebin_cells(cont)
+        assert cont.candidates is None
+        tracemalloc.start()
+        try:
+            update_velocities(cont, cont.mesh, params, schedule, pool)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert cont.candidates.both is None  # one block: the forward half-shells only
     assert peak < VELOCITY_PEAK_BOUND
 
 

@@ -121,6 +121,38 @@ def test_segment_sums_match_the_scalar_program(runs):
         assert counter.alloc_events == in_temp * (len(terms) + sum(1 for r in runs if r))
 
 
+@given(st.lists(st.lists(st.tuples(st.integers(0, 3),
+                                    st.sampled_from([-0.0, 0.0, 1.5, -2.25]) | finite),
+                          max_size=5), max_size=5),
+       st.randoms(use_true_random=False))
+def test_segment_sums_with_rank_gaps_and_unsorted_terms(segments, rnd):
+    # the scalar program adds a segment's terms from 0.0 in ascending rank;
+    # a rank no term takes (a gap, or past a segment's last term) adds
+    # nothing, and the terms may arrive in any order
+    rows = []
+    for k, run in enumerate(segments):
+        rank = -1
+        for gap, x in run:
+            rank += 1 + gap
+            rows.append((k, rank, x))
+    rnd.shuffle(rows)
+    segment = np.array([k for k, _, _ in rows], dtype=np.intp)
+    rank = np.array([r for _, r, _ in rows], dtype=np.intp)
+    terms = np.array([[x, -x, 0.5 * x] for _, _, x in rows]).reshape(-1, 3)
+    expected = []
+    for k in range(len(segments)):
+        acc = [0.0, 0.0, 0.0]
+        for _, _, x in sorted(row for row in rows if row[0] == k):
+            acc = [acc[0] + x, acc[1] + -x, acc[2] + 0.5 * x]
+        expected.append(acc)
+    for mode in AllocationMode:
+        ops, counter = fresh(mode)
+        sums = ops.sum_segments(terms, segment, rank, len(segments))
+        assert np.array(expected).reshape(-1, 3).tobytes() == sums.tobytes()
+        in_temp = mode is AllocationMode.TEMPORARY_ALLOCATING
+        assert counter.alloc_events == in_temp * (len(terms) + sum(1 for r in segments if r))
+
+
 def test_counter_reset_and_merge():
     # the pool counts into fresh worker stats per dispatch and sums them
     def body(lo, hi, ctx):
