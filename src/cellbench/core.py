@@ -55,14 +55,6 @@ class CartesianMesh:
         ox, oy, oz = self.origin
         return (ox + self.nx * self.dx, oy + self.ny * self.dy, oz + self.nz * self.dz)
 
-    def flatten(self, ix: int, iy: int, iz: int) -> int:
-        return ix + self.nx * (iy + self.ny * iz)
-
-    def unflatten(self, v: int) -> tuple:
-        ix = v % self.nx
-        rest = v // self.nx
-        return (ix, rest % self.ny, rest // self.ny)
-
     def voxels_of(self, positions) -> np.ndarray:
         """Flat voxel indices of in-bounds positions; DomainError for any other.
 

@@ -28,10 +28,10 @@ terms held at once stay bounded; a block after the first, and every chunk
 that does not hold every cell, walks the list of both halves instead and
 keeps the term of its own cell only.  Pairs are evaluated in slices of at
 most `BLOCK`, the force law on the in-range ones only.  `_term_order` is
-the one step that orders the directed terms, by target and then ascending
-neighbor id, and `ops.sum_segments` sums each target's terms from 0.0 in
-that order.  Squares are `np.float_power(x, 2.0)`, which calls libm pow as
-Python's `**` does; the norm is d0*d0 + d1*d1 + d2*d2.
+the one step that orders the directed terms, by ascending neighbor id, and
+`ops.sum_segments` sums each target's terms from 0.0 in that order, one
+`np.bincount` per component.  Squares are `np.float_power(x, 2.0)`, which
+calls libm pow as Python's `**` does; the norm is d0*d0 + d1*d1 + d2*d2.
 
 The vector-valued operators come from `smallvec.vector_ops`: under `temp`
 each makes a fresh array, under `inplace` each writes into an `out=` buffer.
@@ -68,9 +68,9 @@ from .smallvec import AllocationMode, norm, vector_ops
 #: Pairs closer than this (um) are skipped; the direction is numerically void.
 EPS_SKIP = 1e-8
 
-#: Pairs evaluated at once, the in-range pairs after which a block of
-#: targets is summed, and the bound on its rank-padded sum buffer (in
-#: 3-vectors): what bounds the arrays of one call, whatever the cell count.
+#: Pairs evaluated at once, and the in-range pairs after which a block of
+#: targets is summed: what bounds the arrays of one call, whatever the cell
+#: count.
 BLOCK = 4096
 
 #: The (y, z) offsets of the four mesh rows whose three-voxel runs lie in a
@@ -209,19 +209,19 @@ class HalfShells:
                                      for half in zip(self.forward_ranges, backward)))
 
 
-def _term_order(targets: np.ndarray, neighbors: np.ndarray, next_id: int,
-                target_count: int) -> np.ndarray:
-    """Indices that sort directed terms by (target, neighbor id).
+def _term_order(neighbors: np.ndarray, next_id: int) -> np.ndarray:
+    """Indices that sort directed terms by neighbor id, which puts each
+    target's terms in ascending neighbor id; equal ids are terms of
+    different targets, whose order changes no sum.
 
-    The term index is packed into the low bits of the (target, id) key, so
-    one `np.sort` orders them.  A few keys, or keys too wide for 63 bits
-    with the index, are argsorted instead.
+    The term index is packed into the low bits of the id, so one `np.sort`
+    orders them.  A few keys, or keys too wide for 63 bits with the index,
+    are argsorted instead.
     """
-    key = targets * next_id + neighbors
-    bits = (len(key) - 1).bit_length()
-    if len(key) < 256 or target_count * next_id << bits > _INT64_MAX:
-        return key.argsort(kind="stable")
-    key <<= bits
+    bits = (len(neighbors) - 1).bit_length()
+    if len(neighbors) < 256 or next_id << bits > _INT64_MAX:
+        return neighbors.argsort()
+    key = neighbors << bits
     key |= np.arange(len(key))
     key.sort()
     key &= (1 << bits) - 1
@@ -233,24 +233,6 @@ def _joined(parts):
     if len(parts) == 1:
         return parts[0]
     return tuple(np.concatenate(field) for field in zip(*parts))
-
-
-def _runs(targets: np.ndarray, rank: np.ndarray, count: int):
-    """(s0, s1, t0, t1): runs of targets t0..t1-1, whose terms are s0..s1-1
-    of the terms sorted by target, such that the rank-padded buffer of a run
-    of `ops.sum_segments`, the run's targets times (its largest rank + 2),
-    stays within BLOCK 3-vectors; a run holds at least one target."""
-    if count * (len(rank) + 1) <= BLOCK or count * (int(rank.max(initial=-1)) + 2) <= BLOCK:
-        yield 0, len(targets), 0, count
-        return
-    padded = np.bincount(targets, minlength=count) + 1
-    lo = 0
-    while lo < count:
-        window = padded[lo:lo + BLOCK]
-        width = np.maximum.accumulate(window) * np.arange(1, len(window) + 1)
-        hi = lo + max(1, int(width.searchsorted(BLOCK, side="right")))
-        yield (*targets.searchsorted((lo, hi)).tolist(), lo, hi)
-        lo = hi
 
 
 class _Chunk:
@@ -410,7 +392,8 @@ class PairKernel:
         their in-range pairs (i, j, c), where i is a target of the block,
         found slice by slice; the list is emptied.  If `mirrors`, the chunk
         holds every cell in bin order and -c goes to every j in the block
-        too."""
+        too.  The terms are put in ascending neighbor id, and
+        `ops.sum_segments` adds each target's from 0.0 in that order."""
         count = b1 - b0
         i, j, c = _joined(found)
         found.clear()
@@ -424,15 +407,9 @@ class PairKernel:
                 c = np.concatenate((c, ops.scale(-1.0, mirror, mirror)))
                 j = np.concatenate((j, i.take(inside)))
         del i
-        order = _term_order(t, self.ids.take(j), self.container.next_id, count)
+        order = _term_order(self.ids.take(j), self.container.next_id)
         del j
-        t = t.take(order)
-        rank = np.arange(len(t)) - t.searchsorted(t)
-        c = c.take(order, axis=0)
-        del order
-        rows = chunk.rows[b0:b1]
-        for s0, s1, t0, t1 in _runs(t, rank, count):
-            out[rows[t0:t1]] = ops.sum_segments(c[s0:s1], t[s0:s1] - t0, rank[s0:s1], t1 - t0)
+        out[chunk.rows[b0:b1]] = ops.sum_segments(c.take(order, axis=0), t.take(order), count)
 
 
 def update_velocities(container: CellContainer, mesh: CartesianMesh,

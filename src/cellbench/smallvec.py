@@ -9,8 +9,7 @@ operands in the same order, so their numeric results are bit-identical.
 
 Allocation accounting is semantic, not an allocator hook: the temporary mode
 counts one allocation event per 3-vector that a vector-valued operator
-produces, and one per 3-vector that a named-result binding (``assign``)
-copies, into the ``alloc_events`` of the stats record it is bound to (inside
+produces into the ``alloc_events`` of the stats record it is bound to (inside
 a dispatch, the worker's ``parallel.WorkerStats``).  The count follows from
 the array sizes, so an operator over k vectors counts what k scalar
 operators would, which makes the accounting portable and exactly testable.
@@ -18,12 +17,13 @@ The temporary mode still performs real dynamic acquisitions (a new array per
 operator), so wall-clock allocation overhead is also observable.  The
 scalar-valued ``norm`` records no events in either mode.
 
-``sum_segments`` adds ragged runs of 3-vectors, each run from 0.0 in its
-given order, and counts what the scalar program ``acc = acc + term`` per
-term, then ``v = acc`` per non-empty run, would: one event per term and one
-per run.  ``shared`` counts the displacements a pair kernel derives from a
-pair's other direction instead of computing them, as the scalar program
-computes each.
+``sum_segments`` adds the 3-vectors of each segment from 0.0 in array
+order, one ``np.bincount`` per component, and counts what the scalar
+program ``acc = acc + term`` per term, then ``v = acc`` per non-empty
+segment, would: one event per term and one per non-empty segment.
+``shared`` counts the displacements a pair kernel derives from a pair's
+other direction instead of computing them, as the scalar program computes
+each.
 """
 
 from __future__ import annotations
@@ -45,26 +45,19 @@ def norm(a):
     return np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
 
 
-def segment_sums(terms, segment, rank, segments: int) -> np.ndarray:
-    """Sum of each segment's terms, 0.0 + t0 + t1 + ... in ascending rank.
+def segment_sums(terms, segment, segments: int) -> np.ndarray:
+    """Sum of each segment's terms, 0.0 + t0 + t1 + ... in array order.
 
-    Term k has place `rank[k]` in segment `segment[k]`; a segment's ranks
-    are distinct.  The terms are scattered into a zero-filled (max rank + 2,
-    segments, 3) buffer, one row per rank after a leading zero row, and
-    each row is added in place to the running sums of the row before it:
-    `term + acc` is the scalar program's `acc = acc + term`, as IEEE
-    addition commutes.  A running sum from +0.0 is never -0.0, so the zero
-    padding at an unused rank changes no bit.
+    Term k belongs to segment `segment[k]`.  A weighted `np.bincount` adds
+    each weight into its bin, from 0.0 and in array order, which is the
+    scalar program's `acc = acc + term`; so a segment's terms may be
+    interleaved with those of others, and only their order among
+    themselves counts.
     """
-    rows = int(rank.max(initial=-1)) + 2
-    buf = np.zeros((rows, segments, 3))
-    at = rank * segments
-    at += segment
-    buf.reshape(-1, 3)[at + segments] = terms
-    layers = list(buf)
-    for before, layer in zip(layers, layers[1:]):
-        layer += before
-    return buf[-1]
+    out = np.empty((segments, 3))
+    for k in range(3):
+        out[:, k] = np.bincount(segment, terms[:, k], segments)
+    return out
 
 
 def _per_vector(s):
@@ -97,22 +90,18 @@ class TempAllocVectorOps:
     def scale(self, s, a, out=None):
         return self._fresh(np.multiply(_per_vector(s), a))
 
-    def assign(self, dst, src) -> None:
-        """Bind a result to a named destination: one fresh copy, its events."""
-        dst[:] = self._fresh(np.array(src, dtype=np.float64))
-
     def shared(self, count: int) -> None:
         """Record the events of `count` displacements that a pair kernel
         shares between a pair's two directions instead of computing: the
         scalar program computes each."""
         self.stats.alloc_events += count
 
-    def sum_segments(self, terms, segment, rank, segments: int) -> np.ndarray:
+    def sum_segments(self, terms, segment, segments: int) -> np.ndarray:
         """`segment_sums`, bound to fresh results: one event per term added
         and one per segment that has a term."""
         self.stats.alloc_events += len(terms) + int(np.count_nonzero(
             np.bincount(segment, minlength=segments)))
-        return segment_sums(terms, segment, rank, segments)
+        return segment_sums(terms, segment, segments)
 
 
 class InPlaceVectorOps:
@@ -132,14 +121,11 @@ class InPlaceVectorOps:
     def scale(self, s, a, out):
         return np.multiply(_per_vector(s), a, out=out)
 
-    def assign(self, dst, src) -> None:
-        dst[:] = src
-
     def shared(self, count: int) -> None:
         pass
 
-    def sum_segments(self, terms, segment, rank, segments: int) -> np.ndarray:
-        return segment_sums(terms, segment, rank, segments)
+    def sum_segments(self, terms, segment, segments: int) -> np.ndarray:
+        return segment_sums(terms, segment, segments)
 
 
 def vector_ops(mode: AllocationMode, stats):

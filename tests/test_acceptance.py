@@ -45,15 +45,18 @@ from test_diffusion import line_solve_worst_error
 # --------------------------------------------------------------- criterion 1
 
 def test_criterion_1_allocation_accounting():
-    """Temp-mode scaled-sum expression: exactly 3 events; in-place region: 0."""
+    """Temp-mode bound scaled-sum expression: exactly 4 events; in-place region: 0."""
     t0 = time.perf_counter()
 
+    # v = 0.25 * (a + b), bound as the velocity program binds a sum:
+    # the sum, the product, acc = acc + term and v = acc, one event each
     counter = WorkerStats()
     ops = vector_ops(AllocationMode.TEMPORARY_ALLOCATING, counter)
-    dst = [0.0, 0.0, 0.0]
-    ops.assign(dst, ops.scale(0.25, ops.add([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])))
+    v = ops.sum_segments(ops.scale(0.25, ops.add([1.0, 2.0, 3.0], [4.0, 5.0, 6.0]))[None],
+                         np.zeros(1, np.intp), 1)
     expr_events = counter.alloc_events
-    assert expr_events == 3
+    assert expr_events == 4
+    assert v.tolist() == [[1.25, 1.75, 2.25]]
 
     mesh = cb.CartesianMesh(4, 4, 4)
     positions = []

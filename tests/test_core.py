@@ -25,32 +25,6 @@ def test_flatten_reference_voxel():
     # 75^3 mesh, 20 um spacing: (30,30,30) falls in integer voxel (1,1,1).
     mesh = cb.CartesianMesh(75, 75, 75)
     assert mesh.voxels_of((30.0, 30.0, 30.0)).tolist() == [5701]
-    assert mesh.flatten(1, 1, 1) == 5701
-    assert mesh.unflatten(5701) == (1, 1, 1)
-
-
-@given(
-    st.integers(1, 12), st.integers(1, 12), st.integers(1, 12),
-    st.data(),
-)
-def test_flatten_unflatten_roundtrip(nx, ny, nz, data):
-    mesh = cb.CartesianMesh(nx, ny, nz)
-    ix = data.draw(st.integers(0, nx - 1))
-    iy = data.draw(st.integers(0, ny - 1))
-    iz = data.draw(st.integers(0, nz - 1))
-    v = mesh.flatten(ix, iy, iz)
-    assert 0 <= v < mesh.voxel_count
-    assert mesh.unflatten(v) == (ix, iy, iz)
-
-
-@given(st.integers(1, 10), st.integers(1, 10), st.integers(1, 10))
-def test_flatten_is_bijective(nx, ny, nz):
-    mesh = cb.CartesianMesh(nx, ny, nz)
-    seen = {
-        mesh.flatten(ix, iy, iz)
-        for iz in range(nz) for iy in range(ny) for ix in range(nx)
-    }
-    assert seen == set(range(mesh.voxel_count))
 
 
 def test_voxel_of_half_open_boxes():
@@ -105,7 +79,7 @@ def test_microenvironment_shapes(small_mesh):
     assert micro.grid_view(1).shape == (4, 4, 4)
     # grid_view is a view, not a copy
     micro.grid_view(1)[2, 1, 3] = 7.0
-    assert micro.densities[1, small_mesh.flatten(3, 1, 2)] == 7.0
+    assert micro.densities[1, np.ravel_multi_index((2, 1, 3), (4, 4, 4))] == 7.0
     # the gradients are a (substrate, voxel, axis) view of C-contiguous
     # (substrate, axis, voxel) planes, and writes through it reach them
     planes = micro.gradient_planes
@@ -266,7 +240,8 @@ def test_voxels_of_matches_python_floor_division(dx, dy, dz, origin, fractions):
     index = [(int((x - ox) // dx), int((y - oy) // dy), int((z - oz) // dz))
              for x, y, z in points]
     if all(0 <= ix < 7 and 0 <= iy < 5 and 0 <= iz < 3 for ix, iy, iz in index):
-        assert mesh.voxels_of(points).tolist() == [mesh.flatten(*i) for i in index]
+        flat = np.ravel_multi_index(np.array(index).T[::-1], (3, 5, 7))
+        assert mesh.voxels_of(points).tolist() == flat.tolist()
     else:  # a clamped point can still round onto an upper face
         with pytest.raises(DomainError):
             mesh.voxels_of(points)

@@ -273,8 +273,8 @@ def test_broken_accumulation_order_is_caught(monkeypatch):
     cfg = tiny_config(steps=2)
     ra = run_simulation(cfg)
 
-    def descending_ids(targets, neighbors, next_id, target_count):
-        return np.lexsort((-neighbors, targets))
+    def descending_ids(neighbors, next_id):
+        return (-neighbors).argsort()
 
     monkeypatch.setattr(cellbench.mechanics, "_term_order", descending_ids)
     rb = run_simulation(cfg)

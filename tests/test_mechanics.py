@@ -190,7 +190,9 @@ def test_schedule_validation():
 # ---------------------------------------------------------------- pair kernel
 
 def _moore_adjacent(mesh, u, v):
-    return all(abs(a - b) <= 1 for a, b in zip(mesh.unflatten(u), mesh.unflatten(v)))
+    shape = (mesh.nz, mesh.ny, mesh.nx)
+    return all(abs(a - b) <= 1 for a, b in zip(np.unravel_index(u, shape),
+                                                 np.unravel_index(v, shape)))
 
 
 def scalar_velocities(cont, params):
@@ -417,7 +419,8 @@ def test_kept_bins_give_the_velocities_of_a_fresh_container(steps, schedule, mod
             kind, table = step[0], cont.candidates
             if kind in ("inside", "across"):
                 row = step[1] % len(cont)
-                corner = np.array(mesh.unflatten(int(cont.voxels[row])), dtype=float)
+                corner = np.array(np.unravel_index(int(cont.voxels[row]), (4, 4, 4))[::-1],
+                                  dtype=float)
                 if kind == "across":  # to the next voxel along one axis, or the previous
                     axis = step[3]
                     corner[axis] += 1.0 if corner[axis] + 1 < 4 else -1.0
@@ -494,8 +497,8 @@ def test_the_call_that_builds_the_pair_list_stays_bounded():
 
 def test_one_crowded_target_does_not_pad_its_block():
     # a clump of 200 cells, one of them stored first, among 1728 cells that
-    # see only themselves: a block of the first row and its sparse successors
-    # would pad every sparse target to the clump's pair count (about 8 MiB)
+    # see only themselves: the test bounds the memory of a velocity call that
+    # sums the 200-cell clump's terms
     mesh = cb.CartesianMesh(24, 24, 24)
     clump = [(248.0 + 4.0 * u1, 248.0 + 4.0 * u2, 248.0 + 4.0 * u3)
              for u1, u2, u3 in (cb.division_draws(3, i, 0) for i in range(200))]

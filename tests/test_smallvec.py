@@ -22,23 +22,25 @@ def fresh(mode):
     return vector_ops(mode, counter), counter
 
 
-def test_scaled_sum_with_binding_costs_three_events_temp():
-    # v = a * (v1 + v2) spelled with overloaded-operator semantics:
-    # one temporary for the sum, one for the product, one for the binding.
+def test_bound_scaled_sum_costs_four_events_temp():
+    # v = a * (v1 + v2) as the velocity program binds it, acc = 0.0,
+    # acc = acc + a * (v1 + v2), v = acc: one temporary for the sum, one for
+    # the product, one for the accumulator, one for the binding.
     ops, counter = fresh(AllocationMode.TEMPORARY_ALLOCATING)
-    v1, v2, dst = [1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [0.0, 0.0, 0.0]
-    ops.assign(dst, ops.scale(0.5, ops.add(v1, v2)))
-    assert counter.alloc_events == 3
-    assert dst == [2.5, 3.5, 4.5]
+    v1, v2 = [1.0, 2.0, 3.0], [4.0, 5.0, 6.0]
+    v = ops.sum_segments(ops.scale(0.5, ops.add(v1, v2))[None], np.zeros(1, np.intp), 1)
+    assert counter.alloc_events == 4
+    assert v.tolist() == [[2.5, 3.5, 4.5]]
 
 
 def test_scaled_sum_in_place_costs_zero_events():
     ops, counter = fresh(AllocationMode.IN_PLACE)
     v1, v2 = [1.0, 2.0, 3.0], [4.0, 5.0, 6.0]
-    work, dst = np.zeros(3), [0.0, 0.0, 0.0]
-    ops.assign(dst, ops.scale(0.5, ops.add(v1, v2, work), work))
+    work = np.zeros(3)
+    v = ops.sum_segments(ops.scale(0.5, ops.add(v1, v2, work), work)[None],
+                         np.zeros(1, np.intp), 1)
     assert counter.alloc_events == 0
-    assert dst == [2.5, 3.5, 4.5]
+    assert v.tolist() == [[2.5, 3.5, 4.5]]
 
 
 def test_every_vector_valued_operator_is_one_event():
@@ -50,13 +52,16 @@ def test_every_vector_valued_operator_is_one_event():
     assert counter.alloc_events == 3
 
 
-def test_nested_sums_with_binding_cost_four_events():
+def test_bound_nested_sums_cost_five_events():
+    # v = (v0 + v1) + (v2 + v3) as acc = 0.0, acc = acc + (v0 + v1),
+    # acc = acc + (v2 + v3), v = acc: two temporaries, two accumulators and
+    # one binding
     ops, counter = fresh(AllocationMode.TEMPORARY_ALLOCATING)
     v = [[float(i), 0.0, 0.0] for i in range(4)]
-    dst = [0.0, 0.0, 0.0]
-    ops.assign(dst, ops.add(ops.add(v[0], v[1]), ops.add(v[2], v[3])))
-    assert counter.alloc_events == 4
-    assert dst == [6.0, 0.0, 0.0]
+    pairs = np.stack([ops.add(v[0], v[1]), ops.add(v[2], v[3])])
+    total = ops.sum_segments(pairs, np.zeros(2, np.intp), 1)
+    assert counter.alloc_events == 5
+    assert total.tolist() == [[6.0, 0.0, 0.0]]
 
 
 def test_norm_returns_one_length_per_vector():
@@ -101,10 +106,9 @@ def test_modes_are_bit_identical(s, v1, v2, v3):
 @given(st.lists(st.lists(st.sampled_from([-0.0, 0.0, 1.5, -2.25]) | finite, max_size=4),
                 max_size=5))
 def test_segment_sums_match_the_scalar_program(runs):
-    # each run's components summed from 0.0 in order; -0.0 terms and the
-    # zero padding of shorter runs included
+    # each run's components summed from 0.0 in order; -0.0 terms and empty
+    # runs included
     segment = np.array([k for k, run in enumerate(runs) for _ in run], dtype=np.intp)
-    rank = np.array([r for run in runs for r in range(len(run))], dtype=np.intp)
     terms = np.array([[x, -x, 0.5 * x] for run in runs for x in run]).reshape(-1, 3)
     expected = []
     for run in runs:
@@ -114,40 +118,33 @@ def test_segment_sums_match_the_scalar_program(runs):
         expected.append(acc)
     for mode in AllocationMode:
         ops, counter = fresh(mode)
-        sums = ops.sum_segments(terms, segment, rank, len(runs))
+        sums = ops.sum_segments(terms, segment, len(runs))
         assert np.array(expected).reshape(-1, 3).tobytes() == sums.tobytes()
         in_temp = mode is AllocationMode.TEMPORARY_ALLOCATING
         # one event per term added, one per run bound to its result
         assert counter.alloc_events == in_temp * (len(terms) + sum(1 for r in runs if r))
 
 
-@given(st.lists(st.lists(st.tuples(st.integers(0, 3),
-                                    st.sampled_from([-0.0, 0.0, 1.5, -2.25]) | finite),
-                          max_size=5), max_size=5),
+@given(st.lists(st.lists(st.sampled_from([-0.0, 0.0, 1.5, -2.25]) | finite, max_size=5),
+                max_size=5),
        st.randoms(use_true_random=False))
-def test_segment_sums_with_rank_gaps_and_unsorted_terms(segments, rnd):
-    # the scalar program adds a segment's terms from 0.0 in ascending rank;
-    # a rank no term takes (a gap, or past a segment's last term) adds
-    # nothing, and the terms may arrive in any order
-    rows = []
-    for k, run in enumerate(segments):
-        rank = -1
-        for gap, x in run:
-            rank += 1 + gap
-            rows.append((k, rank, x))
+def test_segment_sums_with_empty_segments_and_interleaved_terms(segments, rnd):
+    # the scalar program adds a segment's terms from 0.0 in array order; the
+    # segments' terms arrive interleaved and unsorted by segment, and a
+    # segment with no term sums to +0.0
+    rows = [(k, x) for k, run in enumerate(segments) for x in run]
     rnd.shuffle(rows)
-    segment = np.array([k for k, _, _ in rows], dtype=np.intp)
-    rank = np.array([r for _, r, _ in rows], dtype=np.intp)
-    terms = np.array([[x, -x, 0.5 * x] for _, _, x in rows]).reshape(-1, 3)
+    segment = np.array([k for k, _ in rows], dtype=np.intp)
+    terms = np.array([[x, -x, 0.5 * x] for _, x in rows]).reshape(-1, 3)
     expected = []
     for k in range(len(segments)):
         acc = [0.0, 0.0, 0.0]
-        for _, _, x in sorted(row for row in rows if row[0] == k):
+        for _, x in (row for row in rows if row[0] == k):
             acc = [acc[0] + x, acc[1] + -x, acc[2] + 0.5 * x]
         expected.append(acc)
     for mode in AllocationMode:
         ops, counter = fresh(mode)
-        sums = ops.sum_segments(terms, segment, rank, len(segments))
+        sums = ops.sum_segments(terms, segment, len(segments))
         assert np.array(expected).reshape(-1, 3).tobytes() == sums.tobytes()
         in_temp = mode is AllocationMode.TEMPORARY_ALLOCATING
         assert counter.alloc_events == in_temp * (len(terms) + sum(1 for r in segments if r))
