@@ -91,6 +91,12 @@ class Microenvironment:
     through it reach the planes, and `tobytes()` emits its logical
     (voxel, component) order.  A reshape of it that merges the voxel and
     component axes is a copy, so never write through a reshape.
+
+    `line_buffer` is one (voxels,) float64 field that `diffusion.lod_step`
+    stores the lines of its x and z sweeps in, shared by every substrate and
+    allocated once here.  While `lod_step` runs, a density row holds the
+    (y, z, x) layout of its y sweep instead of (z, y, x); it is native again
+    when `lod_step` returns.
     """
 
     def __init__(self, mesh: CartesianMesh, diffusion, decay, initial=None):
@@ -111,6 +117,7 @@ class Microenvironment:
             self.densities += init[:, None]
         self.gradient_planes = np.zeros((s, 3, n), dtype=np.float64)
         self.gradients = np.moveaxis(self.gradient_planes, 1, 2)
+        self.line_buffer = np.empty(n, dtype=np.float64)
 
     @property
     def substrate_count(self) -> int:

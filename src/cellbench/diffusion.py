@@ -9,10 +9,23 @@ elementwise, which makes the field bit-identical however the lines are split
 across workers or grouped by the traversal mode.
 
 Each sweep stores its lines swept axis first, as an (n, lines) array, so one
-recurrence step is one ufunc over a contiguous row of the chunk's lines.  The
-z lines are the density grid itself, reshaped to (nz, ny*nx) and solved in
-place; the x and y lines are solved in a contiguous transposed copy that is
-written back.  Lines are numbered z*ny + y on the x sweep, z*nx + x on the y
+recurrence step is one ufunc over a contiguous row of the chunk's lines.  A
+substrate goes native -> x-first -> y-first -> native through one field-sized
+buffer, `Microenvironment.line_buffer`, which lives as long as the fields, so
+no sweep allocates a copy of the field:
+
+1. the (z, y, x) grid is copied into the buffer as (x, z, y); the x lines
+   are solved there;
+2. the buffer is copied into the substrate's own density memory as
+   (y, z, x); the y lines are solved there;
+3. that is copied into the buffer as (z, y, x), rows of x staying
+   contiguous; the z lines are solved there;
+4. the buffer is copied back to the density row, one contiguous copy.
+
+The first two copies are transposes that move every axis.  They run in
+tiles of whole z slabs, at most `TILE` elements per call unless one slab is
+larger, so a tile's source and destination stay in cache; a small mesh is
+one call.  Lines are numbered z*ny + y on the x sweep, z*nx + x on the y
 sweep and y*nx + x on the z sweep, so a chunk is a contiguous column range.
 A chunk's recurrences write into its rows in place and form each product in
 one scratch row, so no step allocates.
@@ -52,82 +65,103 @@ class TraversalMode(enum.Enum):
         return middle if self is TraversalMode.OUTER_LOOP else 1
 
 
+#: Elements one tiled transpose call copies, unless a single z slab is larger.
+TILE = 4096
+
+
 @lru_cache(maxsize=64)
 def _line_factors(n: int, r: float, lam3: float):
     """Precomputed reciprocal pivots and back-substitution factors for one axis.
 
     The line system has sub/super diagonal -r, interior diagonal 1+lam3+2r and
     boundary diagonal 1+lam3+r (no-flux), except the n=1 line, which has no
-    neighbor terms at all.  Returned as tuples of Python floats, so the
-    recurrences read a factor without creating a numpy scalar.
+    neighbor terms at all.  Returns (inv, gamma, r): tuples of read-only 0-d
+    float64 arrays and r as one, because a ufunc takes a 0-d array operand
+    faster than a Python float.  The values are those of the float
+    arithmetic below.
     """
     if n == 1:
-        return (1.0 / (1.0 + lam3),), ()
-    diag = [1.0 + lam3 + 2.0 * r] * n
-    diag[0] = diag[-1] = 1.0 + lam3 + r
-    inv = [1.0 / diag[0]]
-    gamma = [r * inv[0]]
-    for i in range(1, n):
-        inv.append(1.0 / (diag[i] - r * gamma[i - 1]))
-        gamma.append(r * inv[i])
-    return tuple(inv), tuple(gamma)
+        inv, gamma = [1.0 / (1.0 + lam3)], []
+    else:
+        diag = [1.0 + lam3 + 2.0 * r] * n
+        diag[0] = diag[-1] = 1.0 + lam3 + r
+        inv = [1.0 / diag[0]]
+        gamma = [r * inv[0]]
+        for i in range(1, n):
+            inv.append(1.0 / (diag[i] - r * gamma[i - 1]))
+            gamma.append(r * inv[i])
+
+    def frozen(x):
+        a = np.array(x, dtype=np.float64)
+        a.flags.writeable = False
+        return a
+    return tuple(map(frozen, inv)), tuple(map(frozen, gamma)), frozen(r)
 
 
-def _solve_columns(lines: np.ndarray, lo: int, hi: int, inv, gamma, r: float) -> None:
+def _solve_columns(lines: np.ndarray, lo: int, hi: int, inv, gamma, r) -> None:
     """In-place solve of lines[:, lo:hi], one line per column, swept axis first.
 
     Forward, d[i] = (d[i] + r*d[i-1]) * inv[i]; back, d[i] += gamma[i]*d[i+1].
-    Each product goes into one scratch row, so a step allocates nothing.
+    Each product goes into one scratch row, so a step allocates nothing.  The
+    factors are `_line_factors`' 0-d arrays and every `out` is positional:
+    a row of a chunk holds at most a few thousand lines, often a few dozen,
+    so the fixed cost of a ufunc call is a large part of the solve.
     """
     d = list(lines[:, lo:hi])
     tmp = np.empty_like(d[0])
-    d[0] *= inv[0]
+    add, mul = np.add, np.multiply
+    mul(d[0], inv[0], d[0])
     for i in range(1, len(d)):
-        np.multiply(d[i - 1], r, out=tmp)
-        d[i] += tmp
-        d[i] *= inv[i]
+        mul(d[i - 1], r, tmp)
+        add(d[i], tmp, d[i])
+        mul(d[i], inv[i], d[i])
     for i in range(len(d) - 2, -1, -1):
-        np.multiply(d[i + 1], gamma[i], out=tmp)
-        d[i] += tmp
+        mul(d[i + 1], gamma[i], tmp)
+        add(d[i], tmp, d[i])
 
 
-def _sweep(lines: np.ndarray, lines_per_item: int, inv, gamma, r,
+def _sweep(lines: np.ndarray, r: float, lam3: float, mode: TraversalMode,
            pool: WorkerPool) -> RegionRecord:
+    """Solve every line of `lines`, an (n, outer, middle) array, in place."""
+    n, n_outer, n_middle = lines.shape
+    inv, gamma, r = _line_factors(n, r, lam3)
+    columns = lines.reshape(n, n_outer * n_middle)
+    per_item = mode.lines_per_chunk(n_middle)
+
     def body(lo, hi, ctx):
-        _solve_columns(lines, lo * lines_per_item, hi * lines_per_item, inv, gamma, r)
-    return pool.run_static(lines.shape[1] // lines_per_item, body)
+        _solve_columns(columns, lo * per_item, hi * per_item, inv, gamma, r)
+    return pool.run_static(n_outer * n_middle // per_item, body)
 
 
 def lod_step(micro: Microenvironment, mesh: CartesianMesh, dt: float,
              mode: TraversalMode, pool: WorkerPool) -> list[RegionRecord]:
     """One operator-split step: implicit x, y, z sweeps with decay split λ/3 each.
 
-    Returns one dispatch record per sweep per substrate.
+    Returns one dispatch record per sweep per substrate.  The density row
+    holds the y-first layout while its y sweep runs and is native again on
+    return.
     """
     if dt <= 0.0:
         raise DomainError("diffusion step needs dt > 0")
-    # Per sweep: the transpose of the (z, y, x) grid that puts the swept axis
-    # first, its inverse (None for z, solved in place) and the mesh spacing.
-    # `lines` is rebound to a view before `.copy()`, which frees the previous
-    # sweep's copy: at most one line-order copy is alive at a time.
-    axes = (((2, 0, 1), (1, 2, 0), mesh.dx),
-            ((1, 0, 2), (1, 0, 2), mesh.dy),
-            ((0, 1, 2), None, mesh.dz))
+    nx, ny, nz = mesh.nx, mesh.ny, mesh.nz
+    slabs = max(1, TILE // (nx * ny))
+    buffer = micro.line_buffer
+    x_first, z_first = buffer.reshape(nx, nz, ny), buffer.reshape(nz, ny, nx)
     records = []
     for s in range(micro.substrate_count):
         lam3 = dt * micro.decay[s] / 3.0
-        grid = micro.grid_view(s)
-        for transpose, inverse, h in axes:
-            lines = grid.transpose(transpose)
-            if inverse is not None:
-                lines = lines.copy()
-            n, n_outer, n_middle = lines.shape
-            r = dt * micro.diffusion[s] / (h * h)
-            inv, gamma = _line_factors(n, r, lam3)
-            records.append(_sweep(lines.reshape(n, n_outer * n_middle),
-                                  mode.lines_per_chunk(n_middle), inv, gamma, r, pool))
-            if inverse is not None:
-                grid[...] = lines.transpose(inverse)
+        rate = dt * micro.diffusion[s]
+        density = micro.densities[s]
+        grid, y_first = micro.grid_view(s), density.reshape(ny, nz, nx)
+        for z in range(0, nz, slabs):
+            np.copyto(x_first[:, z:z + slabs], grid[z:z + slabs].transpose(2, 0, 1))
+        records.append(_sweep(x_first, rate / (mesh.dx * mesh.dx), lam3, mode, pool))
+        for z in range(0, nz, slabs):
+            np.copyto(y_first[:, z:z + slabs], x_first[:, z:z + slabs].transpose(2, 1, 0))
+        records.append(_sweep(y_first, rate / (mesh.dy * mesh.dy), lam3, mode, pool))
+        np.copyto(z_first, y_first.transpose(1, 0, 2))
+        records.append(_sweep(z_first, rate / (mesh.dz * mesh.dz), lam3, mode, pool))
+        np.copyto(density, buffer)
     return records
 
 
