@@ -4,7 +4,9 @@ Two runs share one trajectory (identical checksums): one keeps daughters
 where division appended them, the other resorts storage by voxel every k
 steps.  The locality metric is the mean storage-index distance between
 interacting cells, so lower is tighter.  Appended daughters scatter the
-index space; periodic sorting pulls it back.
+index space; periodic sorting pulls it back.  The metric is printed every
+steps // 10 steps and at the end, each value the final state of a run of
+that many steps.
 
 Usage:
     python3 scripts/locality_experiment.py
@@ -44,23 +46,29 @@ def main() -> int:
             f"inplace/outer/cell_static/sorted({args.every})")),
     }
 
-    results = {}
-    for name, cfg in runs.items():
-        results[name] = run_simulation(cfg, record_locality=True)
+    # each run of k steps is a prefix of the same deterministic trajectory,
+    # so its final state is the longest run's state after k steps
+    params = base.interaction_params()
+    stride = max(1, args.steps // 10)
+    checkpoints = [*range(stride, args.steps, stride), args.steps]
+    series = {name: [] for name in runs}
+    identical = True
+    for k in checkpoints:
+        results = {name: run_simulation(replace(cfg, steps=k)) for name, cfg in runs.items()}
+        for name, r in results.items():
+            series[name].append(locality_metric(r.container, params))
+        identical &= len({r.checksum for r in results.values()}) == 1
 
-    print("step\t" + "\t".join(f"L[{n}]" for n in runs))
-    series = [dict(r.locality) for r in results.values()]
-    for step in sorted(series[0]):
-        print(f"{step}\t" + "\t".join(f"{s[step]:.2f}" for s in series))
+    print("steps\t" + "\t".join(f"L[{n}]" for n in runs))
+    for k, row in zip(checkpoints, zip(*series.values())):
+        print(f"{k}\t" + "\t".join(f"{val:.2f}" for val in row))
 
     print()
     for name, r in results.items():
-        final_l = locality_metric(r.container, base.interaction_params())
         print(f"{name:>12}: cells {args.cells} -> {r.final_cell_count}, "
-              f"final locality {final_l:.2f}, checksum {r.checksum[:16]}")
+              f"final locality {series[name][-1]:.2f}, checksum {r.checksum[:16]}")
 
-    checks = {r.checksum for r in results.values()}
-    if len(checks) == 1:
+    if identical:
         print("trajectories identical: storage order changed layout only")
         return 0
     print("WARNING: checksums differ, storage order leaked into physics")

@@ -280,18 +280,6 @@ class CellContainer:
         self._n = len(rows)
         self.positions_dirty = self.rows_changed = True
 
-    def check_consistent(self) -> None:
-        """Verify the container invariants; raises AssertionError on violation."""
-        assert (self.voxels == self.mesh.voxels_of(self.positions)).all()
-        assert (np.diff(self.nonempty_voxels) > 0).all()
-        assert self.bin_ptr[-1] == len(self) == len(self.bin_rows)
-        assert sorted(self.bin_rows.tolist()) == list(range(len(self)))
-        for k, v in enumerate(self.nonempty_voxels.tolist()):
-            rows = self.bin_rows[self.bin_ptr[k]:self.bin_ptr[k + 1]]
-            assert len(rows), f"bin of voxel {v} is empty but present"
-            assert (self.voxels[rows] == v).all() and (self.bin_of_row[rows] == k).all()
-            assert (np.diff(self.ids[rows]) > 0).all()
-
 
 def rebin_cells(container: CellContainer) -> CellContainer:
     """Recompute every row's voxel and bring the CSR voxel bins up to date.

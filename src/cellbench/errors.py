@@ -22,7 +22,8 @@ class ConfigError(CellBenchError, ValueError):
 
 
 class CapacityError(CellBenchError, RuntimeError):
-    """The hard cell-count cap was exceeded."""
+    """A hard cap was exceeded: the cell count, or the candidate pairs of the
+    pair lists."""
 
 
 class UndefinedMetricError(CellBenchError, ValueError):

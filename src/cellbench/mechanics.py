@@ -61,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CartesianMesh, CellContainer
-from .errors import ContainerStateError, DomainError, NumericError
+from .errors import CapacityError, ContainerStateError, DomainError, NumericError
 from .parallel import RegionRecord, WorkerPool
 from .smallvec import AllocationMode, norm, vector_ops
 
@@ -72,6 +72,11 @@ EPS_SKIP = 1e-8
 #: targets is summed: what bounds the arrays of one call, whatever the cell
 #: count.
 BLOCK = 4096
+
+#: Most pairs a half-shell pair list may hold: the lists are int64 arrays of
+#: n(n-1)/2 pairs for n cells in one voxel, so a clump this dense fails
+#: before they are expanded.
+MAX_PAIRS = 1 << 23
 
 #: The (y, z) offsets of the four mesh rows whose three-voxel runs lie in a
 #: voxel's forward half-shell; the backward half-shell takes their negations.
@@ -177,11 +182,19 @@ def _shell_ranges(container: CellContainer, sign: int) -> tuple[np.ndarray, np.n
 def _pair_list(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(first, second, ptr): each cell paired with the bin positions of its
     ranges, one row of ranges per cell; the pairs of the cell at bin
-    position p are `ptr[p]:ptr[p + 1]`, and `first` repeats p."""
+    position p are `ptr[p]:ptr[p + 1]`, and `first` repeats p.
+
+    A row of five ranges is one half-shell; more than `MAX_PAIRS` pairs
+    per half raise `CapacityError` before any pair is expanded.
+    """
     per_cell = counts.sum(axis=1)
+    ptr = np.concatenate(([0], np.add.accumulate(per_cell)))
+    halves = counts.shape[1] // 5
+    if ptr[-1] > halves * MAX_PAIRS:
+        raise CapacityError(f"{ptr[-1] // halves} candidate pairs per half-shell exceed "
+                            f"the limit of {MAX_PAIRS}: too many cells share a neighborhood")
     second = _ranges(starts.ravel(), counts.ravel())
-    return (np.arange(len(per_cell)).repeat(per_cell), second,
-            np.concatenate(([0], np.add.accumulate(per_cell))))
+    return np.arange(len(per_cell)).repeat(per_cell), second, ptr
 
 
 class HalfShells:

@@ -72,10 +72,6 @@ class RegionRecord:
         return sum(w.alloc_events for w in self.workers)
 
     @property
-    def total_iterations(self) -> int:
-        return sum(w.iterations for w in self.workers)
-
-    @property
     def total_claims(self) -> int:
         return sum(w.claims for w in self.workers)
 

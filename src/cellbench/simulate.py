@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .population import (
     StorageKind,
     attempt_divisions,
     division_draws,
-    locality_metric,
     sort_cells_by_voxel,
 )
 
@@ -106,7 +105,6 @@ class RunResult:
     step_records: list  # one {region: RegionRecord} dict per step
     wall_seconds: float
     final_cell_count: int
-    locality: list = field(default_factory=list)  # (step, L) when recorded
 
     def region_totals(self, region: str) -> RegionRecord:
         total = RegionRecord.empty(self.config.workers)
@@ -116,7 +114,7 @@ class RunResult:
         return total
 
 
-def run_simulation(cfg: RunConfig, record_locality: bool = False) -> RunResult:
+def run_simulation(cfg: RunConfig) -> RunResult:
     """Execute the configured run; see the module docstring for the step shape."""
     mesh = cfg.mesh()
     micro = Microenvironment(mesh, [cfg.diffusion], [cfg.decay], [cfg.initial_density])
@@ -132,7 +130,6 @@ def run_simulation(cfg: RunConfig, record_locality: bool = False) -> RunResult:
         sort_cells_by_voxel(container)
 
     step_records: list = []
-    locality: list = []
     clock = time.perf_counter
     t_run = clock()
     pool = WorkerPool(cfg.workers)
@@ -180,9 +177,6 @@ def run_simulation(cfg: RunConfig, record_locality: bool = False) -> RunResult:
                 sort_cells_by_voxel(container)
                 records["resort"] = _serial(cfg.workers, clock() - t0, len(container))
 
-            if record_locality:
-                locality.append((step, locality_metric(container, params)))
-
             step_records.append(records)
             micro.check_state()
     finally:
@@ -196,5 +190,4 @@ def run_simulation(cfg: RunConfig, record_locality: bool = False) -> RunResult:
         step_records=step_records,
         wall_seconds=clock() - t_run,
         final_cell_count=len(container),
-        locality=locality,
     )

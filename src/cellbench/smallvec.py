@@ -81,9 +81,6 @@ class TempAllocVectorOps:
         self.stats.alloc_events += result.size // 3
         return result
 
-    def add(self, a, b, out=None):
-        return self._fresh(np.add(a, b))
-
     def sub(self, a, b, out=None):
         return self._fresh(np.subtract(a, b))
 
@@ -111,9 +108,6 @@ class InPlaceVectorOps:
 
     def __init__(self, stats):
         self.stats = stats
-
-    def add(self, a, b, out):
-        return np.add(a, b, out=out)
 
     def sub(self, a, b, out):
         return np.subtract(a, b, out=out)

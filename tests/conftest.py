@@ -36,6 +36,25 @@ def make_container(mesh, positions, **cell_kwargs):
     return cont
 
 
+def check_consistent(cont):
+    """Assert the container invariants: every row's voxel is current, and the
+    CSR bins list each row once, in ascending id within ascending voxels."""
+    assert (cont.voxels == cont.mesh.voxels_of(cont.positions)).all()
+    assert (np.diff(cont.nonempty_voxels) > 0).all()
+    assert cont.bin_ptr[-1] == len(cont) == len(cont.bin_rows)
+    assert sorted(cont.bin_rows.tolist()) == list(range(len(cont)))
+    for k, v in enumerate(cont.nonempty_voxels.tolist()):
+        rows = cont.bin_rows[cont.bin_ptr[k]:cont.bin_ptr[k + 1]]
+        assert len(rows), f"bin of voxel {v} is empty but present"
+        assert (cont.voxels[rows] == v).all() and (cont.bin_of_row[rows] == k).all()
+        assert (np.diff(cont.ids[rows]) > 0).all()
+
+
+def total_iterations(record):
+    """The iterations of a `RegionRecord`, summed over its workers."""
+    return sum(w.iterations for w in record.workers)
+
+
 @pytest.fixture
 def temp_add_drifts(monkeypatch):
     """Make `temp` allocation compute different physics: its velocity sums

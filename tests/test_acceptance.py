@@ -45,18 +45,19 @@ from test_diffusion import line_solve_worst_error
 # --------------------------------------------------------------- criterion 1
 
 def test_criterion_1_allocation_accounting():
-    """Temp-mode bound scaled-sum expression: exactly 4 events; in-place region: 0."""
+    """Temp-mode bound scaled-displacement expression: exactly 4 events; in-place region: 0."""
     t0 = time.perf_counter()
 
-    # v = 0.25 * (a + b), bound as the velocity program binds a sum:
-    # the sum, the product, acc = acc + term and v = acc, one event each
+    # v = 0.25 * (b - a), bound as the velocity program binds a sum of
+    # scaled displacements: the displacement, the product, acc = acc + term
+    # and v = acc, one event each
     counter = WorkerStats()
     ops = vector_ops(AllocationMode.TEMPORARY_ALLOCATING, counter)
-    v = ops.sum_segments(ops.scale(0.25, ops.add([1.0, 2.0, 3.0], [4.0, 5.0, 6.0]))[None],
+    v = ops.sum_segments(ops.scale(0.25, ops.sub([5.0, 7.0, 9.0], [1.0, 2.0, 3.0]))[None],
                          np.zeros(1, np.intp), 1)
     expr_events = counter.alloc_events
     assert expr_events == 4
-    assert v.tolist() == [[1.25, 1.75, 2.25]]
+    assert v.tolist() == [[1.0, 1.25, 1.5]]
 
     mesh = cb.CartesianMesh(4, 4, 4)
     positions = []

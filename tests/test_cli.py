@@ -239,6 +239,18 @@ def test_capacity_exhaustion_exit_code(cfg_file, tmp_path, capsys):
     assert "capacity error" in capsys.readouterr().err
 
 
+def test_too_many_candidate_pairs_is_a_capacity_error(tmp_path, capsys):
+    # 5,000 cells in one voxel: more candidate pairs than the pair lists may hold
+    argv = ["run", "--out", str(tmp_path / "o")]
+    for setting in ("cells.count=5000", "cells.box=21,21,21,38,38,38", "mesh.nx=4",
+                    "mesh.ny=4", "mesh.nz=4", "steps=1"):
+        argv += ["--set", setting]
+    assert run_cli(*argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("capacity error: ") and "candidate pairs" in err
+    assert err.count("\n") == 1
+
+
 # ---------------------------------------------------------------- sweep
 
 def test_sweep_outputs(cfg_file, tmp_path, capsys):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import cellbench as cb
 from cellbench import DomainError, NumericError
 
-from conftest import make_container
+from conftest import check_consistent, make_container
 
 
 def bin_ids(cont):
@@ -142,7 +142,7 @@ def test_rebin_matches_bruteforce_oracle(small_mesh):
     assert bin_ids(cont) == oracle
     assert cont.nonempty_voxels.tolist() == sorted(oracle)
     assert [c.voxel_index for c in cont.cells] == voxels
-    cont.check_consistent()
+    check_consistent(cont)
 
 
 def test_rebin_preserves_storage_order_within_voxel(small_mesh):
@@ -165,12 +165,12 @@ def test_rebin_without_a_voxel_change_keeps_the_bins(small_mesh):
     cb.rebin_cells(cont)
     assert cont.bin_rows is bins and cont.candidates is table
     assert not cont.positions_dirty
-    cont.check_consistent()
+    check_consistent(cont)
     cont.positions[2] = (50.0, 70.0, 70.0)  # one cell crosses a voxel face
     cont.positions_dirty = True
     cb.rebin_cells(cont)
     assert cont.bin_rows is not bins and cont.candidates is None
-    cont.check_consistent()
+    check_consistent(cont)
 
 
 def test_rebin_after_a_permutation_rebuilds_the_bins(small_mesh):
@@ -182,7 +182,7 @@ def test_rebin_after_a_permutation_rebuilds_the_bins(small_mesh):
     cont.take([2, 1, 0])
     cb.rebin_cells(cont)
     assert cont.bin_rows.tolist() == [2, 1, 0]
-    cont.check_consistent()
+    check_consistent(cont)
 
 
 def test_rebin_still_rejects_a_position_outside_the_mesh(small_mesh):
@@ -204,7 +204,7 @@ def test_rebin_of_a_clean_container_returns_at_once(small_mesh):
     cont.positions_dirty = True
     cb.rebin_cells(cont)
     assert cont.bin_rows is not bins
-    cont.check_consistent()
+    check_consistent(cont)
 
 
 def test_appends_reallocate_logarithmically(small_mesh):
@@ -251,4 +251,4 @@ def test_check_consistent_detects_stale_bin(small_mesh):
     cont = make_container(small_mesh, [(10.0, 10.0, 10.0)])
     cont.cells[0].position[0] = 50.0  # moved without rebin
     with pytest.raises(AssertionError):
-        cont.check_consistent()
+        check_consistent(cont)

@@ -24,7 +24,7 @@ from cellbench import (
     update_velocities,
 )
 
-from conftest import make_container
+from conftest import check_consistent, make_container, total_iterations
 
 
 #: 4^3 voxels of 30 um centred on the origin: the edge covers the largest
@@ -157,10 +157,10 @@ def test_voxel_schedule_iterates_empty_voxels_too(small_mesh):
                                        MechanicsSchedule(ScheduleKind.NONEMPTY_VOXEL, 2), pool)
         r_cells = update_velocities(cont, small_mesh, InteractionParams(),
                                     MechanicsSchedule(ScheduleKind.CELL_STATIC), pool)
-    assert r_voxel.total_iterations == small_mesh.voxel_count
-    assert r_nonempty.total_iterations == len(cont.nonempty_voxels)
-    assert r_nonempty.total_iterations < r_voxel.total_iterations
-    assert r_cells.total_iterations == len(cont.cells)
+    assert total_iterations(r_voxel) == small_mesh.voxel_count
+    assert total_iterations(r_nonempty) == len(cont.nonempty_voxels)
+    assert total_iterations(r_nonempty) < total_iterations(r_voxel)
+    assert total_iterations(r_cells) == len(cont.cells)
 
 
 def test_update_requires_consistent_binning(small_mesh):
@@ -433,7 +433,7 @@ def test_kept_bins_give_the_velocities_of_a_fresh_container(steps, schedule, mod
                 step[1].shuffle(rows)
                 cont.take(rows)
             cb.rebin_cells(cont)
-            cont.check_consistent()
+            check_consistent(cont)
             assert (cont.candidates is table) == (kind == "inside")
             fresh = fresh_copy(cont)
             for c in (cont, fresh):
@@ -517,6 +517,38 @@ def test_one_crowded_target_does_not_pad_its_block():
     assert peak < VELOCITY_PEAK_BOUND
 
 
+@pytest.mark.parametrize("schedule", ALL_SCHEDULES, ids=lambda s: s.kind.value)
+def test_the_pair_limit_counts_forward_pairs_under_every_schedule(schedule, monkeypatch):
+    # the list of both halves holds twice the forward pairs; a run at the
+    # limit passes under every schedule, and one pair more fails under each
+    cont = packed_cells()
+    pairs = len(mechanics.HalfShells(cont).first)
+    with WorkerPool(2) as pool:
+        for limit in (pairs, pairs - 1):
+            monkeypatch.setattr(mechanics, "MAX_PAIRS", limit)
+            cont.candidates = None
+            if limit < pairs:
+                with pytest.raises(cb.CapacityError, match="candidate pairs"):
+                    update_velocities(cont, cont.mesh, InteractionParams(), schedule, pool)
+            else:
+                update_velocities(cont, cont.mesh, InteractionParams(), schedule, pool)
+
+
+def test_a_clump_past_the_pair_limit_fails_before_its_pair_list():
+    # 5,000 cells in one voxel make 12.5M forward pairs, about 300 MiB of
+    # pair list; the run raises before it expands any of them
+    cfg = cb.build_config({"cells.count": "5000", "cells.box": "21,21,21,38,38,38",
+                           "mesh.nx": "4", "mesh.ny": "4", "mesh.nz": "4", "steps": "1"})
+    tracemalloc.start()
+    try:
+        with pytest.raises(cb.CapacityError, match="candidate pairs"):
+            cb.run_simulation(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+
+
 # ---------------------------------------------------------------- accounting
 
 def temp_event_oracle(cont, mesh, params):
@@ -572,7 +604,7 @@ def test_integration_moves_cells_exactly(small_mesh):
                                                10.0 + 0.1 * 3.0]
     assert cont.cells[1].position.tolist() == [30.0, 30.0, 30.0]
     assert cont.positions_dirty
-    assert record.total_iterations == 2
+    assert total_iterations(record) == 2
 
 
 def test_integration_clamps_at_the_boundary(small_mesh):

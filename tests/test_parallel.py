@@ -17,6 +17,8 @@ from cellbench import (
     vector_ops,
 )
 
+from conftest import total_iterations
+
 
 # ---------------------------------------------------------------- splits
 
@@ -51,7 +53,7 @@ def test_run_static_covers_each_item_once():
 
         record = pool.run_static(11, body)
     assert [r for rs in seen for r in rs] == static_ranges(11, 4)
-    assert record.total_iterations == 11
+    assert total_iterations(record) == 11
     # static claims count items, so claims sum to the schedulable total
     assert record.total_claims == 11
     assert record.claim_log is None
@@ -88,7 +90,7 @@ def test_run_dynamic_covers_each_item_once(n, grain, workers):
     flat = sorted(x for s in seen for x in s)
     assert flat == list(range(n))
     assert record.total_claims == -(-n // grain)
-    assert record.total_iterations == n
+    assert total_iterations(record) == n
 
 
 def test_run_dynamic_claim_log():
@@ -147,7 +149,7 @@ def test_allocation_events_are_harvested_per_worker():
         def body(lo, hi, ctx):
             ops = vector_ops(AllocationMode.TEMPORARY_ALLOCATING, ctx.stats)
             for _ in range(lo, hi):
-                ops.add([0.0] * 3, [1.0] * 3)
+                ops.sub([1.0] * 3, [0.0] * 3)
 
         record = pool.run_static(6, body)
         assert [w.alloc_events for w in record.workers] == [3, 3]
@@ -187,7 +189,7 @@ def test_body_exceptions_propagate(workers):
 
         # the pool survives a failed region and can dispatch again
         record = pool.run_static(4, lambda lo, hi, ctx: None)
-        assert record.total_iterations == 4
+        assert total_iterations(record) == 4
     finally:
         pool.shutdown()
 

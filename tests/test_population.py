@@ -24,7 +24,7 @@ from cellbench import (
     update_velocities,
 )
 
-from conftest import make_container
+from conftest import check_consistent, make_container
 
 
 # ---------------------------------------------------------------- rng
@@ -71,7 +71,7 @@ def test_certain_division_doubles_the_population(small_mesh):
     assert len(daughters) == 6
     assert len(cont) == 12
     assert not cont.positions_dirty  # rebinned internally
-    cont.check_consistent()
+    check_consistent(cont)
 
     # fresh ids above every existing id, assigned in parent-id order
     assert list(daughters) == list(range(6, 12))
@@ -128,7 +128,7 @@ def test_capacity_error_fires_before_any_append(small_mesh):
     with pytest.raises(CapacityError):
         attempt_divisions(cont, seed=1, dt=1.0, mesh=small_mesh, step=0, cap=8)
     assert len(cont) == 6  # nothing was half-applied
-    cont.check_consistent()
+    check_consistent(cont)
 
 
 def test_division_rejects_bad_dt(small_mesh):
@@ -162,7 +162,7 @@ def test_sort_cells_by_voxel_orders_storage(small_mesh):
     sort_cells_by_voxel(cont)
     assert cont.ids.tolist() == [1, 2, 0]
     assert cont.positions[2].tolist() == [70.0, 70.0, 70.0]
-    cont.check_consistent()
+    check_consistent(cont)
     # idempotent
     sort_cells_by_voxel(cont)
     assert cont.ids.tolist() == [1, 2, 0]

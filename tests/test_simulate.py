@@ -18,6 +18,8 @@ from cellbench import (
     state_checksum,
 )
 
+from conftest import total_iterations
+
 
 def tiny_config(**over):
     base = dict(
@@ -94,10 +96,10 @@ def test_every_region_is_recorded_every_step():
     for records in result.step_records:
         assert set(records) == set(REGIONS)
         # inactive regions still report, as zeros
-        assert records["divide"].total_iterations == 0
+        assert total_iterations(records["divide"]) == 0
         assert records["resort"].elapsed == 0.0
-        assert records["velocity"].total_iterations == 30
-        assert records["rebin"].total_iterations == 30
+        assert total_iterations(records["velocity"]) == 30
+        assert total_iterations(records["rebin"]) == 30
 
 
 def test_division_growth_is_accounted():
@@ -105,7 +107,7 @@ def test_division_growth_is_accounted():
     result = run_simulation(cfg)
     assert result.final_cell_count > 30
     assert result.final_cell_count == len(result.container.cells)
-    divided = sum(records["divide"].total_iterations
+    divided = sum(total_iterations(records["divide"])
                   for records in result.step_records)
     assert divided == result.final_cell_count - 30
 
@@ -166,20 +168,14 @@ def test_resort_cadence_follows_the_period():
     )
     result = run_simulation(cfg)
     active = [i for i, records in enumerate(result.step_records)
-              if records["resort"].total_iterations > 0]
+              if total_iterations(records["resort"]) > 0]
     assert active == [1, 3]
-
-
-def test_locality_recording():
-    result = run_simulation(tiny_config(steps=3), record_locality=True)
-    assert [step for step, _ in result.locality] == [0, 1, 2]
-    assert all(isinstance(val, float) for _, val in result.locality)
 
 
 def test_region_totals_accumulate_across_steps():
     result = run_simulation(tiny_config())
     total = result.region_totals("velocity")
-    assert total.total_iterations == 4 * 30
+    assert total_iterations(total) == 4 * 30
     assert total.elapsed >= max(w.busy for w in total.workers)
 
 

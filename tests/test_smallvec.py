@@ -23,42 +23,41 @@ def fresh(mode):
 
 
 def test_bound_scaled_sum_costs_four_events_temp():
-    # v = a * (v1 + v2) as the velocity program binds it, acc = 0.0,
-    # acc = acc + a * (v1 + v2), v = acc: one temporary for the sum, one for
-    # the product, one for the accumulator, one for the binding.
+    # v = a * (v2 - v1) as the velocity program binds it, acc = 0.0,
+    # acc = acc + a * (v2 - v1), v = acc: one temporary for the displacement,
+    # one for the product, one for the accumulator, one for the binding.
     ops, counter = fresh(AllocationMode.TEMPORARY_ALLOCATING)
-    v1, v2 = [1.0, 2.0, 3.0], [4.0, 5.0, 6.0]
-    v = ops.sum_segments(ops.scale(0.5, ops.add(v1, v2))[None], np.zeros(1, np.intp), 1)
+    v1, v2 = [1.0, 2.0, 3.0], [6.0, 8.0, 10.0]
+    v = ops.sum_segments(ops.scale(0.5, ops.sub(v2, v1))[None], np.zeros(1, np.intp), 1)
     assert counter.alloc_events == 4
-    assert v.tolist() == [[2.5, 3.5, 4.5]]
+    assert v.tolist() == [[2.5, 3.0, 3.5]]
 
 
 def test_scaled_sum_in_place_costs_zero_events():
     ops, counter = fresh(AllocationMode.IN_PLACE)
-    v1, v2 = [1.0, 2.0, 3.0], [4.0, 5.0, 6.0]
+    v1, v2 = [1.0, 2.0, 3.0], [6.0, 8.0, 10.0]
     work = np.zeros(3)
-    v = ops.sum_segments(ops.scale(0.5, ops.add(v1, v2, work), work)[None],
+    v = ops.sum_segments(ops.scale(0.5, ops.sub(v2, v1, work), work)[None],
                          np.zeros(1, np.intp), 1)
     assert counter.alloc_events == 0
-    assert v.tolist() == [[2.5, 3.5, 4.5]]
+    assert v.tolist() == [[2.5, 3.0, 3.5]]
 
 
 def test_every_vector_valued_operator_is_one_event():
     ops, counter = fresh(AllocationMode.TEMPORARY_ALLOCATING)
     a, b = [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]
-    ops.add(a, b)
     ops.sub(a, b)
     ops.scale(2.0, a)
-    assert counter.alloc_events == 3
+    assert counter.alloc_events == 2
 
 
 def test_bound_nested_sums_cost_five_events():
-    # v = (v0 + v1) + (v2 + v3) as acc = 0.0, acc = acc + (v0 + v1),
-    # acc = acc + (v2 + v3), v = acc: two temporaries, two accumulators and
+    # v = (v1 - v0) + (v3 - v2) as acc = 0.0, acc = acc + (v1 - v0),
+    # acc = acc + (v3 - v2), v = acc: two temporaries, two accumulators and
     # one binding
     ops, counter = fresh(AllocationMode.TEMPORARY_ALLOCATING)
-    v = [[float(i), 0.0, 0.0] for i in range(4)]
-    pairs = np.stack([ops.add(v[0], v[1]), ops.add(v[2], v[3])])
+    v = [[float(i * i), 0.0, 0.0] for i in range(4)]
+    pairs = np.stack([ops.sub(v[1], v[0]), ops.sub(v[3], v[2])])
     total = ops.sum_segments(pairs, np.zeros(2, np.intp), 1)
     assert counter.alloc_events == 5
     assert total.tolist() == [[6.0, 0.0, 0.0]]
@@ -75,7 +74,7 @@ def test_norm_returns_one_length_per_vector():
 def test_scalar_valued_operators_record_nothing(mode):
     # Taking the norm of a mode's result leaves that mode's count unchanged.
     ops, counter = fresh(mode)
-    r = ops.add([3.0, 0.0, 0.0], [0.0, 4.0, 0.0], np.zeros(3))
+    r = ops.sub([3.0, 0.0, 0.0], [0.0, -4.0, 0.0], np.zeros(3))
     events = counter.alloc_events
     assert smallvec.norm(r) == 5.0
     assert smallvec.norm(np.stack([r, r])).tolist() == [5.0, 5.0]
@@ -85,20 +84,19 @@ def test_scalar_valued_operators_record_nothing(mode):
 def test_in_place_operators_return_their_out_argument():
     ops, _ = fresh(AllocationMode.IN_PLACE)
     out = np.zeros(3)
-    assert ops.add([1.0, 2.0, 3.0], [1.0, 1.0, 1.0], out) is out
     assert ops.scale(2.0, [1.0, 2.0, 3.0], out) is out
     assert ops.sub([1.0, 2.0, 3.0], [1.0, 1.0, 1.0], out) is out
 
 
 @given(s=finite, v1=vec, v2=vec, v3=vec)
 def test_modes_are_bit_identical(s, v1, v2, v3):
-    # Same expression, same operation order: s*(v1+v2) - v3, then a norm.
+    # Same expression, same operation order: s*(v2-v1) - v3, then a norm.
     ta, _ = fresh(AllocationMode.TEMPORARY_ALLOCATING)
     ip, _ = fresh(AllocationMode.IN_PLACE)
     w1, w2 = np.zeros(3), np.zeros(3)
 
-    r_temp = ta.sub(ta.scale(s, ta.add(v1, v2)), v3)
-    r_inpl = ip.sub(ip.scale(s, ip.add(v1, v2, w1), w1), v3, w2)
+    r_temp = ta.sub(ta.scale(s, ta.sub(v2, v1)), v3)
+    r_inpl = ip.sub(ip.scale(s, ip.sub(v2, v1, w1), w1), v3, w2)
     assert r_temp.tolist() == r_inpl.tolist()
     assert smallvec.norm(r_temp) == smallvec.norm(r_inpl)
 
@@ -155,7 +153,7 @@ def test_counter_reset_and_merge():
     def body(lo, hi, ctx):
         ops = vector_ops(AllocationMode.TEMPORARY_ALLOCATING, ctx.stats)
         for _ in range(lo, hi):
-            ops.add([0.0] * 3, [0.0] * 3)
+            ops.sub([0.0] * 3, [0.0] * 3)
 
     with WorkerPool(2) as pool:
         first = pool.run_static(7, body)
