@@ -173,8 +173,8 @@ class CellContainer:
     are kept while no cell changes voxel: `add_cells` and `take` mark the
     rows changed, and `rebin_cells` rebuilds only after such a change or a
     voxel change.  `candidates` caches whatever index arrays are derived from
-    the bins alone (the velocity kernel's half-shell pair lists,
-    `mechanics.HalfShells`); a rebuild resets it to None.  It never holds a
+    the bins alone (the velocity kernel's pair lists,
+    `mechanics.PairLists`); a rebuild resets it to None.  It never holds a
     view of a column, since an append may reallocate the columns.
     """
 

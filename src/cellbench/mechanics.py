@@ -9,35 +9,34 @@ orders, and allocation modes: the strategies may only move work around, never
 change it.
 
 One vectorized pair kernel (`PairKernel`) serves the velocity update and the
-locality metric.  It reads half-shell pair lists derived from the
-container's CSR voxel bins (`HalfShells`): the forward list holds every
-unordered pair of distinct cells in Moore-adjacent voxels once, grouped by
-its first cell in bin order, and the list of both halves holds every
-directed candidate pair.  The lists are cached on the container and built
-again only after `rebin_cells` rebuilt the bins, which it does only when a
-row was added or reordered or a cell changed voxel.  Binning is exact, not
-approximate, provided the voxel edge is at least the largest interaction
-range (checked by `check_binning_exact` at run start).
+locality metric.  It walks pair lists of storage rows (`PairLists`), built
+from the container's CSR voxel bins in that summation order and cached on
+the container until `rebin_cells` rebuilds the bins, which it does only when
+a row was added or reordered or a cell changed voxel.  Binning is exact
+provided the voxel edge is at least the largest interaction range (checked
+by `check_binning_exact` at run start).
 
-A pair's contribution to its second cell is exactly the negation of its
-contribution to the first: the displacement negates and the scalar factor is
-shared.  So the chunk that holds every cell (`cell_static` at one worker)
-walks the forward list only, evaluates each pair once, and writes +c to one
-cell and -c to the other.  It is summed in blocks of targets, so that the
-terms held at once stay bounded; a block after the first, and every chunk
-that does not hold every cell, walks the list of both halves instead and
-keeps the term of its own cell only.  Pairs are evaluated in slices of at
-most `BLOCK`, the force law on the in-range ones only.  `_term_order` is
-the one step that orders the directed terms, by ascending neighbor id, and
-`ops.sum_segments` sums each target's terms from 0.0 in that order, one
-`np.bincount` per component.  Squares are `np.float_power(x, 2.0)`, which
-calls libm pow as Python's `**` does; the norm is d0*d0 + d1*d1 + d2*d2.
+A chunk sets its cells' velocities to 0.0, evaluates the force law on the
+in-range pairs of its list, `BLOCK` pairs at a time, and adds each term into
+its cell's row with `ops.add_at`, whose `np.add.at` adds in array order: so
+each sum is the scalar 0.0 + t1 + t2 + ..., wherever the slices fall.  The
+chunk that holds every cell (`cell_static` at one worker) walks the forward
+list, every pair of Moore-adjacent cells once as (lower-id row, higher-id
+row), sorted by that pair of ids, and evaluates each pair once: the term of
+the higher cell in the lower's velocity is exactly the negation of the
+lower's in the higher's, since the displacement negates and the scalar
+factor is shared.  Every other chunk walks its cells' groups of the directed
+list, every pair once in each direction, grouped by the owner's bin
+position, each group in ascending partner id.  Squares are
+`np.float_power(x, 2.0)`, which calls libm pow as Python's `**` does; the
+norm is d0*d0 + d1*d1 + d2*d2.
 
 The vector-valued operators come from `smallvec.vector_ops`: under `temp`
 each makes a fresh array, under `inplace` each writes into an `out=` buffer.
-The `temp` events follow the scalar program, one displacement per directed
-candidate pair, whatever the kernel shares between a pair's two directions
-(`ops.shared`).
+The `temp` events follow the scalar program: one displacement per directed
+candidate pair and one product per directed in-range pair, whatever the
+kernel shares between a pair's two directions (`ops.shared`), and the sums'
+events as `ops.add_at` counts them.
 
 Schedules:
 * CellStatic       -- even contiguous split of the cell rows;
@@ -68,12 +67,11 @@ from .smallvec import AllocationMode, norm, vector_ops
 #: Pairs closer than this (um) are skipped; the direction is numerically void.
 EPS_SKIP = 1e-8
 
-#: Pairs evaluated at once, and the in-range pairs after which a block of
-#: targets is summed: what bounds the arrays of one call, whatever the cell
-#: count.
+#: Pairs evaluated at once: what bounds the arrays of one call beyond its
+#: pair lists, whatever the cell count.
 BLOCK = 4096
 
-#: Most pairs a half-shell pair list may hold: the lists are int64 arrays of
+#: Most pairs a half-shell may hold: the pair lists are int64 arrays of
 #: n(n-1)/2 pairs for n cells in one voxel, so a clump this dense fails
 #: before they are expanded.
 MAX_PAIRS = 1 << 23
@@ -81,8 +79,6 @@ MAX_PAIRS = 1 << 23
 #: The (y, z) offsets of the four mesh rows whose three-voxel runs lie in a
 #: voxel's forward half-shell; the backward half-shell takes their negations.
 _HALF_ROWS = np.array([(1, 0), (-1, 1), (0, 1), (1, 1)])
-
-_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class ScheduleKind(enum.Enum):
@@ -179,144 +175,123 @@ def _shell_ranges(container: CellContainer, sign: int) -> tuple[np.ndarray, np.n
     return starts, counts
 
 
-def _pair_list(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(first, second, ptr): each cell paired with the bin positions of its
-    ranges, one row of ranges per cell; the pairs of the cell at bin
-    position p are `ptr[p]:ptr[p + 1]`, and `first` repeats p.
+def _half_shell_partners(container: CellContainer,
+                         signs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(per_cell, ids, partners): every cell's half-shells of the given
+    signs, expanded into the ids of its partners; the partners of the cell
+    at bin position p come after those of the cells before it, `per_cell[p]`
+    of them, and `ids` lists the ids by bin position.
 
-    A row of five ranges is one half-shell; more than `MAX_PAIRS` pairs
-    per half raise `CapacityError` before any pair is expanded.
+    More than `MAX_PAIRS` pairs per half-shell raise `CapacityError` before
+    any pair is expanded.
     """
+    starts, counts = (np.hstack(half) for half in zip(*(_shell_ranges(container, sign)
+                                                         for sign in signs)))
     per_cell = counts.sum(axis=1)
-    ptr = np.concatenate(([0], np.add.accumulate(per_cell)))
-    halves = counts.shape[1] // 5
-    if ptr[-1] > halves * MAX_PAIRS:
-        raise CapacityError(f"{ptr[-1] // halves} candidate pairs per half-shell exceed "
+    pairs = int(per_cell.sum())
+    if pairs > len(signs) * MAX_PAIRS:
+        raise CapacityError(f"{pairs // len(signs)} candidate pairs per half-shell exceed "
                             f"the limit of {MAX_PAIRS}: too many cells share a neighborhood")
-    second = _ranges(starts.ravel(), counts.ravel())
-    return np.arange(len(per_cell)).repeat(per_cell), second, ptr
+    ids = container.ids.take(container.bin_rows)
+    return per_cell, ids, ids.take(_ranges(starts.ravel(), counts.ravel()))
 
 
-class HalfShells:
-    """The pair lists of one binned container state, in bin positions.
-
-    `first[k]`, `second[k]` is pair k of the forward list: each cell with
-    its forward half-shell, grouped by `first` with `ptr`.  `both`, the
-    same for both halves (every directed candidate pair), is built only for
-    a chunk that does not hold every cell, or a block of targets that does
-    not start at the first cell.  `bin_pos[row]` is the bin position of a
-    storage row.  Every field is an index array derived from the bins alone.
-    """
-
-    def __init__(self, container: CellContainer):
-        self.forward_ranges = _shell_ranges(container, 1)
-        self.first, self.second, self.ptr = _pair_list(*self.forward_ranges)
-        self.bin_pos = np.empty(len(container), dtype=np.intp)
-        self.bin_pos[container.bin_rows] = np.arange(len(container))
-        self.both = None
-
-    def build_both(self, container: CellContainer) -> None:
-        if self.both is None:
-            backward = _shell_ranges(container, -1)
-            self.both = _pair_list(*(np.hstack(half)
-                                     for half in zip(self.forward_ranges, backward)))
+def _sorted_keys(major: np.ndarray, minor: np.ndarray, bits: int) -> np.ndarray:
+    """The keys major << bits | minor, in `major`'s storage, sorted: so by
+    major, then by minor.  Both are ids or bin positions, below `next_id`,
+    and bits is `next_id.bit_length()`: two fit one int64 below 2**31 ids."""
+    major <<= bits
+    major |= minor
+    major.sort()
+    return major
 
 
-def _term_order(neighbors: np.ndarray, next_id: int) -> np.ndarray:
-    """Indices that sort directed terms by neighbor id, which puts each
-    target's terms in ascending neighbor id; equal ids are terms of
-    different targets, whose order changes no sum.
+def _row_of_id(container: CellContainer) -> np.ndarray:
+    rows = np.empty(container.next_id, dtype=np.intp)
+    rows[container.ids] = np.arange(len(container))
+    return rows
 
-    The term index is packed into the low bits of the id, so one `np.sort`
-    orders them.  A few keys, or keys too wide for 63 bits with the index,
-    are argsorted instead.
-    """
-    bits = (len(neighbors) - 1).bit_length()
-    if len(neighbors) < 256 or next_id << bits > _INT64_MAX:
-        return neighbors.argsort()
-    key = neighbors << bits
-    key |= np.arange(len(key))
-    key.sort()
+
+def _forward_list(container: CellContainer) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, higher): the storage rows of the lower-id and the higher-id
+    cell of every pair in a forward half-shell, sorted by (lower id, higher
+    id)."""
+    per_cell, ids, partner = _half_shell_partners(container, (1,))
+    cell = ids.repeat(per_cell)
+    lower = np.minimum(cell, partner)
+    np.maximum(cell, partner, out=partner)
+    del cell
+    bits = container.next_id.bit_length()
+    key = _sorted_keys(lower, partner, bits)
+    del partner
+    rows = _row_of_id(container)
+    higher = rows.take(key & ((1 << bits) - 1))
+    key >>= bits
+    return rows.take(key), higher
+
+
+def _directed_list(container: CellContainer) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(partner, ptr, bin_pos): the storage rows of the neighbors of the
+    cell at bin position p are `partner[ptr[p]:ptr[p + 1]]`, in ascending
+    id, from both its half-shells; `bin_pos[row]` is the bin position of a
+    storage row."""
+    per_cell, _, partner = _half_shell_partners(container, (1, -1))
+    bits = container.next_id.bit_length()
+    key = _sorted_keys(np.arange(len(per_cell)).repeat(per_cell), partner, bits)
+    del partner
     key &= (1 << bits) - 1
-    return key
+    ptr = np.concatenate(([0], np.add.accumulate(per_cell)))
+    bin_pos = np.empty(len(container), dtype=np.intp)
+    bin_pos[container.bin_rows] = np.arange(len(container))
+    return _row_of_id(container).take(key), ptr, bin_pos
 
 
-def _joined(parts):
-    """Each field of a list of equal-length tuples of arrays, concatenated."""
-    if len(parts) == 1:
-        return parts[0]
-    return tuple(np.concatenate(field) for field in zip(*parts))
-
-
-class _Chunk:
-    """The targets of one chunk: the cells at bin positions [lo, hi)
-    (`in_bins`), or at storage rows [lo, hi), in that order.
-
-    Local target k is the cell at bin position `lo + k`, or at storage row
-    `lo + k`.  `pairs` lists the targets' pairs from the pair list in use,
-    one of `HalfShells`; `bounds[k]` counts the pairs of the local targets
-    before k, from `bounds[0]`.
+class PairLists:
+    """The pair lists of one binned container state, each built on first
+    use: `forward` (`_forward_list`) for the chunk that holds every cell,
+    `directed` (`_directed_list`) for any other.  Every field is an index
+    array derived from the bins alone.
     """
 
-    def __init__(self, kernel: PairKernel, lo: int, hi: int, in_bins: bool, pair_list):
-        self.lo, self.bin_rows = lo, kernel.bin_rows
-        # the bin positions of the targets, None for the run [lo, hi)
-        self.at = None if in_bins else kernel.shells.bin_pos[lo:hi]
-        self.rows = self.bin_rows[lo:hi] if in_bins else np.arange(lo, hi)
-        self.use(pair_list)
+    def __init__(self):
+        self.forward = self.directed = None
 
-    def use(self, pair_list) -> None:
-        self.list = pair_list
-        ptr = pair_list[2]
-        if self.at is None:
-            self.bounds = ptr[self.lo:self.lo + len(self.rows) + 1]
-        else:
-            self.bounds = np.concatenate(([0], np.add.accumulate(ptr[self.at + 1] - ptr[self.at])))
+    def build_forward(self, container: CellContainer) -> tuple[np.ndarray, np.ndarray]:
+        if self.forward is None:
+            self.forward = _forward_list(container)
+        return self.forward
 
-    def local(self, targets: np.ndarray, b0: int) -> np.ndarray:
-        """The local index of each target, given by bin position, minus b0."""
-        if self.at is None:
-            return targets - (self.lo + b0)
-        return self.bin_rows.take(targets) - (self.lo + b0)
-
-    def pairs(self, r0: int, r1: int):
-        """(i, j): the pairs of the local targets r0..r1-1, the target first."""
-        first, second, ptr = self.list
-        if self.at is None:
-            lo, hi = ptr[self.lo + r0], ptr[self.lo + r1]
-            return first[lo:hi], second[lo:hi]
-        k = _ranges(ptr[self.at[r0:r1]], self.bounds[r0 + 1:r1 + 1] - self.bounds[r0:r1])
-        return first.take(k), second.take(k)
+    def build_directed(self, container: CellContainer) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if self.directed is None:
+            self.directed = _directed_list(container)
+        return self.directed
 
 
 class PairKernel:
-    """The pair kernel over the half-shell pairs of one binned container state.
+    """The pair kernel over the pair lists of one binned container state.
 
     The pair lists hold only index arrays derived from the bins, so they are
     cached on the container (`CellContainer.candidates`) and built only
-    after `rebin_cells` rebuilt the bins.  Positions, radii and ids are
-    gathered into bin order on each construction, so the kernel names cells
-    by bin position.  `split` builds the list of both halves before a
-    dispatch whose chunks may not hold every cell, so no worker builds it.
+    after `rebin_cells` rebuilt the bins.  They name cells by storage row,
+    so the kernel reads the position and radius columns in place.  `split`
+    builds the directed list before a dispatch whose chunks may not hold
+    every cell, so no worker builds it.
     """
 
     def __init__(self, container: CellContainer, params: InteractionParams,
                  split: bool = False):
         self.container = container
-        self.bin_rows = container.bin_rows
-        self.pos = container.positions.take(self.bin_rows, axis=0)
-        self.radii = container.radii.take(self.bin_rows)
-        self.ids = container.ids.take(self.bin_rows)
+        self.pos, self.radii = container.positions, container.radii
         self.params = params
         if container.candidates is None:
-            container.candidates = HalfShells(container)
-        self.shells = container.candidates
+            container.candidates = PairLists()
+        self.lists = container.candidates
         if split:
-            self.shells.build_both(container)
+            self.lists.build_directed(container)
 
     def in_range(self, i: np.ndarray, j: np.ndarray, ops):
         """The in-range pairs among the pairs of cells (i[k], j[k]), named by
-        bin position: (i, j, dvec, d, contact, reach), where dvec points from
+        storage row: (i, j, dvec, d, contact, reach), where dvec points from
         cell i to cell j.
 
         The displacement of every pair is one `ops.sub`.
@@ -333,12 +308,9 @@ class PairKernel:
                 contact.take(near), reach.take(near))
 
     def contributions(self, i: np.ndarray, j: np.ndarray, ops):
-        """(i, j, c) of the in-range pairs among the pairs (i[k], j[k]), in
-        slices of at most BLOCK pairs: c is the term of cell j in the
-        velocity of cell i, and -c is exactly that of cell i in cell j's."""
-        if len(i) > BLOCK:
-            return _joined([self.contributions(i[lo:lo + BLOCK], j[lo:lo + BLOCK], ops)
-                            for lo in range(0, len(i), BLOCK)])
+        """(i, j, c) of the in-range pairs among the pairs (i[k], j[k]): c is
+        the term of cell j in the velocity of cell i, and -c is exactly that
+        of cell i in cell j's."""
         i, j, dvec, d, contact, reach = self.in_range(i, j, ops)
         p = self.params
         rep = -p.repulsion * np.float_power(1.0 - d / contact, 2.0)
@@ -350,79 +322,40 @@ class PairKernel:
         """Write the velocities of one chunk's cells into `out`: the cells at
         bin positions [lo, hi), or at storage rows [lo, hi).
 
-        The chunk's targets are walked in slices of whole cells with at most
-        BLOCK pairs unless one cell has more, and summed in blocks: a block
-        closes after the slice that brings its in-range pairs to BLOCK, so
-        the terms it holds stay bounded whatever the cell count.  The chunk
-        that holds every cell is walked in bin order, and a block of it
-        evaluates each pair with both cells in the block once, giving +c to
-        its first cell and -c to its second: the first block walks the
-        forward half-shells, a later one both halves without the backward
-        pairs inside it.  Any other chunk walks both halves of its cells
-        and keeps the term of its own cell only, so it evaluates a pair
-        with both cells in the chunk from each side.
+        The chunk that holds every cell walks the forward list, and any
+        other chunk the groups of its cells in the directed list, so it
+        evaluates a pair with both cells in the chunk from each side.
         """
-        count = hi - lo
-        whole = count == len(self.pos)
-        if whole:  # every cell: one chunk in bin order
-            lo, hi, in_bins = 0, count, True
-        shells = self.shells
-        if not whole:
-            shells.build_both(self.container)
-        chunk = _Chunk(self, lo, hi, in_bins, (shells.first, shells.second, shells.ptr)
-                       if whole else shells.both)
-        b0 = r0 = near = shared = 0
-        found = []
-        while r0 < count:
-            bounds, r1 = chunk.bounds, count
-            if bounds[count] - bounds[r0] > BLOCK:
-                r1 = max(r0 + 1, int(bounds.searchsorted(bounds[r0] + BLOCK, side="right")) - 1)
-            i, j = chunk.pairs(r0, r1)
-            if whole and b0:
-                # a backward pair inside the block mirrors one of its forward pairs
-                keep = ((j > i) | (j < b0)).nonzero()[0]
-                shared += len(i) - len(keep)
-                i, j = i.take(keep), j.take(keep)
-            found.append(self.contributions(i, j, ops))
-            near += len(found[-1][0])
-            r0 = r1
-            if r1 < count and near < BLOCK:
-                continue
-            if whole and not b0:  # every backward pair of the first block mirrors a forward pair
-                if r1 == count:
-                    shared = len(shells.first)
-                else:
-                    shells.build_both(self.container)
-                    chunk.use(shells.both)
-                    shared = int(shells.both[2][r1] - shells.ptr[r1])
-            ops.shared(shared)
-            self._sum_block(chunk, b0, r1, found, whole, ops, out)
-            b0, near, shared = r1, 0, 0
-
-    def _sum_block(self, chunk: _Chunk, b0: int, b1: int, found, mirrors: bool, ops,
-                   out) -> None:
-        """Sum the velocities of local targets b0..b1-1 into `out` from
-        their in-range pairs (i, j, c), where i is a target of the block,
-        found slice by slice; the list is emptied.  If `mirrors`, the chunk
-        holds every cell in bin order and -c goes to every j in the block
-        too.  The terms are put in ascending neighbor id, and
-        `ops.sum_segments` adds each target's from 0.0 in that order."""
-        count = b1 - b0
-        i, j, c = _joined(found)
-        found.clear()
-        t = chunk.local(i, b0)
-        if mirrors:
-            # j is a bin position; one before the block wraps to a huge unsigned index
-            inside = ((j - b0).view(np.uintp) < count).nonzero()[0]
-            if len(inside):
-                mirror = c.take(inside, axis=0)
-                t = np.concatenate((t, j.take(inside) - b0))
-                c = np.concatenate((c, ops.scale(-1.0, mirror, mirror)))
-                j = np.concatenate((j, i.take(inside)))
-        del i
-        order = _term_order(self.ids.take(j), self.container.next_id)
-        del j
-        out[chunk.rows[b0:b1]] = ops.sum_segments(c.take(order, axis=0), t.take(order), count)
+        container = self.container
+        if hi - lo == len(container):
+            lower, higher = self.lists.build_forward(container)
+            out[:] = 0.0
+            for s in range(0, len(lower), BLOCK):
+                pairs = lower[s:s + BLOCK]
+                i, j, c = self.contributions(pairs, higher[s:s + BLOCK], ops)
+                # the scalar program computes the other direction's
+                # displacement and product itself
+                ops.shared(len(pairs) + len(i))
+                # a cell's pairs as the higher-id cell come before those as
+                # the lower-id one, so its terms as the higher go in first
+                ops.add_at(out, j, c, subtract=True)
+                ops.add_at(out, i, c)
+            return
+        partner, ptr, bin_pos = self.lists.build_directed(container)
+        if in_bins:
+            rows = container.bin_rows[lo:hi]
+            per_cell = np.diff(ptr[lo:hi + 1])
+            partners = partner[ptr[lo]:ptr[hi]]
+        else:
+            rows = np.arange(lo, hi)
+            starts = ptr.take(bin_pos[lo:hi])
+            per_cell = ptr.take(bin_pos[lo:hi] + 1) - starts
+            partners = partner.take(_ranges(starts, per_cell))
+        out[rows] = 0.0
+        owners = rows.repeat(per_cell)
+        for s in range(0, len(owners), BLOCK):
+            i, _, c = self.contributions(owners[s:s + BLOCK], partners[s:s + BLOCK], ops)
+            ops.add_at(out, i, c)
 
 
 def update_velocities(container: CellContainer, mesh: CartesianMesh,
@@ -431,10 +364,10 @@ def update_velocities(container: CellContainer, mesh: CartesianMesh,
                       alloc_mode: AllocationMode = AllocationMode.IN_PLACE) -> RegionRecord:
     """Recompute every cell's velocity from its in-range neighbors.
 
-    The kernel takes the container's cached pair lists, or builds them once,
-    before the dispatch, if `rebin_cells` rebuilt the bins since the last
-    call; each chunk then computes the velocities of its own cells.  Only a
-    dispatch that can split the rows needs the list of both halves.
+    The kernel takes the container's cached pair lists, or builds the one
+    its chunks walk, if `rebin_cells` rebuilt the bins since the last call:
+    a dispatch that can split the rows builds the directed list before it
+    starts, and the chunk that holds every cell the forward list.
     """
     if container.positions_dirty:
         raise ContainerStateError("velocity update requires a rebinned container")

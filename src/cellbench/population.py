@@ -162,11 +162,10 @@ def locality_metric(container: CellContainer,
     n = len(container)
     totals = np.zeros(n)
     counts = np.zeros(n, dtype=np.int64)
-    first, second = kernel.shells.first, kernel.shells.second
-    for lo in range(0, len(first), BLOCK):
-        i, j, *_ = kernel.in_range(first[lo:lo + BLOCK], second[lo:lo + BLOCK],
+    lower, higher = kernel.lists.build_forward(container)
+    for lo in range(0, len(lower), BLOCK):
+        i, j, *_ = kernel.in_range(lower[lo:lo + BLOCK], higher[lo:lo + BLOCK],
                                    InPlaceVectorOps(None))
-        i, j = kernel.bin_rows[i], kernel.bin_rows[j]
         gap = np.abs(i - j)
         for rows in (i, j):
             counts += np.bincount(rows, minlength=n)

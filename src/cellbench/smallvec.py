@@ -17,13 +17,12 @@ The temporary mode still performs real dynamic acquisitions (a new array per
 operator), so wall-clock allocation overhead is also observable.  The
 scalar-valued ``norm`` records no events in either mode.
 
-``sum_segments`` adds the 3-vectors of each segment from 0.0 in array
-order, one ``np.bincount`` per component, and counts what the scalar
-program ``acc = acc + term`` per term, then ``v = acc`` per non-empty
-segment, would: one event per term and one per non-empty segment.
-``shared`` counts the displacements a pair kernel derives from a pair's
-other direction instead of computing them, as the scalar program computes
-each.
+``add_at`` adds 3-vectors into rows of an array in place, in array order,
+which is the scalar program's ``acc = acc + term``, and counts what that
+program would: one event per term added and one per row that gets its first
+term, ``v = acc``.  ``shared`` counts the displacements and products a pair
+kernel derives from a pair's other direction instead of computing them, as
+the scalar program computes each.
 """
 
 from __future__ import annotations
@@ -45,19 +44,18 @@ def norm(a):
     return np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
 
 
-def segment_sums(terms, segment, segments: int) -> np.ndarray:
-    """Sum of each segment's terms, 0.0 + t0 + t1 + ... in array order.
+def _add_at(out, rows, terms, subtract: bool) -> None:
+    """out[rows[k]] += terms[k], or -= with `subtract`, for k in array order.
 
-    Term k belongs to segment `segment[k]`.  A weighted `np.bincount` adds
-    each weight into its bin, from 0.0 and in array order, which is the
-    scalar program's `acc = acc + term`; so a segment's terms may be
-    interleaved with those of others, and only their order among
-    themselves counts.
+    `np.add.at` adds each term onto what its row holds, one at a time and in
+    array order, so a row's sum from 0.0 is the scalar program's
+    0.0 + t0 + t1 + ..., however its terms are interleaved with those of
+    other rows or split over calls; x - t is exactly x + (-t).  One call per
+    component: `ufunc.at` over whole rows takes numpy's slow path.
     """
-    out = np.empty((segments, 3))
+    ufunc = np.subtract if subtract else np.add
     for k in range(3):
-        out[:, k] = np.bincount(segment, terms[:, k], segments)
-    return out
+        ufunc.at(out[:, k], rows, terms[:, k])
 
 
 def _per_vector(s):
@@ -72,10 +70,11 @@ class TempAllocVectorOps:
     mirroring overloaded operators that cannot reuse a destination.
     """
 
-    __slots__ = ("stats",)
+    __slots__ = ("stats", "_bound")
 
     def __init__(self, stats):
         self.stats = stats
+        self._bound = None
 
     def _fresh(self, result: np.ndarray) -> np.ndarray:
         self.stats.alloc_events += result.size // 3
@@ -88,17 +87,23 @@ class TempAllocVectorOps:
         return self._fresh(np.multiply(_per_vector(s), a))
 
     def shared(self, count: int) -> None:
-        """Record the events of `count` displacements that a pair kernel
-        shares between a pair's two directions instead of computing: the
-        scalar program computes each."""
+        """Record the events of `count` vectors that a pair kernel derives
+        from a pair's other direction instead of computing: the scalar
+        program computes each."""
         self.stats.alloc_events += count
 
-    def sum_segments(self, terms, segment, segments: int) -> np.ndarray:
-        """`segment_sums`, bound to fresh results: one event per term added
-        and one per segment that has a term."""
-        self.stats.alloc_events += len(terms) + int(np.count_nonzero(
-            np.bincount(segment, minlength=segments)))
-        return segment_sums(terms, segment, segments)
+    def add_at(self, out, rows, terms, subtract: bool = False) -> None:
+        """Add the terms into rows of `out` in place, in array order: one
+        event per term, and one per row of `out` that gets its first term
+        from these ops.  The ops of one chunk add into one `out`; a mask
+        marks its rows that have a term, so the count holds no list of
+        them."""
+        if self._bound is None:
+            self._bound = np.zeros(len(out), dtype=bool)
+        before = np.count_nonzero(self._bound)
+        self._bound[rows] = True
+        self.stats.alloc_events += len(terms) + int(np.count_nonzero(self._bound) - before)
+        _add_at(out, rows, terms, subtract)
 
 
 class InPlaceVectorOps:
@@ -118,8 +123,8 @@ class InPlaceVectorOps:
     def shared(self, count: int) -> None:
         pass
 
-    def sum_segments(self, terms, segment, segments: int) -> np.ndarray:
-        return segment_sums(terms, segment, segments)
+    def add_at(self, out, rows, terms, subtract: bool = False) -> None:
+        _add_at(out, rows, terms, subtract)
 
 
 def vector_ops(mode: AllocationMode, stats):

@@ -57,13 +57,13 @@ def total_iterations(record):
 
 @pytest.fixture
 def temp_add_drifts(monkeypatch):
-    """Make `temp` allocation compute different physics: its velocity sums
-    move the x components one ulp up, while `inplace` stays exact."""
-    sum_segments = cb.TempAllocVectorOps.sum_segments
+    """Make `temp` allocation compute different physics: each add into its
+    velocity sums moves their x components one ulp up, while `inplace` stays
+    exact."""
+    add_at = cb.TempAllocVectorOps.add_at
 
-    def drifting_sum(self, *args):
-        total = sum_segments(self, *args)
-        total[..., 0] = np.nextafter(total[..., 0], np.inf)
-        return total
+    def drifting_add(self, out, rows, *args, **kwargs):
+        add_at(self, out, rows, *args, **kwargs)
+        out[rows, 0] = np.nextafter(out[rows, 0], np.inf)
 
-    monkeypatch.setattr(cb.TempAllocVectorOps, "sum_segments", drifting_sum)
+    monkeypatch.setattr(cb.TempAllocVectorOps, "add_at", drifting_add)

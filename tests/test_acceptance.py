@@ -53,8 +53,9 @@ def test_criterion_1_allocation_accounting():
     # and v = acc, one event each
     counter = WorkerStats()
     ops = vector_ops(AllocationMode.TEMPORARY_ALLOCATING, counter)
-    v = ops.sum_segments(ops.scale(0.25, ops.sub([5.0, 7.0, 9.0], [1.0, 2.0, 3.0]))[None],
-                         np.zeros(1, np.intp), 1)
+    v = np.zeros((1, 3))
+    ops.add_at(v, np.zeros(1, np.intp),
+               ops.scale(0.25, ops.sub([5.0, 7.0, 9.0], [1.0, 2.0, 3.0]))[None])
     expr_events = counter.alloc_events
     assert expr_events == 4
     assert v.tolist() == [[1.0, 1.25, 1.5]]

@@ -76,10 +76,10 @@ def test_workload_reproduces_its_golden_values(name):
 def kernel_pair_counts(container, params):
     """(candidate, interacting) pairs of one velocity call, counted by the kernel."""
     kernel = cb.mechanics.PairKernel(container, params)
-    first, second = kernel.shells.first, kernel.shells.second
-    interacting, _, _ = kernel.contributions(first, second, cb.InPlaceVectorOps(None))
+    lower, higher = kernel.lists.build_forward(container)
+    interacting, _, _ = kernel.contributions(lower, higher, cb.InPlaceVectorOps(None))
     # the kernel lists each unordered pair once; the velocity call uses both directions
-    return 2 * len(first), 2 * len(interacting)
+    return 2 * len(lower), 2 * len(interacting)
 
 
 def test_pair_counter_agrees_with_the_kernel():

@@ -267,16 +267,18 @@ def test_divergence_locator_names_the_first_difference():
 
 
 def test_broken_accumulation_order_is_caught(monkeypatch):
-    # negative control: the kernel's one ordering step sorts each target's
-    # terms in descending neighbour id in run B only; the float sums
+    # negative control: the one sort that orders the pair lists puts each
+    # cell's partners in descending id in run B only; the float sums
     # reorder, so the verifier must flag the divergence
     cfg = tiny_config(steps=2)
     ra = run_simulation(cfg)
+    sorted_keys = cellbench.mechanics._sorted_keys
 
-    def descending_ids(neighbors, next_id):
-        return (-neighbors).argsort()
+    def descending_partners(major, minor, bits):
+        flip = (1 << bits) - 1  # flip - minor reverses the minor order; ^ flip restores it
+        return sorted_keys(major, flip - minor, bits) ^ flip
 
-    monkeypatch.setattr(cellbench.mechanics, "_term_order", descending_ids)
+    monkeypatch.setattr(cellbench.mechanics, "_sorted_keys", descending_partners)
     rb = run_simulation(cfg)
     detail = _first_divergence(ra, rb)
     assert detail != ""

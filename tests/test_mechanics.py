@@ -266,9 +266,9 @@ def test_pair_kernel_matches_brute_force(nx, ny, nz, cells, block):
                 cb.rebin_cells(cont)
                 assert cont.candidates is table
             kernel = mechanics.PairKernel(cont, params)
-            i, j, _ = kernel.contributions(kernel.shells.first, kernel.shells.second,
+            i, j, _ = kernel.contributions(*kernel.lists.build_forward(cont),
                                            cb.InPlaceVectorOps(None))
-            a, b = kernel.ids[i].tolist(), kernel.ids[j].tolist()  # cells by bin position
+            a, b = cont.ids[i].tolist(), cont.ids[j].tolist()  # cells by storage row
             got = [*zip(a, b), *zip(b, a)]  # each pair once, in both directions
             assert len(got) == len(set(got))
             assert set(got) == brute_force_pairs(cont, params)
@@ -322,21 +322,22 @@ def test_half_shells_list_each_adjacent_pair_once(nx, ny, nz, points, rnd):
     rnd.shuffle(rows)
     cont.take(rows)
     cb.rebin_cells(cont)
-    shells = mechanics.HalfShells(cont)
-    ids = cont.ids[cont.bin_rows]  # cells are named by bin position
-    first, second = shells.first.tolist(), shells.second.tolist()
-    got = sorted((min(ids[a], ids[b]), max(ids[a], ids[b])) for a, b in zip(first, second))
-    assert got == moore_pairs(cont)
-    # grouped by the first cell, whose forward partners all lie later
-    assert (np.diff(shells.ptr) >= 0).all() and shells.ptr[-1] == len(first)
-    assert (shells.first == np.arange(len(cont)).repeat(np.diff(shells.ptr))).all()
-    assert all(b > a for a, b in zip(first, second))
-    # both halves: every pair once in each direction, grouped by its first cell
-    shells.build_both(cont)
-    owner, partner, ptr = shells.both
-    assert sorted(zip(owner.tolist(), partner.tolist())) == sorted(
-        [*zip(first, second), *zip(second, first)])
-    assert (owner == np.arange(len(cont)).repeat(np.diff(ptr))).all()
+    lists = mechanics.PairLists()
+    ids = cont.ids  # the lists name cells by storage row
+    # forward: each Moore pair once, lower id first, sorted
+    lower, higher = lists.build_forward(cont)
+    pairs = list(zip(ids[lower].tolist(), ids[higher].tolist()))
+    assert pairs == moore_pairs(cont)
+    # directed: each pair once in each direction, grouped by the owner's bin
+    # position, in ascending partner id
+    partner, ptr, bin_pos = lists.build_directed(cont)
+    assert (cont.bin_rows[bin_pos] == np.arange(len(cont))).all()
+    assert ptr[0] == 0 and (np.diff(ptr) >= 0).all() and ptr[-1] == len(partner)
+    owner = cont.bin_rows.repeat(np.diff(ptr))
+    assert sorted(zip(ids[owner].tolist(), ids[partner].tolist())) == sorted(
+        [*pairs, *((b, a) for a, b in pairs)])
+    for p in range(len(cont)):
+        assert (np.diff(ids[partner[ptr[p]:ptr[p + 1]]]) > 0).all()
 
 
 @pytest.mark.parametrize("in_bins", [False, True], ids=["storage_rows", "bin_positions"])
@@ -355,13 +356,12 @@ def test_every_chunk_split_gives_the_whole_call(in_bins):
     kernel.velocities(0, len(cont), in_bins, ops, whole)
     assert np.isfinite(whole).all() and (whole != 0.0).any()
     rows = cont.bin_rows if in_bins else np.arange(len(cont))
+    lower, higher = (half.tolist() for half in kernel.lists.build_forward(cont))
     crossing = 0
     for cut in range(1, len(cont)):
         # the pairs with one cell on each side of the cut
         left = set(rows[:cut].tolist())
-        crossing += sum((cont.bin_rows[a] in left) != (cont.bin_rows[b] in left)
-                        for a, b in zip(kernel.shells.first.tolist(),
-                                        kernel.shells.second.tolist()))
+        crossing += sum((a in left) != (b in left) for a, b in zip(lower, higher))
         split = np.full_like(whole, np.nan)
         kernel.velocities(0, cut, in_bins, ops, split)
         kernel.velocities(cut, len(cont), in_bins, ops, split)
@@ -374,14 +374,15 @@ def test_kept_bins_reuse_the_pair_lists(small_mesh):
     with WorkerPool(2) as pool:
         schedule = MechanicsSchedule(ScheduleKind.NONEMPTY_VOXEL, 2)
         update_velocities(cont, small_mesh, InteractionParams(), schedule, pool)
-        shells = cont.candidates
-        forward, both = shells.first, shells.both
-        assert both is not None  # a dispatch in chunks walks both halves
+        lists = cont.candidates
+        directed = lists.directed
+        assert directed is not None  # a dispatch in chunks walks the directed list
+        forward = lists.build_forward(cont)
         cont.positions_dirty = True  # no cell moved, so none changed voxel
         cb.rebin_cells(cont)
         update_velocities(cont, small_mesh, InteractionParams(), schedule, pool)
-    assert cont.candidates is shells
-    assert shells.first is forward and shells.both is both
+    assert cont.candidates is lists
+    assert lists.forward is forward and lists.directed is directed
 
 
 def fresh_copy(cont):
@@ -443,10 +444,10 @@ def test_kept_bins_give_the_velocities_of_a_fresh_container(steps, schedule, mod
 
 
 #: Peak allocation of one velocity call on the 900 packed cells below.  The
-#: scalar loop this kernel replaced stayed near 0.2 MiB there; the kernel in
-#: blocks stays near 0.45 MiB on kept pair lists and near 0.7 MiB when it
-#: builds them, while summing every term of the call at once needs about
-#: 1.4 MiB.
+#: scalar loop this kernel replaced stayed near 0.2 MiB there; the kernel
+#: stays below 0.4 MiB on kept pair lists and near 0.7 MiB when it builds
+#: them, under every schedule, while evaluating every pair of the call at
+#: once needs about 1.4 MiB.
 VELOCITY_PEAK_BOUND = 1 << 20
 
 
@@ -457,29 +458,31 @@ def packed_cells():
     return make_container(mesh, positions, radius=8.0)
 
 
-def test_one_velocity_call_stays_in_blocks():
-    # blocks of pairs and of targets keep the peak bounded whatever the pair count
+@pytest.mark.parametrize("mode", list(AllocationMode), ids=lambda m: m.value)
+def test_one_velocity_call_stays_in_blocks(mode):
+    # slices of pairs keep the peak bounded whatever the pair count
     cont = packed_cells()
     params = InteractionParams()
     with WorkerPool(1) as pool:
         schedule = MechanicsSchedule(ScheduleKind.CELL_STATIC)
-        update_velocities(cont, cont.mesh, params, schedule, pool)
+        update_velocities(cont, cont.mesh, params, schedule, pool, alloc_mode=mode)
         tracemalloc.start()
         try:
-            update_velocities(cont, cont.mesh, params, schedule, pool)
+            update_velocities(cont, cont.mesh, params, schedule, pool, alloc_mode=mode)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
     assert peak < VELOCITY_PEAK_BOUND
 
 
-def test_the_call_that_builds_the_pair_list_stays_bounded():
+@pytest.mark.parametrize("schedule", ALL_SCHEDULES, ids=lambda s: s.kind.value)
+def test_the_call_that_builds_the_pair_list_stays_bounded(schedule):
     # after a rebin that moved a cell to another voxel, the call builds the
-    # half-shell pair list first; that build counts against the same bound
+    # pair list its chunks walk first; that build counts against the same
+    # bound
     cont = packed_cells()
     params = InteractionParams()
     with WorkerPool(1) as pool:
-        schedule = MechanicsSchedule(ScheduleKind.CELL_STATIC)
         update_velocities(cont, cont.mesh, params, schedule, pool)
         cont.positions[0] = cont.positions[-1]
         cont.positions_dirty = True
@@ -491,11 +494,13 @@ def test_the_call_that_builds_the_pair_list_stays_bounded():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-    assert cont.candidates.both is None  # one block: the forward half-shells only
+    if schedule.kind is ScheduleKind.CELL_STATIC:
+        assert cont.candidates.directed is None  # one chunk: the forward list only
     assert peak < VELOCITY_PEAK_BOUND
 
 
-def test_one_crowded_target_does_not_pad_its_block():
+@pytest.mark.parametrize("mode", list(AllocationMode), ids=lambda m: m.value)
+def test_one_crowded_target_does_not_pad_its_block(mode):
     # a clump of 200 cells, one of them stored first, among 1728 cells that
     # see only themselves: the test bounds the memory of a velocity call that
     # sums the 200-cell clump's terms
@@ -507,10 +512,10 @@ def test_one_crowded_target_does_not_pad_its_block():
     cont = make_container(mesh, clump[:1] + sparse + clump[1:], radius=8.0)
     with WorkerPool(1) as pool:
         schedule = MechanicsSchedule(ScheduleKind.CELL_STATIC)
-        update_velocities(cont, mesh, InteractionParams(), schedule, pool)
+        update_velocities(cont, mesh, InteractionParams(), schedule, pool, alloc_mode=mode)
         tracemalloc.start()
         try:
-            update_velocities(cont, mesh, InteractionParams(), schedule, pool)
+            update_velocities(cont, mesh, InteractionParams(), schedule, pool, alloc_mode=mode)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -519,10 +524,10 @@ def test_one_crowded_target_does_not_pad_its_block():
 
 @pytest.mark.parametrize("schedule", ALL_SCHEDULES, ids=lambda s: s.kind.value)
 def test_the_pair_limit_counts_forward_pairs_under_every_schedule(schedule, monkeypatch):
-    # the list of both halves holds twice the forward pairs; a run at the
-    # limit passes under every schedule, and one pair more fails under each
+    # the directed list holds twice the forward pairs; a run at the limit
+    # passes under every schedule, and one pair more fails under each
     cont = packed_cells()
-    pairs = len(mechanics.HalfShells(cont).first)
+    pairs = len(mechanics.PairLists().build_forward(cont)[0])
     with WorkerPool(2) as pool:
         for limit in (pairs, pairs - 1):
             monkeypatch.setattr(mechanics, "MAX_PAIRS", limit)

@@ -28,7 +28,8 @@ def test_bound_scaled_sum_costs_four_events_temp():
     # one for the product, one for the accumulator, one for the binding.
     ops, counter = fresh(AllocationMode.TEMPORARY_ALLOCATING)
     v1, v2 = [1.0, 2.0, 3.0], [6.0, 8.0, 10.0]
-    v = ops.sum_segments(ops.scale(0.5, ops.sub(v2, v1))[None], np.zeros(1, np.intp), 1)
+    v = np.zeros((1, 3))
+    ops.add_at(v, np.zeros(1, np.intp), ops.scale(0.5, ops.sub(v2, v1))[None])
     assert counter.alloc_events == 4
     assert v.tolist() == [[2.5, 3.0, 3.5]]
 
@@ -36,9 +37,8 @@ def test_bound_scaled_sum_costs_four_events_temp():
 def test_scaled_sum_in_place_costs_zero_events():
     ops, counter = fresh(AllocationMode.IN_PLACE)
     v1, v2 = [1.0, 2.0, 3.0], [6.0, 8.0, 10.0]
-    work = np.zeros(3)
-    v = ops.sum_segments(ops.scale(0.5, ops.sub(v2, v1, work), work)[None],
-                         np.zeros(1, np.intp), 1)
+    work, v = np.zeros(3), np.zeros((1, 3))
+    ops.add_at(v, np.zeros(1, np.intp), ops.scale(0.5, ops.sub(v2, v1, work), work)[None])
     assert counter.alloc_events == 0
     assert v.tolist() == [[2.5, 3.0, 3.5]]
 
@@ -58,7 +58,8 @@ def test_bound_nested_sums_cost_five_events():
     ops, counter = fresh(AllocationMode.TEMPORARY_ALLOCATING)
     v = [[float(i * i), 0.0, 0.0] for i in range(4)]
     pairs = np.stack([ops.sub(v[1], v[0]), ops.sub(v[3], v[2])])
-    total = ops.sum_segments(pairs, np.zeros(2, np.intp), 1)
+    total = np.zeros((1, 3))
+    ops.add_at(total, np.zeros(2, np.intp), pairs)
     assert counter.alloc_events == 5
     assert total.tolist() == [[6.0, 0.0, 0.0]]
 
@@ -103,7 +104,7 @@ def test_modes_are_bit_identical(s, v1, v2, v3):
 
 @given(st.lists(st.lists(st.sampled_from([-0.0, 0.0, 1.5, -2.25]) | finite, max_size=4),
                 max_size=5))
-def test_segment_sums_match_the_scalar_program(runs):
+def test_add_at_matches_the_scalar_program(runs):
     # each run's components summed from 0.0 in order; -0.0 terms and empty
     # runs included
     segment = np.array([k for k, run in enumerate(runs) for _ in run], dtype=np.intp)
@@ -116,7 +117,8 @@ def test_segment_sums_match_the_scalar_program(runs):
         expected.append(acc)
     for mode in AllocationMode:
         ops, counter = fresh(mode)
-        sums = ops.sum_segments(terms, segment, len(runs))
+        sums = np.zeros((len(runs), 3))
+        ops.add_at(sums, segment, terms)
         assert np.array(expected).reshape(-1, 3).tobytes() == sums.tobytes()
         in_temp = mode is AllocationMode.TEMPORARY_ALLOCATING
         # one event per term added, one per run bound to its result
@@ -126,12 +128,13 @@ def test_segment_sums_match_the_scalar_program(runs):
 @given(st.lists(st.lists(st.sampled_from([-0.0, 0.0, 1.5, -2.25]) | finite, max_size=5),
                 max_size=5),
        st.randoms(use_true_random=False))
-def test_segment_sums_with_empty_segments_and_interleaved_terms(segments, rnd):
-    # the scalar program adds a segment's terms from 0.0 in array order; the
-    # segments' terms arrive interleaved and unsorted by segment, and a
-    # segment with no term sums to +0.0
+def test_add_at_with_empty_rows_and_interleaved_terms(segments, rnd):
+    # the scalar program adds a row's terms from 0.0 in array order; the
+    # rows' terms arrive interleaved and unsorted by row, split over two
+    # calls, and a row with no term keeps its +0.0
     rows = [(k, x) for k, run in enumerate(segments) for x in run]
     rnd.shuffle(rows)
+    cut = rnd.randint(0, len(rows))
     segment = np.array([k for k, _ in rows], dtype=np.intp)
     terms = np.array([[x, -x, 0.5 * x] for _, x in rows]).reshape(-1, 3)
     expected = []
@@ -142,10 +145,17 @@ def test_segment_sums_with_empty_segments_and_interleaved_terms(segments, rnd):
         expected.append(acc)
     for mode in AllocationMode:
         ops, counter = fresh(mode)
-        sums = ops.sum_segments(terms, segment, len(segments))
+        sums = np.zeros((len(segments), 3))
+        ops.add_at(sums, segment[:cut], terms[:cut])
+        ops.add_at(sums, segment[cut:], terms[cut:])
         assert np.array(expected).reshape(-1, 3).tobytes() == sums.tobytes()
         in_temp = mode is AllocationMode.TEMPORARY_ALLOCATING
         assert counter.alloc_events == in_temp * (len(terms) + sum(1 for r in segments if r))
+        # subtracting a term adds its negation, bit for bit
+        ops, _ = fresh(mode)
+        negated = np.zeros_like(sums)
+        ops.add_at(negated, segment, -terms, subtract=True)
+        assert negated.tobytes() == sums.tobytes()
 
 
 def test_counter_reset_and_merge():
