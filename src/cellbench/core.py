@@ -165,17 +165,19 @@ class CellContainer:
 
     `rebin_cells` alone writes the voxel bins, in CSR form over the ascending
     `nonempty_voxels`: the storage rows of the cells in `nonempty_voxels[k]`
-    are `bin_rows[bin_ptr[k]:bin_ptr[k + 1]]`, in ascending id order, and
-    `bin_of_row[i]` is the k of row i.  Every bin array scales with the cell
-    count, not the voxel count.
+    are `bin_rows[bin_ptr[k]:bin_ptr[k + 1]]`, in ascending id order.  Every
+    bin array scales with the cell count, not the voxel count.
 
     The bins depend only on the voxels, ids and order of the rows, so they
     are kept while no cell changes voxel: `add_cells` and `take` mark the
     rows changed, and `rebin_cells` rebuilds only after such a change or a
-    voxel change.  `candidates` caches whatever index arrays are derived from
-    the bins alone (the velocity kernel's pair lists,
-    `mechanics.PairLists`); a rebuild resets it to None.  It never holds a
-    view of a column, since an append may reallocate the columns.
+    voxel change.  `candidates` holds the velocity kernel's pair lists
+    (`mechanics.PairLists`) for the container's whole life: each rebuild
+    of the bins hands them the ids of the cells that changed voxel or were
+    born, and they patch themselves on next use.  A `take` that keeps fewer
+    rows than it holds resets it to None, since the lists would name cells
+    that are gone.  It never holds a view of a column, since an append may
+    reallocate the columns.
     """
 
     #: (attribute, row shape, dtype) of every per-cell column.
@@ -190,7 +192,6 @@ class CellContainer:
         self.nonempty_voxels = np.zeros(0, dtype=np.int64)
         self.bin_ptr = np.zeros(1, dtype=np.intp)
         self.bin_rows = np.zeros(0, dtype=np.intp)
-        self.bin_of_row = np.zeros(0, dtype=np.intp)
         self.next_id = 0
         self.positions_dirty = False
         self.rows_changed = False
@@ -272,8 +273,11 @@ class CellContainer:
 
     def take(self, rows) -> None:
         """Keep the given storage rows, in the given order; a permutation of
-        all rows reorders storage.  The bins are stale until the next rebin."""
+        all rows reorders storage.  The bins are stale until the next rebin,
+        and keeping fewer rows drops the pair lists (`candidates`)."""
         rows = np.asarray(rows, dtype=np.intp)
+        if len(rows) < self._n:
+            self.candidates = None
         for name, _, _ in self._COLUMNS:
             column = getattr(self, name)
             column[:len(rows)] = column[rows]
@@ -290,17 +294,22 @@ def rebin_cells(container: CellContainer) -> CellContainer:
     with neither `positions_dirty` nor `rows_changed` set is returned at
     once: whoever writes positions must set `positions_dirty`, as
     `integrate_positions` does.  If no row was added or reordered since the
-    last rebin and no cell changed voxel, the bins and the cached
-    `candidates` are kept.  Otherwise the bins come from one sort of the
-    rows by (voxel, id) and `candidates` is dropped.
+    last rebin and no cell changed voxel, the bins are kept.  Otherwise the
+    bins come from one sort of the rows by (voxel, id), and the ids of the
+    rows whose voxel differs from the `voxels` column (new rows hold -1
+    there, and `take` permutes it with the rows) go to the pair lists in
+    `candidates`: exactly the cells that changed voxel or were born.
     """
     if not (container.positions_dirty or container.rows_changed):
         return container
     voxels = container.mesh.voxels_of(container.positions)
     n = len(voxels)
-    if not container.rows_changed and (voxels == container.voxels).all():
+    moved = voxels != container.voxels
+    if not container.rows_changed and not moved.any():
         container.positions_dirty = False
         return container
+    if container.candidates is not None:
+        container.candidates.rebinned(container.ids[moved])
     container._voxel[:n] = voxels
     rows = (voxels * container.next_id + container.ids).argsort(kind="stable")
     binned = voxels[rows]
@@ -310,9 +319,5 @@ def rebin_cells(container: CellContainer) -> CellContainer:
     container.nonempty_voxels = binned[starts]
     container.bin_ptr = np.concatenate((starts, [n]))
     container.bin_rows = rows
-    container.bin_of_row = np.empty(n, dtype=np.intp)
-    container.bin_of_row[rows] = np.arange(len(starts)).repeat(container.bin_ptr[1:] - starts)
-    container.candidates = None
     container.positions_dirty = container.rows_changed = False
     return container
-

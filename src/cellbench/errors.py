@@ -22,8 +22,8 @@ class ConfigError(CellBenchError, ValueError):
 
 
 class CapacityError(CellBenchError, RuntimeError):
-    """A hard cap was exceeded: the cell count, or the candidate pairs of the
-    pair lists."""
+    """A hard cap was exceeded: the cell count, the candidate pairs of the
+    pair list, or the cell ids one pair key holds."""
 
 
 class UndefinedMetricError(CellBenchError, ValueError):

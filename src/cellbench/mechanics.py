@@ -9,12 +9,15 @@ orders, and allocation modes: the strategies may only move work around, never
 change it.
 
 One vectorized pair kernel (`PairKernel`) serves the velocity update and the
-locality metric.  It walks pair lists of storage rows (`PairLists`), built
-from the container's CSR voxel bins in that summation order and cached on
-the container until `rebin_cells` rebuilds the bins, which it does only when
-a row was added or reordered or a cell changed voxel.  Binning is exact
-provided the voxel edge is at least the largest interaction range (checked
-by `check_binning_exact` at run start).
+locality metric.  It walks pair lists of storage rows derived from one
+sorted array of id-pair keys (`PairLists`), which the container keeps for
+its whole life.  The first use walks the Moore neighborhood of every cell
+in the container's CSR voxel bins (`_walk`); after that, each rebuild of
+the bins by `rebin_cells` (only when a row was added or reordered or a cell
+changed voxel) hands in the cells that changed voxel or were born, and the
+next use patches the keys for those cells alone with the same walk
+(`_patch`).  Binning is exact provided the voxel edge is at least the
+largest interaction range (checked by `check_binning_exact` at run start).
 
 A chunk sets its cells' velocities to 0.0, evaluates the force law on the
 in-range pairs of its list, `BLOCK` pairs at a time, and adds each term into
@@ -28,8 +31,9 @@ lower's in the higher's, since the displacement negates and the scalar
 factor is shared.  Every other chunk walks its cells' groups of the directed
 list, every pair once in each direction, grouped by the owner's bin
 position, each group in ascending partner id.  Squares are
-`np.float_power(x, 2.0)`, which calls libm pow as Python's `**` does; the
-norm is d0*d0 + d1*d1 + d2*d2.
+`np.float_power(x, 2.0)`, which calls libm pow as Python's `**` does (the
+repulsion's base is raised to 0.0 outside the contact distance, where pow
+returns at once); the norm is d0*d0 + d1*d1 + d2*d2.
 
 The vector-valued operators come from `smallvec.vector_ops`: under `temp`
 each makes a fresh array, under `inplace` each writes into an `out=` buffer.
@@ -71,14 +75,19 @@ EPS_SKIP = 1e-8
 #: pair lists, whatever the cell count.
 BLOCK = 4096
 
-#: Most pairs a half-shell may hold: the pair lists are int64 arrays of
-#: n(n-1)/2 pairs for n cells in one voxel, so a clump this dense fails
-#: before they are expanded.
+#: Most pairs the pair list may hold: it is an int64 array of n(n-1)/2 keys
+#: for n cells in one voxel, so a clump this dense fails before its keys are
+#: expanded.
 MAX_PAIRS = 1 << 23
 
-#: The (y, z) offsets of the four mesh rows whose three-voxel runs lie in a
-#: voxel's forward half-shell; the backward half-shell takes their negations.
-_HALF_ROWS = np.array([(1, 0), (-1, 1), (0, 1), (1, 1)])
+#: A pair key is `lower id << _SHIFT | higher id`, one non-negative int64
+#: while every id is below 2**31.
+_SHIFT = 32
+_MASK = (1 << _SHIFT) - 1
+
+#: The (y, z) offsets of the nine mesh rows whose three-voxel runs make up a
+#: voxel's Moore neighborhood.
+_MOORE_ROWS = np.array([(y, z) for z in (-1, 0, 1) for y in (-1, 0, 1)])
 
 
 class ScheduleKind(enum.Enum):
@@ -131,79 +140,17 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return shift
 
 
-def _shell_ranges(container: CellContainer, sign: int) -> tuple[np.ndarray, np.ndarray]:
-    """(starts, counts), each (cells, 5): the ranges of bin positions that
-    make up one half of every cell's Moore neighborhood, the forward half
-    for sign 1 and the backward half for -1.
-
-    Cells are named by bin position, their index in `bin_rows`.  A cell's
-    forward half is five contiguous ranges: the later cells of its own bin
-    together with voxel x+1 (one range, since a bin lists its cells in
-    ascending id and the bins of x and x+1 are adjacent), and the
-    three-voxel runs of the mesh rows (y+1, z), (y-1, z+1), (y, z+1) and
-    (y+1, z+1).  The backward half mirrors it.  So every unordered pair of
-    distinct cells in Moore-adjacent voxels is in the forward half of
-    exactly one of them and in the backward half of the other, and a
-    forward partner lies at a later bin position than its cell.  One binary
-    search over the non-empty voxels finds every range.
-    """
-    mesh = container.mesh
-    voxels, bin_ptr = container.nonempty_voxels, container.bin_ptr
-    x, yz = voxels % mesh.nx, voxels // mesh.nx
-    y = (yz % mesh.ny)[:, None] + sign * _HALF_ROWS[:, 0]
-    z = (yz // mesh.ny)[:, None] + sign * _HALF_ROWS[:, 1]
-    row = (y + mesh.ny * z) * mesh.nx
-    x_lo, x_hi = np.maximum(x - 1, 0), np.minimum(x + 2, mesh.nx)
-    # column 0: the far end of the own-bin range, at voxel x+1 or x-1; columns
-    # 1-4 and 5-8: the first and last bin position of each run, plus one
-    bounds = bin_ptr[voxels.searchsorted(np.column_stack(
-        (voxels - x + (x_hi if sign > 0 else x_lo), row + x_lo[:, None], row + x_hi[:, None])))]
-    on_mesh = (y >= 0) & (y < mesh.ny) & (z >= 0) & (z < mesh.nz)
-    # per voxel, the five starts and the five counts; the own-bin range is
-    # filled in per cell
-    table = np.zeros((len(voxels), 10), dtype=bounds.dtype)
-    table[:, :5] = bounds[:, :5]
-    np.multiply(bounds[:, 5:] - bounds[:, 1:5], on_mesh, out=table[:, 6:])
-    ranges = table.take(container.bin_of_row[container.bin_rows], axis=0)
-    starts, counts = ranges[:, :5], ranges[:, 5:]
-    p = np.arange(len(ranges))
-    if sign > 0:
-        counts[:, 0] = starts[:, 0] - p - 1
-        starts[:, 0] = p + 1
-    else:
-        counts[:, 0] = p - starts[:, 0]
-    return starts, counts
+def _check_pairs(pairs: int) -> None:
+    if pairs > MAX_PAIRS:
+        raise CapacityError(f"{pairs} candidate pairs exceed the limit of {MAX_PAIRS}: "
+                            "too many cells share a neighborhood")
 
 
-def _half_shell_partners(container: CellContainer,
-                         signs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(per_cell, ids, partners): every cell's half-shells of the given
-    signs, expanded into the ids of its partners; the partners of the cell
-    at bin position p come after those of the cells before it, `per_cell[p]`
-    of them, and `ids` lists the ids by bin position.
-
-    More than `MAX_PAIRS` pairs per half-shell raise `CapacityError` before
-    any pair is expanded.
-    """
-    starts, counts = (np.hstack(half) for half in zip(*(_shell_ranges(container, sign)
-                                                         for sign in signs)))
-    per_cell = counts.sum(axis=1)
-    pairs = int(per_cell.sum())
-    if pairs > len(signs) * MAX_PAIRS:
-        raise CapacityError(f"{pairs // len(signs)} candidate pairs per half-shell exceed "
-                            f"the limit of {MAX_PAIRS}: too many cells share a neighborhood")
-    ids = container.ids.take(container.bin_rows)
-    return per_cell, ids, ids.take(_ranges(starts.ravel(), counts.ravel()))
-
-
-def _sorted_keys(major: np.ndarray, minor: np.ndarray, bits: int) -> np.ndarray:
-    """The keys major << bits | minor, in `major`'s storage, sorted: so by
-    major, then by minor.  Both are ids or bin positions, below `next_id`,
-    and bits is `next_id.bit_length()`: two fit one int64 below 2**31 ids."""
-    major <<= bits
-    major |= minor
-    major.sort()
-    return major
+def _sort_keys(keys: np.ndarray) -> np.ndarray:
+    """Sort keys `major << _SHIFT | minor` in place, so by major, then by
+    minor; the one sort that orders every pair list."""
+    keys.sort()
+    return keys
 
 
 def _row_of_id(container: CellContainer) -> np.ndarray:
@@ -212,70 +159,198 @@ def _row_of_id(container: CellContainer) -> np.ndarray:
     return rows
 
 
-def _forward_list(container: CellContainer) -> tuple[np.ndarray, np.ndarray]:
-    """(lower, higher): the storage rows of the lower-id and the higher-id
-    cell of every pair in a forward half-shell, sorted by (lower id, higher
-    id)."""
-    per_cell, ids, partner = _half_shell_partners(container, (1,))
-    cell = ids.repeat(per_cell)
-    lower = np.minimum(cell, partner)
-    np.maximum(cell, partner, out=partner)
-    del cell
-    bits = container.next_id.bit_length()
-    key = _sorted_keys(lower, partner, bits)
-    del partner
-    rows = _row_of_id(container)
-    higher = rows.take(key & ((1 << bits) - 1))
-    key >>= bits
-    return rows.take(key), higher
+def _walk(container: CellContainer, pos: np.ndarray, changed=None, kept: int = 0) -> np.ndarray:
+    """The sorted keys of the Moore pairs (c, p) of the cells c at the
+    ascending bin positions `pos`, in the current bins.
+
+    The partners p of c are the cells of the three-voxel runs of the nine
+    mesh rows around c's voxel, c itself left out; one binary search over
+    the non-empty voxels finds each run's bin positions.  A pair is kept if
+    p did not change (`changed` is a mask over ids) or p comes after c in
+    bin order, so each pair once.  Without a mask every cell counts as
+    changed, so each run is clipped to the bin positions after c's and only
+    kept pairs are expanded.  The cells are walked in slices of about
+    `BLOCK` partners, so the temporaries beyond the keys are O(`BLOCK`).
+
+    With `kept` other pairs, more than `MAX_PAIRS` pairs raise
+    `CapacityError` before any partner is expanded: without a mask the walk
+    keeps every partner it expands, with one at least half of them, each
+    changed cell's own entry aside.
+    """
+    mesh = container.mesh
+    # the distinct voxels of the cells, ascending, as bin order is
+    cell_voxels = container.voxels.take(container.bin_rows.take(pos))
+    first = np.empty(len(cell_voxels), dtype=bool)
+    first[:1] = True
+    np.not_equal(cell_voxels[1:], cell_voxels[:-1], out=first[1:])
+    voxels = cell_voxels.compress(first)
+    of_cell = voxels.searchsorted(cell_voxels)
+    # the runs of the first four mesh rows lie before the cell's voxel, so
+    # they clip to nothing
+    mesh_rows = _MOORE_ROWS if changed is not None else _MOORE_ROWS[4:]
+    x, yz = voxels % mesh.nx, voxels // mesh.nx
+    y = yz % mesh.ny + mesh_rows[:, :1]
+    z = yz // mesh.ny + mesh_rows[:, 1:]
+    row = (y + mesh.ny * z) * mesh.nx
+    # (run starts, run ends) by mesh row, then by voxel: each row of queries
+    # ascends, so the binary searches do not restart
+    bounds = container.bin_ptr[container.nonempty_voxels.searchsorted(
+        np.concatenate((row + np.maximum(x - 1, 0), row + np.minimum(x + 2, mesh.nx))))]
+    m = len(mesh_rows)
+    ends = np.where((y >= 0) & (y < mesh.ny) & (z >= 0) & (z < mesh.nz), bounds[m:], bounds[:m])
+    starts = bounds[:m].T.take(of_cell, axis=0)
+    counts = ends.T.take(of_cell, axis=0)
+    if changed is None:
+        np.maximum(starts, pos[:, None] + 1, out=starts)
+    counts -= starts
+    np.maximum(counts, 0, out=counts)
+    per_cell = counts.sum(axis=1)
+    expanded = int(per_cell.sum())
+    _check_pairs(kept + (expanded if changed is None else (expanded - len(pos)) // 2))
+    by_pos = container.ids.take(container.bin_rows)
+    owners = by_pos.take(pos)
+    keys = np.empty(expanded, dtype=np.int64)
+    offsets = np.add.accumulate(per_cell) - per_cell
+    edges = [0, *offsets.searchsorted(np.arange(BLOCK, expanded, BLOCK)).tolist(), len(pos)]
+    n = 0
+    for a, b in zip(edges, edges[1:]):
+        if a == b:
+            continue
+        at = _ranges(starts[a:b].ravel(), counts[a:b].ravel())
+        partner = by_pos.take(at)
+        owner = owners[a:b].repeat(per_cell[a:b])
+        if changed is not None:
+            keep = at > pos[a:b].repeat(per_cell[a:b])
+            keep |= ~changed.take(partner)
+            partner, owner = partner.compress(keep), owner.compress(keep)
+        lower = keys[n:n + len(partner)]
+        np.minimum(owner, partner, out=lower)
+        np.maximum(owner, partner, out=partner)
+        lower <<= _SHIFT
+        lower |= partner
+        n += len(partner)
+    return _sort_keys(keys[:n])
 
 
-def _directed_list(container: CellContainer) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _patch(keys: np.ndarray, container: CellContainer, ids: np.ndarray) -> np.ndarray:
+    """The sorted keys with every key that touches one of the given ids
+    (which may repeat) dropped and the Moore pairs of those cells in the
+    current bins merged in."""
+    changed = np.zeros(container.next_id, dtype=bool)
+    changed[ids] = True
+    side = keys >> _SHIFT  # the lower id of each key, then the higher
+    touched = changed.take(side)
+    np.bitwise_and(keys, _MASK, out=side)
+    touched |= changed.take(side)
+    del side
+    keys = keys.compress(~touched)
+    del touched
+    pos = changed.take(container.ids.take(container.bin_rows)).nonzero()[0]
+    new = _walk(container, pos, changed, len(keys))
+    _check_pairs(len(keys) + len(new))
+    at = keys.searchsorted(new)
+    at += np.arange(len(new))
+    merged = np.empty(len(keys) + len(new), dtype=np.int64)
+    merged[at] = new
+    old = np.ones(len(merged), dtype=bool)
+    old[at] = False
+    merged[old] = keys
+    return merged
+
+
+def _directed(keys: np.ndarray, container: CellContainer) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(partner, ptr, bin_pos): the storage rows of the neighbors of the
     cell at bin position p are `partner[ptr[p]:ptr[p + 1]]`, in ascending
-    id, from both its half-shells; `bin_pos[row]` is the bin position of a
-    storage row."""
-    per_cell, _, partner = _half_shell_partners(container, (1, -1))
-    bits = container.next_id.bit_length()
-    key = _sorted_keys(np.arange(len(per_cell)).repeat(per_cell), partner, bits)
-    del partner
-    key &= (1 << bits) - 1
-    ptr = np.concatenate(([0], np.add.accumulate(per_cell)))
-    bin_pos = np.empty(len(container), dtype=np.intp)
-    bin_pos[container.bin_rows] = np.arange(len(container))
-    return _row_of_id(container).take(key), ptr, bin_pos
+    id; `bin_pos[row]` is the bin position of a storage row.  Each key is
+    written in both directions, as (owner bin position, partner id), and
+    sorted once."""
+    n, pairs = len(container), len(keys)
+    bin_pos = np.empty(n, dtype=np.intp)
+    bin_pos[container.bin_rows] = np.arange(n)
+    rows = _row_of_id(container)
+    pos_of_id = bin_pos.take(rows)
+    minor = np.empty(2 * pairs, dtype=np.int64)
+    np.bitwise_and(keys, _MASK, out=minor[:pairs])
+    np.right_shift(keys, _SHIFT, out=minor[pairs:])
+    major = np.empty_like(minor)
+    pos_of_id.take(minor[pairs:], out=major[:pairs])
+    pos_of_id.take(minor[:pairs], out=major[pairs:])
+    ptr = np.zeros(n + 1, dtype=np.intp)
+    np.add.accumulate(np.bincount(major, minlength=n), out=ptr[1:])
+    major <<= _SHIFT
+    major |= minor
+    del minor
+    major = _sort_keys(major)
+    major &= _MASK
+    return rows.take(major), ptr, bin_pos
 
 
 class PairLists:
-    """The pair lists of one binned container state, each built on first
-    use: `forward` (`_forward_list`) for the chunk that holds every cell,
-    `directed` (`_directed_list`) for any other.  Every field is an index
-    array derived from the bins alone.
+    """The pair lists of one container, kept for its whole life.
+
+    `keys` lists every pair of distinct cells in Moore-adjacent voxels once,
+    as the key `lower id << _SHIFT | higher id`, sorted.  `rebin_cells`
+    hands in the ids of the cells that changed voxel or were born whenever
+    it rebuilds the bins (`rebinned`); they pile up until the next use,
+    which drops every key that touches one of them, walks their Moore
+    neighborhoods in the current bins and merges the new keys in
+    (`_patch`).  The first use walks every cell (`_walk`).  A resort that
+    moves no cell leaves the keys as they are.
+
+    The lists of storage rows are derived from the keys on first use after
+    each rebuild of the bins: `forward` (lower-id row, higher-id row) in key
+    order for the chunk that holds every cell, `directed` (`_directed`) for
+    any other.
     """
 
     def __init__(self):
+        self.keys = None
+        self.changed = []
         self.forward = self.directed = None
+
+    def rebinned(self, changed: np.ndarray) -> None:
+        """The bins were rebuilt; the cells of ids `changed` changed voxel or
+        were born."""
+        if len(changed):
+            self.changed.append(changed)
+        self.forward = self.directed = None
+
+    def update(self, container: CellContainer) -> np.ndarray:
+        """The keys of the current bins: walked on first use, patched for
+        the cells handed in since the last use after that."""
+        if container.next_id >= 1 << 31:
+            raise CapacityError(f"{container.next_id} cell ids do not fit a pair key")
+        if self.keys is None:
+            self.keys = _walk(container, np.arange(len(container)))
+        elif self.changed:
+            self.keys = _patch(self.keys, container, np.concatenate(self.changed))
+        self.changed = []
+        return self.keys
 
     def build_forward(self, container: CellContainer) -> tuple[np.ndarray, np.ndarray]:
         if self.forward is None:
-            self.forward = _forward_list(container)
+            keys = self.update(container)
+            rows = _row_of_id(container)
+            side = keys & _MASK  # the higher id of each key, then the lower
+            higher = rows.take(side)
+            np.right_shift(keys, _SHIFT, out=side)
+            self.forward = rows.take(side), higher
         return self.forward
 
     def build_directed(self, container: CellContainer) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if self.directed is None:
-            self.directed = _directed_list(container)
+            self.directed = _directed(self.update(container), container)
         return self.directed
 
 
 class PairKernel:
     """The pair kernel over the pair lists of one binned container state.
 
-    The pair lists hold only index arrays derived from the bins, so they are
-    cached on the container (`CellContainer.candidates`) and built only
-    after `rebin_cells` rebuilt the bins.  They name cells by storage row,
-    so the kernel reads the position and radius columns in place.  `split`
-    builds the directed list before a dispatch whose chunks may not hold
-    every cell, so no worker builds it.
+    The pair lists live on the container (`CellContainer.candidates`) and
+    are patched after `rebin_cells` rebuilt the bins.  Their lists of
+    storage rows let the kernel read the position and radius columns in
+    place.  `split` derives the directed list before a dispatch whose chunks
+    may not hold every cell, so no worker patches or derives it.
     """
 
     def __init__(self, container: CellContainer, params: InteractionParams,
@@ -312,10 +387,19 @@ class PairKernel:
         the term of cell j in the velocity of cell i, and -c is exactly that
         of cell i in cell j's."""
         i, j, dvec, d, contact, reach = self.in_range(i, j, ops)
+        if not len(d):
+            return i, j, dvec
         p = self.params
-        rep = -p.repulsion * np.float_power(1.0 - d / contact, 2.0)
-        rep[d >= contact] = 0.0  # repulsion acts inside the contact distance only
-        adh = p.adhesion * np.float_power(1.0 - d / reach, 2.0)
+        # repulsion acts inside the contact distance only: outside, the base
+        # 1 - d/contact <= 0 is raised to 0.0, whose power libm returns at
+        # once, and the term is -0.0, which adds to adh (>= +0.0) as 0.0 does
+        rep = 1.0 - d / contact
+        np.maximum(rep, 0.0, out=rep)
+        np.float_power(rep, 2.0, out=rep)
+        rep *= -p.repulsion
+        adh = 1.0 - d / reach
+        np.float_power(adh, 2.0, out=adh)
+        adh *= p.adhesion
         return i, j, ops.scale((rep + adh) / d, dvec, dvec)
 
     def velocities(self, lo: int, hi: int, in_bins: bool, ops, out: np.ndarray) -> None:
@@ -355,7 +439,8 @@ class PairKernel:
         owners = rows.repeat(per_cell)
         for s in range(0, len(owners), BLOCK):
             i, _, c = self.contributions(owners[s:s + BLOCK], partners[s:s + BLOCK], ops)
-            ops.add_at(out, i, c)
+            if len(i):
+                ops.add_at(out, i, c)
 
 
 def update_velocities(container: CellContainer, mesh: CartesianMesh,
@@ -364,9 +449,10 @@ def update_velocities(container: CellContainer, mesh: CartesianMesh,
                       alloc_mode: AllocationMode = AllocationMode.IN_PLACE) -> RegionRecord:
     """Recompute every cell's velocity from its in-range neighbors.
 
-    The kernel takes the container's cached pair lists, or builds the one
-    its chunks walk, if `rebin_cells` rebuilt the bins since the last call:
-    a dispatch that can split the rows builds the directed list before it
+    The kernel takes the container's pair lists, patched for the cells that
+    changed voxel or were born if `rebin_cells` rebuilt the bins since the
+    last call, and derives the list of storage rows its chunks walk: a
+    dispatch that can split the rows derives the directed list before it
     starts, and the chunk that holds every cell the forward list.
     """
     if container.positions_dirty:

@@ -48,18 +48,22 @@ def _unit(h):
     return (h >> 11) * (1.0 / (1 << 53))
 
 
+def _draw_base(seed: int, cell_id, step: int):
+    return _mix64(_mix64(_mix64(seed & _MASK) ^ (cell_id & _MASK)) ^ (step & _MASK))
+
+
+def _draw(base, k: int):
+    return _unit(_mix64(base ^ k))
+
+
 def division_draws(seed: int, cell_id, step: int):
     """Three uniforms in [0,1) that depend only on (seed, cell id, step).
 
     An int `cell_id` gives three floats; a uint64 id array gives three
     arrays, one draw per id, equal to the scalar draws.
     """
-    base = _mix64(_mix64(_mix64(seed & _MASK) ^ (cell_id & _MASK)) ^ (step & _MASK))
-    return (
-        _unit(_mix64(base ^ 1)),
-        _unit(_mix64(base ^ 2)),
-        _unit(_mix64(base ^ 3)),
-    )
+    base = _draw_base(seed, cell_id, step)
+    return _draw(base, 1), _draw(base, 2), _draw(base, 3)
 
 
 class StorageKind(enum.Enum):
@@ -101,8 +105,9 @@ def attempt_divisions(container: CellContainer, seed: int, dt: float,
     for rate in set(rates.tolist()):
         p_divide[rates == rate] = 1.0 - math.exp(-rate * dt)
     ids = container.ids[rows].astype(np.uint64)
-    decide, u_z, u_phi = division_draws(seed, ids, step)
-    chosen = (decide < p_divide).nonzero()[0]
+    # `division_draws`, with the placement draws made for the parents only
+    base = _draw_base(seed, ids, step)
+    chosen = (_draw(base, 1) < p_divide).nonzero()[0]
     if not len(chosen):
         return range(0)
     if len(container) + len(chosen) > cap:
@@ -112,10 +117,11 @@ def attempt_divisions(container: CellContainer, seed: int, dt: float,
         )
     chosen = chosen[ids[chosen].argsort(kind="stable")]
     parents = rows[chosen]
+    base = base[chosen]
     positions = []
     for (px, py, pz), radius, uz, uphi in zip(container.positions[parents].tolist(),
                                               container.radii[parents].tolist(),
-                                              u_z[chosen].tolist(), u_phi[chosen].tolist()):
+                                              _draw(base, 2).tolist(), _draw(base, 3).tolist()):
         z = 2.0 * uz - 1.0
         rho = math.sqrt(max(0.0, 1.0 - z * z))
         phi = 2.0 * math.pi * uphi

@@ -46,7 +46,7 @@ def check_consistent(cont):
     for k, v in enumerate(cont.nonempty_voxels.tolist()):
         rows = cont.bin_rows[cont.bin_ptr[k]:cont.bin_ptr[k + 1]]
         assert len(rows), f"bin of voxel {v} is empty but present"
-        assert (cont.voxels[rows] == v).all() and (cont.bin_of_row[rows] == k).all()
+        assert (cont.voxels[rows] == v).all()
         assert (np.diff(cont.ids[rows]) > 0).all()
 
 

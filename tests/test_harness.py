@@ -272,13 +272,15 @@ def test_broken_accumulation_order_is_caught(monkeypatch):
     # reorder, so the verifier must flag the divergence
     cfg = tiny_config(steps=2)
     ra = run_simulation(cfg)
-    sorted_keys = cellbench.mechanics._sorted_keys
+    sort_keys, minor = cellbench.mechanics._sort_keys, cellbench.mechanics._MASK
 
-    def descending_partners(major, minor, bits):
-        flip = (1 << bits) - 1  # flip - minor reverses the minor order; ^ flip restores it
-        return sorted_keys(major, flip - minor, bits) ^ flip
+    def descending_partners(keys):
+        keys ^= minor  # reverses the order of the minor halves; the second ^ restores them
+        sort_keys(keys)
+        keys ^= minor
+        return keys
 
-    monkeypatch.setattr(cellbench.mechanics, "_sorted_keys", descending_partners)
+    monkeypatch.setattr(cellbench.mechanics, "_sort_keys", descending_partners)
     rb = run_simulation(cfg)
     detail = _first_divergence(ra, rb)
     assert detail != ""

@@ -309,7 +309,7 @@ spot = st.floats(0.0, 80.0) | face
 @settings(max_examples=150)
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4),
        st.lists(st.tuples(spot, spot, spot), max_size=30), st.randoms(use_true_random=False))
-def test_half_shells_list_each_adjacent_pair_once(nx, ny, nz, points, rnd):
+def test_pair_lists_list_each_adjacent_pair_once(nx, ny, nz, points, rnd):
     # meshes with n=1 axes, cells on voxel faces, many cells in one voxel,
     # and storage order unrelated to ids
     mesh = cb.CartesianMesh(nx, ny, nz)
@@ -405,49 +405,127 @@ cache_steps = st.one_of(
 )
 
 
+def apply_step(cont, step):
+    """Apply one step of `cache_steps` to `cont`, which is left to rebin."""
+    kind = step[0]
+    if kind in ("inside", "across"):
+        row = step[1] % len(cont)
+        corner = np.array(np.unravel_index(int(cont.voxels[row]), (4, 4, 4))[::-1], dtype=float)
+        if kind == "across":  # to the next voxel along one axis, or the previous
+            axis = step[3]
+            corner[axis] += 1.0 if corner[axis] + 1 < 4 else -1.0
+        cont.positions[row] = (corner + step[2]) * 20.0
+        cont.positions_dirty = True
+    elif kind == "add":
+        cont.add_cells([[20.0 + 40.0 * f for f in p] for p in step[1]], radius=8.0)
+    else:
+        rows = list(range(len(cont)))
+        step[1].shuffle(rows)
+        cont.take(rows)
+
+
+def assert_lists_equal_a_first_build(lists, cont):
+    """The kept keys, and every list of storage rows derived from them,
+    equal a first build on a fresh copy of `cont`."""
+    fresh = fresh_copy(cont)
+    first = mechanics.PairLists()
+    assert lists.changed == []
+    assert lists.keys.tobytes() == first.update(fresh).tobytes()
+    for name in ("forward", "directed"):
+        if getattr(lists, name) is not None:
+            want = getattr(first, "build_" + name)(fresh)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(getattr(lists, name), want))
+
+
 @settings(max_examples=60)
 @given(st.lists(cache_steps, min_size=1, max_size=8), st.sampled_from(ALL_SCHEDULES),
        st.sampled_from(list(AllocationMode)))
 def test_kept_bins_give_the_velocities_of_a_fresh_container(steps, schedule, mode):
-    # each step is followed by a rebin; the bins and candidate table kept
-    # while no cell changes voxel must give what fresh ones give, bit for bit
+    # each step is followed by a rebin; the bins kept while no cell changes
+    # voxel, and the pair lists kept and patched whatever the step, must give
+    # what fresh ones give, bit for bit
     mesh = cb.CartesianMesh(4, 4, 4)
     cont = clustered_container(mesh, n=12)
     params = InteractionParams()
     with WorkerPool(2) as pool:
         update_velocities(cont, mesh, params, schedule, pool, alloc_mode=mode)
+        lists = cont.candidates
         for step in steps:
-            kind, table = step[0], cont.candidates
-            if kind in ("inside", "across"):
-                row = step[1] % len(cont)
-                corner = np.array(np.unravel_index(int(cont.voxels[row]), (4, 4, 4))[::-1],
-                                  dtype=float)
-                if kind == "across":  # to the next voxel along one axis, or the previous
-                    axis = step[3]
-                    corner[axis] += 1.0 if corner[axis] + 1 < 4 else -1.0
-                cont.positions[row] = (corner + step[2]) * 20.0
-                cont.positions_dirty = True
-            elif kind == "add":
-                cont.add_cells([[20.0 + 40.0 * f for f in p] for p in step[1]], radius=8.0)
-            else:
-                rows = list(range(len(cont)))
-                step[1].shuffle(rows)
-                cont.take(rows)
+            forward, directed = lists.forward, lists.directed
+            apply_step(cont, step)
             cb.rebin_cells(cont)
             check_consistent(cont)
-            assert (cont.candidates is table) == (kind == "inside")
+            assert cont.candidates is lists
+            if step[0] == "inside":  # kept bins keep the derived lists too
+                assert lists.forward is forward and lists.directed is directed
             fresh = fresh_copy(cont)
             for c in (cont, fresh):
                 c.velocities[:] = math.nan
                 update_velocities(c, mesh, params, schedule, pool, alloc_mode=mode)
             assert cont.velocities.tobytes() == fresh.velocities.tobytes(), step
+            assert_lists_equal_a_first_build(lists, cont)
+
+
+@settings(max_examples=100)
+@given(st.lists(st.tuples(cache_steps, st.booleans()), min_size=1, max_size=10),
+       st.sampled_from(ALL_SCHEDULES), st.sampled_from(list(cb.StorageKind)))
+def test_patched_pair_lists_equal_a_first_build(steps, schedule, order):
+    # every rebin hands the pair lists the ids of the cells that changed
+    # voxel or were born; the ids pile up over rebins (and resorts, under
+    # voxel-sorted storage) until a velocity call patches the keys, which
+    # must then equal a first build on a fresh copy
+    mesh = cb.CartesianMesh(4, 4, 4)
+    cont = clustered_container(mesh, n=12)
+    params = InteractionParams()
+    with WorkerPool(1) as pool:
+        update_velocities(cont, mesh, params, schedule, pool)
+        lists = cont.candidates
+        for k, (step, call) in enumerate(steps):
+            apply_step(cont, step)
+            cb.rebin_cells(cont)
+            if order is cb.StorageKind.VOXEL_SORTED:
+                cb.sort_cells_by_voxel(cont)
+            assert cont.candidates is lists
+            if call or k == len(steps) - 1:
+                update_velocities(cont, mesh, params, schedule, pool)
+                assert_lists_equal_a_first_build(lists, cont)
+
+
+def test_a_take_that_drops_rows_drops_the_pair_lists(small_mesh):
+    # the kept keys would name a cell that is gone, so the next call builds
+    # the lists afresh
+    cont = clustered_container(small_mesh)
+    params = InteractionParams()
+    with WorkerPool(1) as pool:
+        schedule = MechanicsSchedule(ScheduleKind.CELL_STATIC)
+        update_velocities(cont, small_mesh, params, schedule, pool)
+        cont.take(np.arange(len(cont))[::-1])  # a permutation keeps them
+        assert cont.candidates is not None
+        cont.take(np.arange(1, len(cont)))
+        assert cont.candidates is None
+        cb.rebin_cells(cont)
+        update_velocities(cont, small_mesh, params, schedule, pool)
+    keys = cont.candidates.keys.tolist()
+    assert [(k >> 32, k & 0xFFFFFFFF) for k in keys] == moore_pairs(cont)
+    assert dict(zip(cont.ids.tolist(), cont.velocities.tolist())) == scalar_velocities(cont, params)
+
+
+def test_ids_past_the_pair_key_range_are_a_capacity_error(small_mesh):
+    # two ids of 31 bits make one int64 key; the check comes before any
+    # array of one entry per id
+    cont = clustered_container(small_mesh)
+    cont.next_id = 1 << 31
+    with WorkerPool(1) as pool:
+        with pytest.raises(cb.CapacityError, match="pair key"):
+            update_velocities(cont, small_mesh, InteractionParams(),
+                              MechanicsSchedule(ScheduleKind.CELL_STATIC), pool)
 
 
 #: Peak allocation of one velocity call on the 900 packed cells below.  The
 #: scalar loop this kernel replaced stayed near 0.2 MiB there; the kernel
-#: stays below 0.4 MiB on kept pair lists and near 0.7 MiB when it builds
-#: them, under every schedule, while evaluating every pair of the call at
-#: once needs about 1.4 MiB.
+#: stays below 0.4 MiB on kept pair lists and below 0.75 MiB when it builds
+#: or patches them, under every schedule, while evaluating every pair of
+#: the call at once needs about 1.4 MiB.
 VELOCITY_PEAK_BOUND = 1 << 20
 
 
@@ -477,26 +555,34 @@ def test_one_velocity_call_stays_in_blocks(mode):
 
 @pytest.mark.parametrize("schedule", ALL_SCHEDULES, ids=lambda s: s.kind.value)
 def test_the_call_that_builds_the_pair_list_stays_bounded(schedule):
-    # after a rebin that moved a cell to another voxel, the call builds the
-    # pair list its chunks walk first; that build counts against the same
-    # bound
+    # the first call on a container builds the pair list, walking every
+    # cell; after a rebin that moved a cell to another voxel, the next call
+    # patches it.  Both count against the same bound
     cont = packed_cells()
     params = InteractionParams()
+    peaks = []
     with WorkerPool(1) as pool:
-        update_velocities(cont, cont.mesh, params, schedule, pool)
-        cont.positions[0] = cont.positions[-1]
-        cont.positions_dirty = True
-        cb.rebin_cells(cont)
-        assert cont.candidates is None
-        tracemalloc.start()
-        try:
-            update_velocities(cont, cont.mesh, params, schedule, pool)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        for patch in (False, True):
+            if patch:
+                cont.positions[0] = cont.positions[-1]
+                cont.positions_dirty = True
+                cb.rebin_cells(cont)
+                assert cont.candidates is lists and len(lists.changed) == 1
+                assert lists.forward is None and lists.directed is None
+            else:
+                assert cont.candidates is None
+            tracemalloc.start()
+            try:
+                update_velocities(cont, cont.mesh, params, schedule, pool)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+            lists = cont.candidates
+    assert lists.changed == []
     if schedule.kind is ScheduleKind.CELL_STATIC:
-        assert cont.candidates.directed is None  # one chunk: the forward list only
-    assert peak < VELOCITY_PEAK_BOUND
+        assert lists.directed is None  # one chunk: the forward list only
+    assert max(peaks) < VELOCITY_PEAK_BOUND, peaks
 
 
 @pytest.mark.parametrize("mode", list(AllocationMode), ids=lambda m: m.value)

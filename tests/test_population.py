@@ -93,6 +93,32 @@ def test_daughter_copies_parent_and_sits_half_radius_away(small_mesh):
     assert d == pytest.approx(3.5, rel=1e-12)  # R/2, no clamping this far in
 
 
+def test_daughters_sit_where_the_scalar_draws_put_them(small_mesh):
+    # oracle: the parent-id-ordered dividers and the placement of each
+    # daughter, straight from `division_draws` and Python floats
+    rate, dt, seed, step = 1.5, 1.0, 5, 2
+    cont = populated(small_mesh, rate=rate)
+    cont.take(np.arange(len(cont))[::-1])
+    cb.rebin_cells(cont)
+    p = 1.0 - math.exp(-rate * dt)
+    expected = []
+    for c in sorted(cont.cells, key=lambda c: c.id):
+        decide, uz, uphi = division_draws(seed, c.id, step)
+        if decide < p:
+            z = 2.0 * uz - 1.0
+            rho = math.sqrt(max(0.0, 1.0 - z * z))
+            phi = 2.0 * math.pi * uphi
+            px, py, pz = c.position.tolist()
+            position = np.array([[px + 0.5 * c.radius * rho * math.cos(phi),
+                                  py + 0.5 * c.radius * rho * math.sin(phi),
+                                  pz + 0.5 * c.radius * z]])
+            small_mesh.clamp_inside(position)
+            expected.append(position[0].tolist())
+    daughters = attempt_divisions(cont, seed=seed, dt=dt, mesh=small_mesh, step=step)
+    assert 0 < len(expected) < 6
+    assert cont.positions[-len(daughters):].tolist() == expected
+
+
 def test_probability_matches_the_draw_rule(small_mesh):
     # oracle: recount dividers straight from the hazard formula
     rate, dt, seed, step = 0.2, 0.5, 123, 17
