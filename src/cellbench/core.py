@@ -172,12 +172,11 @@ class CellContainer:
     are kept while no cell changes voxel: `add_cells` and `take` mark the
     rows changed, and `rebin_cells` rebuilds only after such a change or a
     voxel change.  `candidates` holds the velocity kernel's pair lists
-    (`mechanics.PairLists`) for the container's whole life: each rebuild
-    of the bins hands them the ids of the cells that changed voxel or were
-    born, and they patch themselves on next use.  A `take` that keeps fewer
-    rows than it holds resets it to None, since the lists would name cells
-    that are gone.  It never holds a view of a column, since an append may
-    reallocate the columns.
+    (`mechanics.PairLists`) for the container's whole life: on first use
+    after each rebuild of the bins they compare the voxel of each id with
+    their own record and patch themselves for the cells that changed voxel,
+    were born or are gone.  They never hold a view of a column, since an
+    append may reallocate the columns.
     """
 
     #: (attribute, row shape, dtype) of every per-cell column.
@@ -273,11 +272,8 @@ class CellContainer:
 
     def take(self, rows) -> None:
         """Keep the given storage rows, in the given order; a permutation of
-        all rows reorders storage.  The bins are stale until the next rebin,
-        and keeping fewer rows drops the pair lists (`candidates`)."""
+        all rows reorders storage.  The bins are stale until the next rebin."""
         rows = np.asarray(rows, dtype=np.intp)
-        if len(rows) < self._n:
-            self.candidates = None
         for name, _, _ in self._COLUMNS:
             column = getattr(self, name)
             column[:len(rows)] = column[rows]
@@ -295,21 +291,16 @@ def rebin_cells(container: CellContainer) -> CellContainer:
     once: whoever writes positions must set `positions_dirty`, as
     `integrate_positions` does.  If no row was added or reordered since the
     last rebin and no cell changed voxel, the bins are kept.  Otherwise the
-    bins come from one sort of the rows by (voxel, id), and the ids of the
-    rows whose voxel differs from the `voxels` column (new rows hold -1
-    there, and `take` permutes it with the rows) go to the pair lists in
-    `candidates`: exactly the cells that changed voxel or were born.
+    bins come from one sort of the rows by (voxel, id) into a new `bin_rows`
+    array, which tells the pair lists in `candidates` that they are stale.
     """
     if not (container.positions_dirty or container.rows_changed):
         return container
     voxels = container.mesh.voxels_of(container.positions)
     n = len(voxels)
-    moved = voxels != container.voxels
-    if not container.rows_changed and not moved.any():
+    if not container.rows_changed and (voxels == container.voxels).all():
         container.positions_dirty = False
         return container
-    if container.candidates is not None:
-        container.candidates.rebinned(container.ids[moved])
     container._voxel[:n] = voxels
     rows = (voxels * container.next_id + container.ids).argsort(kind="stable")
     binned = voxels[rows]

@@ -11,13 +11,14 @@ change it.
 One vectorized pair kernel (`PairKernel`) serves the velocity update and the
 locality metric.  It walks pair lists of storage rows derived from one
 sorted array of id-pair keys (`PairLists`), which the container keeps for
-its whole life.  The first use walks the Moore neighborhood of every cell
-in the container's CSR voxel bins (`_walk`); after that, each rebuild of
-the bins by `rebin_cells` (only when a row was added or reordered or a cell
-changed voxel) hands in the cells that changed voxel or were born, and the
-next use patches the keys for those cells alone with the same walk
-(`_patch`).  Binning is exact provided the voxel edge is at least the
-largest interaction range (checked by `check_binning_exact` at run start).
+its whole life.  The first use after `rebin_cells` rebuilt the bins (only
+when a row was added, dropped or reordered or a cell changed voxel)
+compares the voxel of each id with the one the keys were walked in, and
+patches the keys for the cells that changed voxel, were born or are gone
+(`_patch`): it drops their keys and walks their Moore neighborhoods in the
+container's CSR voxel bins (`_walk`).  The first use of all walks every
+cell.  Binning is exact provided the voxel edge is at least the largest
+interaction range (checked by `check_binning_exact` at run start).
 
 A chunk sets its cells' velocities to 0.0, evaluates the force law on the
 in-range pairs of its list, `BLOCK` pairs at a time, and adds each term into
@@ -154,30 +155,30 @@ def _sort_keys(keys: np.ndarray) -> np.ndarray:
 
 
 def _row_of_id(container: CellContainer) -> np.ndarray:
-    rows = np.empty(container.next_id, dtype=np.intp)
+    """The storage row of each id; 0 for the ids of no cell."""
+    rows = np.zeros(container.next_id, dtype=np.intp)
     rows[container.ids] = np.arange(len(container))
     return rows
 
 
-def _walk(container: CellContainer, pos: np.ndarray, changed=None, kept: int = 0) -> np.ndarray:
-    """The sorted keys of the Moore pairs (c, p) of the cells c at the
-    ascending bin positions `pos`, in the current bins.
+def _walk(container: CellContainer, changed: np.ndarray, kept: int) -> np.ndarray:
+    """The sorted keys of the Moore pairs (c, p) of the changed cells c
+    (`changed` is a mask over ids), in the current bins.
 
     The partners p of c are the cells of the three-voxel runs of the nine
     mesh rows around c's voxel, c itself left out; one binary search over
     the non-empty voxels finds each run's bin positions.  A pair is kept if
-    p did not change (`changed` is a mask over ids) or p comes after c in
-    bin order, so each pair once.  Without a mask every cell counts as
-    changed, so each run is clipped to the bin positions after c's and only
-    kept pairs are expanded.  The cells are walked in slices of about
-    `BLOCK` partners, so the temporaries beyond the keys are O(`BLOCK`).
+    p did not change or p comes after c in bin order, so each pair once.
+    The cells are walked in slices of about `BLOCK` partners, so the
+    temporaries beyond the keys are O(`BLOCK`).
 
     With `kept` other pairs, more than `MAX_PAIRS` pairs raise
-    `CapacityError` before any partner is expanded: without a mask the walk
-    keeps every partner it expands, with one at least half of them, each
-    changed cell's own entry aside.
+    `CapacityError` before any partner is expanded: the walk keeps at least
+    half of the partners it expands, each changed cell's own entry aside.
     """
     mesh = container.mesh
+    by_pos = container.ids.take(container.bin_rows)
+    pos = changed.take(by_pos).nonzero()[0]
     # the distinct voxels of the cells, ascending, as bin order is
     cell_voxels = container.voxels.take(container.bin_rows.take(pos))
     first = np.empty(len(cell_voxels), dtype=bool)
@@ -185,29 +186,22 @@ def _walk(container: CellContainer, pos: np.ndarray, changed=None, kept: int = 0
     np.not_equal(cell_voxels[1:], cell_voxels[:-1], out=first[1:])
     voxels = cell_voxels.compress(first)
     of_cell = voxels.searchsorted(cell_voxels)
-    # the runs of the first four mesh rows lie before the cell's voxel, so
-    # they clip to nothing
-    mesh_rows = _MOORE_ROWS if changed is not None else _MOORE_ROWS[4:]
     x, yz = voxels % mesh.nx, voxels // mesh.nx
-    y = yz % mesh.ny + mesh_rows[:, :1]
-    z = yz // mesh.ny + mesh_rows[:, 1:]
+    y = yz % mesh.ny + _MOORE_ROWS[:, :1]
+    z = yz // mesh.ny + _MOORE_ROWS[:, 1:]
     row = (y + mesh.ny * z) * mesh.nx
     # (run starts, run ends) by mesh row, then by voxel: each row of queries
     # ascends, so the binary searches do not restart
     bounds = container.bin_ptr[container.nonempty_voxels.searchsorted(
         np.concatenate((row + np.maximum(x - 1, 0), row + np.minimum(x + 2, mesh.nx))))]
-    m = len(mesh_rows)
+    m = len(_MOORE_ROWS)
     ends = np.where((y >= 0) & (y < mesh.ny) & (z >= 0) & (z < mesh.nz), bounds[m:], bounds[:m])
     starts = bounds[:m].T.take(of_cell, axis=0)
     counts = ends.T.take(of_cell, axis=0)
-    if changed is None:
-        np.maximum(starts, pos[:, None] + 1, out=starts)
     counts -= starts
-    np.maximum(counts, 0, out=counts)
     per_cell = counts.sum(axis=1)
     expanded = int(per_cell.sum())
-    _check_pairs(kept + (expanded if changed is None else (expanded - len(pos)) // 2))
-    by_pos = container.ids.take(container.bin_rows)
+    _check_pairs(kept + (expanded - len(pos)) // 2)
     owners = by_pos.take(pos)
     keys = np.empty(expanded, dtype=np.int64)
     offsets = np.add.accumulate(per_cell) - per_cell
@@ -219,10 +213,9 @@ def _walk(container: CellContainer, pos: np.ndarray, changed=None, kept: int = 0
         at = _ranges(starts[a:b].ravel(), counts[a:b].ravel())
         partner = by_pos.take(at)
         owner = owners[a:b].repeat(per_cell[a:b])
-        if changed is not None:
-            keep = at > pos[a:b].repeat(per_cell[a:b])
-            keep |= ~changed.take(partner)
-            partner, owner = partner.compress(keep), owner.compress(keep)
+        keep = at > pos[a:b].repeat(per_cell[a:b])
+        keep |= ~changed.take(partner)
+        partner, owner = partner.compress(keep), owner.compress(keep)
         lower = keys[n:n + len(partner)]
         np.minimum(owner, partner, out=lower)
         np.maximum(owner, partner, out=partner)
@@ -232,12 +225,10 @@ def _walk(container: CellContainer, pos: np.ndarray, changed=None, kept: int = 0
     return _sort_keys(keys[:n])
 
 
-def _patch(keys: np.ndarray, container: CellContainer, ids: np.ndarray) -> np.ndarray:
-    """The sorted keys with every key that touches one of the given ids
-    (which may repeat) dropped and the Moore pairs of those cells in the
-    current bins merged in."""
-    changed = np.zeros(container.next_id, dtype=bool)
-    changed[ids] = True
+def _patch(keys: np.ndarray, container: CellContainer, changed: np.ndarray) -> np.ndarray:
+    """The sorted keys with every key that touches a changed id (`changed`
+    is a mask over ids) dropped and the Moore pairs of the changed cells in
+    the current bins merged in."""
     side = keys >> _SHIFT  # the lower id of each key, then the higher
     touched = changed.take(side)
     np.bitwise_and(keys, _MASK, out=side)
@@ -245,8 +236,7 @@ def _patch(keys: np.ndarray, container: CellContainer, ids: np.ndarray) -> np.nd
     del side
     keys = keys.compress(~touched)
     del touched
-    pos = changed.take(container.ids.take(container.bin_rows)).nonzero()[0]
-    new = _walk(container, pos, changed, len(keys))
+    new = _walk(container, changed, len(keys))
     _check_pairs(len(keys) + len(new))
     at = keys.searchsorted(new)
     at += np.arange(len(new))
@@ -289,13 +279,13 @@ class PairLists:
     """The pair lists of one container, kept for its whole life.
 
     `keys` lists every pair of distinct cells in Moore-adjacent voxels once,
-    as the key `lower id << _SHIFT | higher id`, sorted.  `rebin_cells`
-    hands in the ids of the cells that changed voxel or were born whenever
-    it rebuilds the bins (`rebinned`); they pile up until the next use,
-    which drops every key that touches one of them, walks their Moore
-    neighborhoods in the current bins and merges the new keys in
-    (`_patch`).  The first use walks every cell (`_walk`).  A resort that
-    moves no cell leaves the keys as they are.
+    as the key `lower id << _SHIFT | higher id`, sorted.  They were walked
+    in the bins `bins`, where the cell of id k was in voxel `voxel_of_id[k]`
+    (-1 for none).  `rebin_cells` replaces `bin_rows` whenever it rebuilds
+    the bins, so the first use after that compares the voxel of each id
+    with `voxel_of_id` and patches the keys for the cells that changed
+    voxel, were born or are gone (`_patch`).  The first use of all patches
+    an empty key set with every cell born.
 
     The lists of storage rows are derived from the keys on first use after
     each rebuild of the bins: `forward` (lower-id row, higher-id row) in key
@@ -304,32 +294,31 @@ class PairLists:
     """
 
     def __init__(self):
-        self.keys = None
-        self.changed = []
-        self.forward = self.directed = None
-
-    def rebinned(self, changed: np.ndarray) -> None:
-        """The bins were rebuilt; the cells of ids `changed` changed voxel or
-        were born."""
-        if len(changed):
-            self.changed.append(changed)
+        self.keys = np.zeros(0, dtype=np.int64)
+        self.voxel_of_id = np.zeros(0, dtype=np.int64)
+        self.bins = None
         self.forward = self.directed = None
 
     def update(self, container: CellContainer) -> np.ndarray:
-        """The keys of the current bins: walked on first use, patched for
-        the cells handed in since the last use after that."""
+        """The keys of the current bins, patched if the bins were rebuilt
+        since the last use."""
         if container.next_id >= 1 << 31:
             raise CapacityError(f"{container.next_id} cell ids do not fit a pair key")
-        if self.keys is None:
-            self.keys = _walk(container, np.arange(len(container)))
-        elif self.changed:
-            self.keys = _patch(self.keys, container, np.concatenate(self.changed))
-        self.changed = []
+        if container.bin_rows is not self.bins:
+            voxel_of_id = np.full(container.next_id, -1, dtype=np.int64)
+            voxel_of_id[container.ids] = container.voxels
+            # ids at or past the old length were born since the last use
+            changed = np.ones(container.next_id, dtype=bool)
+            n = len(self.voxel_of_id)
+            np.not_equal(voxel_of_id[:n], self.voxel_of_id, out=changed[:n])
+            self.keys = _patch(self.keys, container, changed)
+            self.voxel_of_id, self.bins = voxel_of_id, container.bin_rows
+            self.forward = self.directed = None
         return self.keys
 
     def build_forward(self, container: CellContainer) -> tuple[np.ndarray, np.ndarray]:
+        keys = self.update(container)
         if self.forward is None:
-            keys = self.update(container)
             rows = _row_of_id(container)
             side = keys & _MASK  # the higher id of each key, then the lower
             higher = rows.take(side)
@@ -338,8 +327,9 @@ class PairLists:
         return self.forward
 
     def build_directed(self, container: CellContainer) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        keys = self.update(container)
         if self.directed is None:
-            self.directed = _directed(self.update(container), container)
+            self.directed = _directed(keys, container)
         return self.directed
 
 
@@ -347,10 +337,11 @@ class PairKernel:
     """The pair kernel over the pair lists of one binned container state.
 
     The pair lists live on the container (`CellContainer.candidates`) and
-    are patched after `rebin_cells` rebuilt the bins.  Their lists of
-    storage rows let the kernel read the position and radius columns in
-    place.  `split` derives the directed list before a dispatch whose chunks
-    may not hold every cell, so no worker patches or derives it.
+    patch themselves on first use after `rebin_cells` rebuilt the bins.
+    Their lists of storage rows let the kernel read the position and radius
+    columns in place.  `split` derives the directed list before a dispatch
+    whose chunks may not hold every cell, so no worker patches or derives
+    it.
     """
 
     def __init__(self, container: CellContainer, params: InteractionParams,
@@ -450,8 +441,8 @@ def update_velocities(container: CellContainer, mesh: CartesianMesh,
     """Recompute every cell's velocity from its in-range neighbors.
 
     The kernel takes the container's pair lists, patched for the cells that
-    changed voxel or were born if `rebin_cells` rebuilt the bins since the
-    last call, and derives the list of storage rows its chunks walk: a
+    changed voxel, were born or are gone if `rebin_cells` rebuilt the bins
+    since the last call, and derives the list of storage rows its chunks walk: a
     dispatch that can split the rows derives the directed list before it
     starts, and the chunk that holds every cell the forward list.
     """
