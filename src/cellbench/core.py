@@ -41,6 +41,15 @@ class CartesianMesh:
             raise DomainError("voxel counts must be >= 1")
         if min(self.dx, self.dy, self.dz) <= 0:
             raise DomainError("voxel edge lengths must be > 0")
+        # read-only float64 (3,) arrays of the bounds and the spacing, and the
+        # flat-index weight of each axis, built once for the per-step kernels
+        for name, value in (("lower_bounds", self.origin), ("upper_bounds", self.upper),
+                            ("spacing", (self.dx, self.dy, self.dz)),
+                            ("_dims", (self.nx, self.ny, self.nz)),
+                            ("_strides", (1, self.nx, self.nx * self.ny))):
+            array = np.array(value, dtype=np.float64)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @property
     def voxel_count(self) -> int:
@@ -58,21 +67,38 @@ class CartesianMesh:
     def voxels_of(self, positions) -> np.ndarray:
         """Flat voxel indices of in-bounds positions; DomainError for any other.
 
-        `np.floor_divide` rounds exactly as Python's float `//` does.
+        The index along each axis is the floor of q = (p - origin) / h, as
+        `np.floor_divide`, Python's float `//`, gives it.  `np.floor(q)` is
+        that floor unless q rounded onto an integer: the rounding is
+        monotone and every integer below 2**53 is a float, so a quotient
+        strictly between two integers rounds to a value in the same closed
+        interval.  Only the entries with floor(q) == q are therefore
+        recomputed with `np.floor_divide`.  NaN and points outside the mesh
+        fail the bounds check and raise.
         """
         pos = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
-        idx = np.floor_divide(pos - self.origin, (self.dx, self.dy, self.dz))
-        inside = ((idx >= 0) & (idx < (self.nx, self.ny, self.nz))).all(axis=1)
-        if not inside.all():
+        # one row per axis, so every ufunc loops over the points
+        offset = np.empty((3, len(pos)))
+        np.subtract(pos.T, self.lower_bounds[:, None], out=offset)
+        quotient = offset / self.spacing[:, None]
+        idx = np.floor(quotient)
+        on_integer = idx == quotient
+        if on_integer.any():
+            axes, cols = on_integer.nonzero()
+            with np.errstate(invalid="ignore"):  # inf // h is NaN, which raises below
+                idx[axes, cols] = np.floor_divide(offset[axes, cols], self.spacing[axes])
+        # NaN fails both comparisons
+        if not (idx.min(initial=0.0) >= 0.0
+                and (idx.max(axis=1, initial=0.0) < self._dims).all()):
+            inside = ((idx >= 0.0) & (idx < self._dims[:, None])).all(axis=0)
             bad = pos[np.argmin(inside)]
             raise DomainError(f"position {tuple(bad.tolist())} outside mesh bounds")
-        idx = idx.astype(np.int64)
-        return idx[:, 0] + self.nx * (idx[:, 1] + self.ny * idx[:, 2])
+        return (self._strides @ idx).astype(np.int64)
 
     def contains(self, position):
         """Whether each position lies inside the mesh (one bool, or one per row)."""
         p = np.asarray(position)
-        return ((p >= self.origin) & (p < self.upper)).all(axis=-1)
+        return ((p >= self.lower_bounds) & (p < self.upper_bounds)).all(axis=-1)
 
     def clamp_inside(self, position) -> None:
         """Clamp positions (in place) strictly inside the mesh faces."""
@@ -176,7 +202,10 @@ class CellContainer:
     after each rebuild of the bins they compare the voxel of each id with
     their own record and patch themselves for the cells that changed voxel,
     were born or are gone.  They never hold a view of a column, since an
-    append may reallocate the columns.
+    append may reallocate the columns.  `exchange_plan` holds the cell
+    exchange's per-voxel plan (`diffusion.ExchangePlan`), None until the
+    first exchange: it is rebuilt only when the bins were rebuilt, the rows
+    changed or the exchange parameters differ.
     """
 
     #: (attribute, row shape, dtype) of every per-cell column.
@@ -195,6 +224,7 @@ class CellContainer:
         self.positions_dirty = False
         self.rows_changed = False
         self.candidates = None
+        self.exchange_plan = None
 
     def _allocate(self, capacity: int) -> None:
         """(Re)allocate every column at `capacity` rows, keeping the first n."""

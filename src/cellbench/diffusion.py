@@ -53,7 +53,7 @@ import numpy as np
 
 from .core import CartesianMesh, CellContainer, Microenvironment
 from .errors import DomainError, NumericError
-from .parallel import RegionRecord, WorkerPool
+from .parallel import RegionRecord, WorkerPool, static_ranges
 
 
 class TraversalMode(enum.Enum):
@@ -180,6 +180,65 @@ def _rank_prefixes(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, longer
 
 
+class ExchangePlan:
+    """What the cell exchange keeps of one binned container state.
+
+    `key` is (dt, secretion, uptake, saturation, voxel volume, workers).
+    For each chunk of the static split of `nonempty_voxels` over the
+    workers, `chunks` maps the chunk's first item to the chunk's voxels in
+    rank order (`_rank_prefixes`), a density buffer as long, and one
+    (density prefix, num, den) triple of views per rank.  The cells of rank
+    r are the r-th of each voxel that has more than r cells, so their
+    voxels are a prefix of the rank order.  Their factors are stored
+    rank-major: `num = f * secretion * saturation` and `den = 1.0 + f *
+    (secretion + uptake)`, with `f = dt * volume * inv_vol`.
+
+    A plan fits the `bin_rows` array it was built from, which `rebin_cells`
+    replaces whenever it rebuilds the bins, and its `key`; while
+    `rows_changed` is set, the rows were added or reordered since the bins
+    were built, and no plan fits.
+    """
+
+    __slots__ = ("bins", "key", "chunks")
+
+    def __init__(self, container: CellContainer, key: tuple) -> None:
+        dt, secretion, uptake, saturation, voxel_volume, workers = key
+        self.bins, self.key = container.bin_rows, key
+        voxels, bin_ptr = container.nonempty_voxels, container.bin_ptr
+        chunks, entries = [], [np.zeros(0, dtype=np.intp)]
+        for lo, hi in static_ranges(len(voxels), workers):
+            if hi == lo:
+                continue
+            order, longer = _rank_prefixes(bin_ptr[lo + 1:hi + 1] - bin_ptr[lo:hi])
+            per_rank = longer[:-1]
+            # the bin positions of rank r are first[:per_rank[r]] + r, for
+            # every rank in one pass
+            first = bin_ptr[lo:hi].take(order)
+            ends = np.add.accumulate(per_rank)
+            at = np.arange(ends[-1]) - (ends - per_rank).repeat(per_rank)
+            entries.append(first.take(at) + np.arange(len(per_rank)).repeat(per_rank))
+            chunks.append((lo, voxels[lo:hi].take(order), per_rank.tolist()))
+        rows = container.bin_rows.take(np.concatenate(entries))
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = dt * container.volumes.take(rows) * (1.0 / voxel_volume)
+            num = f * secretion * saturation
+            den = 1.0 + f * (secretion + uptake)
+        if (den <= 0.0).any():
+            raise DomainError("exchange denominator must stay positive")
+        self.chunks = {}
+        a = 0
+        for lo, chunk, per_rank in chunks:
+            rho = np.empty(len(chunk))
+            steps = []
+            for n in per_rank:
+                steps.append((rho[:n], num[a:a + n], den[a:a + n]))
+                a += n
+            self.chunks[lo] = chunk, rho, steps
+
+    def fits(self, container: CellContainer, key: tuple) -> bool:
+        return container.bin_rows is self.bins and not container.rows_changed and key == self.key
+
+
 def apply_cell_exchange(micro: Microenvironment, container: CellContainer, dt: float,
                         secretion: float, uptake: float, saturation: float,
                         pool: WorkerPool) -> RegionRecord:
@@ -188,38 +247,47 @@ def apply_cell_exchange(micro: Microenvironment, container: CellContainer, dt: f
     Within a voxel, cells apply in ascending id order, which is the order of
     the container's CSR bins, so the result does not depend on the storage
     order.  The update runs rank by rank: rank r applies the r-th cell of
-    every voxel of the chunk in one vector step.  Voxels are independent, so
-    the non-empty list parallelizes without conflicts.  A density that leaves
-    the finite range raises `NumericError` before it is written, so no later
-    region of the step computes with it.
+    every voxel of the chunk in one vector step, rho = (rho + num) / den.
+    Voxels are independent, so the non-empty list parallelizes without
+    conflicts.
+
+    The per-cell factors and the rank order are the `ExchangePlan` on
+    `container.exchange_plan`, which is kept for as long as the bins, the
+    parameters and the worker count: a call whose plan is stale builds a
+    new one before the dispatch, so no worker builds one.  A denominator
+    that is not positive raises `DomainError` while the plan is built,
+    before any density is written.  A density that leaves the finite range
+    raises `NumericError` before it is written, so no later region of the
+    step computes with it.
     """
     if dt <= 0.0:
         raise DomainError("exchange needs dt > 0")
     dens = micro.densities[0]
-    inv_vol = 1.0 / micro.mesh.voxel_volume
-    f_rows = dt * container.volumes * inv_vol
-    voxels = container.nonempty_voxels
-    bin_ptr, bin_rows = container.bin_ptr, container.bin_rows
+    key = (dt, secretion, uptake, saturation, micro.mesh.voxel_volume, pool.workers)
+    plan = container.exchange_plan
+    if plan is None or not plan.fits(container, key):
+        plan = container.exchange_plan = ExchangePlan(container, key)
+    chunks = plan.chunks
 
     def body(lo, hi, ctx):
-        order, longer = _rank_prefixes(bin_ptr[lo + 1:hi + 1] - bin_ptr[lo:hi])
-        first = bin_ptr[lo:hi][order]
-        chunk = voxels[lo:hi][order]
-        rho = dens[chunk]
-        with np.errstate(over="ignore", invalid="ignore"):
-            for rank, n in enumerate(longer[:-1].tolist()):
-                f = f_rows[bin_rows[first[:n] + rank]]
-                den = 1.0 + f * (secretion + uptake)
-                if (den <= 0.0).any():
-                    raise DomainError("exchange denominator must stay positive")
-                rho[:n] = (rho[:n] + f * secretion * saturation) / den
-        broken = ~np.isfinite(rho)
-        if broken.any():
-            v = chunk[broken].min()
-            raise NumericError(f"substrate density in voxel {v} left the finite range")
-        dens[chunk] = rho
+        _exchange_ranks(dens, *chunks[lo])
 
-    return pool.run_static(len(voxels), body)
+    return pool.run_static(len(container.nonempty_voxels), body)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _exchange_ranks(dens: np.ndarray, chunk: np.ndarray, rho: np.ndarray, steps: list) -> None:
+    """One chunk of `apply_cell_exchange`: gather, the rank steps, check, scatter."""
+    dens.take(chunk, out=rho)
+    add, divide = np.add, np.divide
+    for r, num, den in steps:
+        add(r, num, r)
+        divide(r, den, r)
+    finite = np.isfinite(rho)
+    if not finite.all():
+        v = chunk[~finite].min()
+        raise NumericError(f"substrate density in voxel {v} left the finite range")
+    dens[chunk] = rho
 
 
 def compute_gradients(micro: Microenvironment, mesh: CartesianMesh,

@@ -489,22 +489,33 @@ def integrate_positions(container: CellContainer, mesh: CartesianMesh,
                         dt: float, pool: WorkerPool) -> RegionRecord:
     """Forward Euler x += dt*v, clamped strictly inside the mesh; marks dirty.
 
-    Only the rows that leave the mesh are clamped.  A non-finite velocity
-    gives a non-finite position, which raises `NumericError` naming the cell
-    instead of being clamped back into the box.
+    Each block first checks all its coordinates at once, against the
+    largest lower and the smallest upper bound of the mesh, which every
+    coordinate of a cubic box's interior passes.  Only a block that fails
+    that check compares each axis with its own bounds and looks for the
+    rows that left the mesh; only those rows are clamped.  A non-finite
+    velocity gives a non-finite position, which fails both checks and
+    raises `NumericError` naming the cell instead of being clamped back
+    into the box.
     """
     if dt <= 0.0:
         raise DomainError("integration needs dt > 0")
     positions, velocities, ids = container.positions, container.velocities, container.ids
+    lower, upper = mesh.lower_bounds, mesh.upper_bounds
+    floor, ceiling = lower.max(), upper.min()
 
     def body(lo, hi, ctx):
         p = positions[lo:hi]
         with np.errstate(over="ignore", invalid="ignore"):
             p += dt * velocities[lo:hi]
-        out = (~mesh.contains(p)).nonzero()[0]
+        if p.min() >= floor and p.max() < ceiling:
+            return
+        inside = p >= lower
+        inside &= p < upper
+        out = (~inside.all(axis=1)).nonzero()[0]
         if len(out):
             moved = p[out]
-            # NaN and inf fail `contains`; clamping would hide an inf
+            # NaN and inf fail the bounds check; clamping would hide an inf
             broken = ~np.isfinite(moved).all(axis=1)
             if broken.any():
                 k = np.argmax(broken)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 
 def static_ranges(n_items: int, workers: int) -> list[tuple[int, int]]:
@@ -45,8 +45,10 @@ class WorkerStats:
     alloc_events: int = 0
 
     def add(self, other: WorkerStats) -> None:
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        self.busy += other.busy
+        self.iterations += other.iterations
+        self.claims += other.claims
+        self.alloc_events += other.alloc_events
 
 
 @dataclass

@@ -251,6 +251,69 @@ def test_voxels_of_matches_python_floor_division(dx, dy, dz, origin, fractions):
             mesh.voxels_of(points)
 
 
+def ulps_around(values, k):
+    """Each value, and the k floats on either side of it."""
+    out = [np.asarray(values, dtype=np.float64)]
+    for direction in (-np.inf, np.inf):
+        v = out[0]
+        for _ in range(k):
+            v = np.nextafter(v, direction)
+            out.append(v)
+    return np.concatenate(out)
+
+
+def floor_divide_reference(mesh, points):
+    """(index per axis by `np.floor_divide`, whether each point is inside)."""
+    idx = np.floor_divide(points - mesh.lower_bounds, mesh.spacing)
+    return idx, ((idx >= 0) & (idx < (mesh.nx, mesh.ny, mesh.nz))).all(axis=1)
+
+
+def test_voxels_of_matches_floor_divide_around_every_face():
+    # non-power-of-two spacings and an offset origin, so faces and integer
+    # quotients round; every point within 3 ulps of a face on each axis
+    mesh = cb.CartesianMesh(7, 5, 3, dx=0.3, dy=0.7, dz=1.1, origin=(0.1, -2.0, 3.3))
+    axes = [ulps_around([o + k * h for k in range(-1, n + 2)], 3)
+            for o, h, n in zip(mesh.origin, mesh.spacing.tolist(), (7, 5, 3))]
+    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    idx, inside = floor_divide_reference(mesh, points)
+    assert inside.sum() > 10_000 and (~inside).sum() > 10_000
+    expected = np.ravel_multi_index(idx[inside].astype(np.int64).T[::-1], (3, 5, 7))
+    assert (mesh.voxels_of(points[inside]) == expected).all()
+    for point in points[~inside][::997]:
+        with pytest.raises(DomainError):
+            mesh.voxels_of(point)
+
+
+@given(spacing=st.tuples(*[st.sampled_from([0.3, 0.7, 1.1, 20.0 / 3.0]) | st.floats(0.01, 50.0)] * 3),
+       origin=st.tuples(*[st.floats(-100.0, 100.0)] * 3),
+       faces=st.lists(st.tuples(*[st.tuples(st.integers(-1, 8), st.integers(-2, 2))] * 3),
+                      min_size=1, max_size=20))
+def test_voxels_of_matches_floor_divide_near_faces(spacing, origin, faces):
+    mesh = cb.CartesianMesh(7, 5, 3, *spacing, origin=origin)
+    points = np.empty((len(faces), 3))
+    for p, face in zip(points, faces):
+        for axis, (k, ulps) in enumerate(face):
+            p[axis] = origin[axis] + k * spacing[axis]
+            for _ in range(abs(ulps)):
+                p[axis] = np.nextafter(p[axis], np.copysign(np.inf, ulps))
+    idx, inside = floor_divide_reference(mesh, points)
+    if inside.all():
+        flat = np.ravel_multi_index(idx.astype(np.int64).T[::-1], (3, 5, 7))
+        assert mesh.voxels_of(points).tolist() == flat.tolist()
+    else:
+        with pytest.raises(DomainError):
+            mesh.voxels_of(points)
+
+
+@pytest.mark.parametrize("bad", [(np.nan, 1.0, 1.0), (1.0, np.inf, 1.0), (1.0, 1.0, -np.inf),
+                                 (-1e-300, 1.0, 1.0), (1.0, 3.6, 4.0), (2.2, 1.0, 4.0)])
+def test_voxels_of_rejects_nan_and_outside_points(bad):
+    mesh = cb.CartesianMesh(7, 5, 3, dx=0.3, dy=0.7, dz=1.1, origin=(0.0, 0.0, 3.3))
+    points = np.array([(1.0, 1.0, 4.0), bad, (0.5, 0.5, 4.5)])
+    with pytest.raises(DomainError, match="outside mesh bounds"):
+        mesh.voxels_of(points)
+
+
 def test_check_consistent_detects_stale_bin(small_mesh):
     cont = make_container(small_mesh, [(10.0, 10.0, 10.0)])
     cont.cells[0].position[0] = 50.0  # moved without rebin

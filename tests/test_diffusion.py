@@ -423,6 +423,92 @@ def test_exchange_empty_container(pool2):
     assert np.array_equal(micro.densities, before)
 
 
+def exchange_reference(micro, cont, dt, secretion, uptake, saturation):
+    """The exchange cell by cell in Python floats: in each voxel, the cells in
+    ascending id order, rho = (rho + f * secretion * saturation) / den."""
+    dens = micro.densities[0]
+    inv_vol = 1.0 / micro.mesh.voxel_volume
+    volumes, voxels = cont.volumes.tolist(), cont.voxels.tolist()
+    for row in np.argsort(cont.ids, kind="stable").tolist():
+        f = dt * volumes[row] * inv_vol
+        rho = float(dens[voxels[row]])
+        dens[voxels[row]] = (rho + f * secretion * saturation) / (1.0 + f * (secretion + uptake))
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_exchange_matches_a_per_cell_reference_bit_for_bit(workers):
+    # up to a dozen cells share a voxel, of mixed radii, in scrambled storage
+    mesh = cb.CartesianMesh(3, 3, 3)
+    rng = np.random.default_rng(7)
+    cont = cb.CellContainer(mesh)
+    cont.add_cells(rng.uniform(0.0, 60.0, (90, 3)), radius=rng.uniform(2.0, 9.0, 90))
+    cont.take(rng.permutation(90))
+    cb.rebin_cells(cont)
+    assert np.diff(cont.bin_ptr).max() >= 5
+    micro, expected = random_micro(mesh, 1000.0, 0.0), random_micro(mesh, 1000.0, 0.0)
+    with WorkerPool(workers) as pool:
+        for dt, secretion, uptake in ((0.05, 3.0, 7.0), (0.05, 3.0, 7.0), (0.1, 0.5, 2.0)):
+            apply_cell_exchange(micro, cont, dt, secretion, uptake, 38.0, pool=pool)
+            exchange_reference(expected, cont, dt, secretion, uptake, 38.0)
+            assert micro.densities.tobytes() == expected.densities.tobytes()
+
+
+def test_exchange_plan_lives_as_long_as_the_bins(pool2):
+    _, micro, cont = exchange_fixture()
+    args = dict(secretion=2.0, uptake=3.0, saturation=38.0)
+
+    def plan_after(dt=0.01, pool=pool2, micro=micro, **changes):
+        apply_cell_exchange(micro, cont, dt, **{**args, **changes}, pool=pool)
+        return cont.exchange_plan
+
+    plan = plan_after()
+    assert plan is not None and plan_after() is plan
+    # a move inside the voxel keeps the bins, and so the plan
+    cont.positions[0, 0] += 1.0
+    cont.positions_dirty = True
+    bins = cont.bin_rows
+    cb.rebin_cells(cont)
+    assert cont.bin_rows is bins and plan_after() is plan
+    # a move into another voxel rebuilds the bins, and so the plan
+    cont.positions[0, 0] += 20.0
+    cont.positions_dirty = True
+    cb.rebin_cells(cont)
+    plan, previous = plan_after(), plan
+    assert plan is not previous and plan_after() is plan
+    # added or reordered rows make the plan stale until they are binned
+    for change in (lambda: cont.add_cells([(70.0, 70.0, 70.0)], radius=8.0),
+                   lambda: cont.take(np.arange(len(cont))[::-1])):
+        change()
+        stale = plan_after()
+        assert stale is not plan and plan_after() is not stale  # unbinned: built again
+        cb.rebin_cells(cont)
+        plan = plan_after()
+        assert plan_after() is plan
+    # so does any parameter, the voxel volume or the worker count
+    coarse = uniform_micro(cb.CartesianMesh(4, 4, 4, dx=30.0), 1000.0, 0.0)
+    with WorkerPool(1) as pool1:
+        for changes in (dict(dt=0.02), dict(secretion=2.5), dict(uptake=3.5),
+                        dict(saturation=40.0), dict(micro=coarse), dict(pool=pool1)):
+            assert plan_after(**changes) is not plan
+            plan = plan_after()
+
+
+def test_exchange_nonpositive_denominator_raises_before_any_write():
+    # small cells in the first voxels, one large cell in the last: only its
+    # denominator 1 + f * (secretion + uptake) is negative, and the last of
+    # three workers owns its voxel
+    mesh = cb.CartesianMesh(4, 4, 4)
+    micro = random_micro(mesh, 1000.0, 0.0)
+    centres = [(10.0 + 20.0 * k, 10.0, 10.0) for k in range(4)]
+    cont = make_container(mesh, centres + [(70.0, 70.0, 70.0)], radius=[2.0] * 4 + [8.0])
+    before = micro.densities.copy()
+    with WorkerPool(3) as pool:
+        with pytest.raises(DomainError, match="denominator"):
+            apply_cell_exchange(micro, cont, 1.0, secretion=0.0, uptake=-8.0,
+                                saturation=38.0, pool=pool)
+    assert micro.densities.tobytes() == before.tobytes()
+
+
 # ---------------------------------------------------------------- gradients
 
 def test_gradient_of_uniform_field_is_zero(pool2):
