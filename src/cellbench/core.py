@@ -95,11 +95,6 @@ class CartesianMesh:
             raise DomainError(f"position {tuple(bad.tolist())} outside mesh bounds")
         return (self._strides @ idx).astype(np.int64)
 
-    def contains(self, position):
-        """Whether each position lies inside the mesh (one bool, or one per row)."""
-        p = np.asarray(position)
-        return ((p >= self.lower_bounds) & (p < self.upper_bounds)).all(axis=-1)
-
     def clamp_inside(self, position) -> None:
         """Clamp positions (in place) strictly inside the mesh faces."""
         lower = np.add(self.origin, POSITION_EPS)
@@ -118,11 +113,12 @@ class Microenvironment:
     (voxel, component) order.  A reshape of it that merges the voxel and
     component axes is a copy, so never write through a reshape.
 
-    `line_buffer` is one (voxels,) float64 field that `diffusion.lod_step`
-    stores the lines of its x and z sweeps in, shared by every substrate and
-    allocated once here.  While `lod_step` runs, a density row holds the
-    (y, z, x) layout of its y sweep instead of (z, y, x); it is native again
-    when `lod_step` returns.
+    A density row keeps its (z, y, x) layout at all times; no field-sized
+    buffer is kept beside it.  `sweep_plan` holds `diffusion.lod_step`'s
+    per-worker scratch tiles, each at most `diffusion.TILE` float64 of
+    lines and one scratch row, and its views of the densities; None until
+    the first step, it is rebuilt only when the mesh, the worker count or
+    the traversal mode changes.
     """
 
     def __init__(self, mesh: CartesianMesh, diffusion, decay, initial=None):
@@ -143,7 +139,7 @@ class Microenvironment:
             self.densities += init[:, None]
         self.gradient_planes = np.zeros((s, 3, n), dtype=np.float64)
         self.gradients = np.moveaxis(self.gradient_planes, 1, 2)
-        self.line_buffer = np.empty(n, dtype=np.float64)
+        self.sweep_plan = None
 
     @property
     def substrate_count(self) -> int:

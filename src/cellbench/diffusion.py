@@ -8,27 +8,28 @@ to elementwise recurrences over a batch of lines.  All batch operations are
 elementwise, which makes the field bit-identical however the lines are split
 across workers or grouped by the traversal mode.
 
-Each sweep stores its lines swept axis first, as an (n, lines) array, so one
-recurrence step is one ufunc over a contiguous row of the chunk's lines.  A
-substrate goes native -> x-first -> y-first -> native through one field-sized
-buffer, `Microenvironment.line_buffer`, which lives as long as the fields, so
-no sweep allocates a copy of the field:
+Each sweep solves its lines stored swept axis first, as an (n, lines)
+array, so one recurrence step is one ufunc over a row of a block's lines.
+The densities keep their native (z, y, x) layout throughout.  Lines are
+numbered z*ny + y on the x sweep, z*nx + x on the y sweep and y*nx + x on
+the z sweep, so a worker's share is a contiguous range of lines, which it
+solves block by block in its own cache-sized tile (`SweepPlan`):
 
-1. the (z, y, x) grid is copied into the buffer as (x, z, y); the x lines
-   are solved there;
-2. the buffer is copied into the substrate's own density memory as
-   (y, z, x); the y lines are solved there;
-3. that is copied into the buffer as (z, y, x), rows of x staying
-   contiguous; the z lines are solved there;
-4. the buffer is copied back to the density row, one contiguous copy.
+1. x: a block of rows of the (nz*ny, nx) density is transposed into the
+   tile, solved and transposed back;
+2. y: a block's runs of whole z slabs are copied into the tile with their
+   y and z axes swapped, and a partial slab at either end of a collapsed
+   range as one (ny, width) copy; solved and copied back;
+3. z: the worker's columns of the (nz, ny*nx) density are solved in place,
+   with no copy.
 
-The first two copies are transposes that move every axis.  They run in
-tiles of whole z slabs, at most `TILE` elements per call unless one slab is
-larger, so a tile's source and destination stay in cache; a small mesh is
-one call.  Lines are numbered z*ny + y on the x sweep, z*nx + x on the y
-sweep and y*nx + x on the z sweep, so a chunk is a contiguous column range.
-A chunk's recurrences write into its rows in place and form each product in
-one scratch row, so no step allocates.
+A tile holds at most `TILE` elements of lines, and never more than its
+worker's largest share of one sweep, so no sweep allocates a copy of the
+field.  The tiles, and every view of the tiles and densities that the
+blocks use, are built once per mesh, worker count and traversal mode and
+kept on `Microenvironment.sweep_plan`.  A block's recurrences write into
+its rows in place and form each product in one scratch row, so a step on a
+kept plan allocates nothing.
 
 Both kernels write at unit stride: the gradients are stored planar, one
 (voxels,) plane per component (`Microenvironment.gradient_planes`), and each
@@ -65,8 +66,8 @@ class TraversalMode(enum.Enum):
         return middle if self is TraversalMode.OUTER_LOOP else 1
 
 
-#: Elements one tiled transpose call copies, unless a single z slab is larger.
-TILE = 4096
+#: Elements of lines one worker's tile holds, unless one grid line is longer.
+TILE = 2**17
 
 
 @lru_cache(maxsize=64)
@@ -98,17 +99,16 @@ def _line_factors(n: int, r: float, lam3: float):
     return tuple(map(frozen, inv)), tuple(map(frozen, gamma)), frozen(r)
 
 
-def _solve_columns(lines: np.ndarray, lo: int, hi: int, inv, gamma, r) -> None:
-    """In-place solve of lines[:, lo:hi], one line per column, swept axis first.
+def _solve_lines(d: list, tmp: np.ndarray, inv, gamma, r) -> None:
+    """In-place solve of lines stored swept axis first, one line per column.
 
-    Forward, d[i] = (d[i] + r*d[i-1]) * inv[i]; back, d[i] += gamma[i]*d[i+1].
-    Each product goes into one scratch row, so a step allocates nothing.  The
+    `d` lists the rows: d[i] holds entry i of every line.  Forward, d[i] =
+    (d[i] + r*d[i-1]) * inv[i]; back, d[i] += gamma[i]*d[i+1].  Each product
+    goes into the scratch row `tmp`, so a step allocates nothing.  The
     factors are `_line_factors`' 0-d arrays and every `out` is positional:
-    a row of a chunk holds at most a few thousand lines, often a few dozen,
+    a row of a block holds at most a few thousand lines, often a few dozen,
     so the fixed cost of a ufunc call is a large part of the solve.
     """
-    d = list(lines[:, lo:hi])
-    tmp = np.empty_like(d[0])
     add, mul = np.add, np.multiply
     mul(d[0], inv[0], d[0])
     for i in range(1, len(d)):
@@ -120,48 +120,150 @@ def _solve_columns(lines: np.ndarray, lo: int, hi: int, inv, gamma, r) -> None:
         add(d[i], tmp, d[i])
 
 
-def _sweep(lines: np.ndarray, r: float, lam3: float, mode: TraversalMode,
+def _cuts(a: int, b: int, width: int, align: int = 1) -> list[tuple[int, int]]:
+    """[a, b) cut into blocks of at most `width`; if a block can hold
+    `align` lines, each cut is on the last multiple of `align` it can reach."""
+    cuts = []
+    while a < b:
+        end = min(a + width, b)
+        if end < b and width >= align:
+            end -= end % align
+        cuts.append((a, end))
+        a = end
+    return cuts
+
+
+def _slab_pairs(grid: np.ndarray, lines: np.ndarray, a: int, b: int) -> list:
+    """(density view, tile view) pairs that copy y lines [a, b) into `lines`.
+
+    Line z*nx + x is column (line - a) of the (ny, b - a) `lines`.  A run of
+    whole z slabs is one pair, an axis swap; a partial slab at either end of
+    the range is one pair of (ny, width) views.
+    """
+    _, ny, nx = grid.shape
+    pairs = []
+    while a < b:
+        z, x = divmod(a, nx)
+        k = 0 if x else (b - a) // nx
+        if k:
+            end = a + k * nx
+            pairs.append((grid[z:z + k], lines[:, :end - a].reshape(ny, k, nx).transpose(1, 0, 2)))
+        else:
+            end = min(b, (z + 1) * nx)
+            pairs.append((grid[z, :, x:x + end - a], lines[:, :end - a]))
+        lines = lines[:, end - a:]
+        a = end
+    return pairs
+
+
+class SweepPlan:
+    """The scratch tiles and line blocks `lod_step` keeps for one mesh, worker
+    count and traversal mode.
+
+    Each worker owns one tile, allocated once with the plan.  Its first
+    `size` elements hold a block's lines: at most `TILE` (more only if one
+    line is longer), and never more than the largest share of one sweep the
+    worker is given.  After them comes one scratch row, as wide as the
+    worker's widest x or y block; a z block takes its scratch row from the
+    tile's start.  `sweeps[s]` holds substrate s's x, y and z sweeps as
+    (spacing, line length, items, blocks), where `blocks` maps a worker's
+    first item to its (pairs, rows, tmp) blocks: a block's lines are solved
+    in `rows`, swept axis first, with the scratch row `tmp`, and each
+    (density view, tile view) pair copies the lines into the tile before
+    the solve and back after it.
+    - x: a block is the transpose of consecutive rows of the (nz*ny, nx)
+      density.
+    - y: a block is one axis swap per run of whole z slabs, and one copy per
+      partial slab at either end of a collapsed range (`_slab_pairs`).
+    - z: a block is columns of the (nz, ny*nx) density itself, with no pair.
+    Every view is of the densities as they were when the plan was built.
+    """
+
+    __slots__ = ("mesh", "workers", "mode", "densities", "tiles", "sweeps")
+
+    def __init__(self, micro: Microenvironment, mesh: CartesianMesh, workers: int,
+                 mode: TraversalMode) -> None:
+        nx, ny, nz = mesh.nx, mesh.ny, mesh.nz
+        self.mesh, self.workers, self.mode, self.densities = mesh, workers, mode, micro.densities
+        # (spacing, line length, lines, lines per item) of the x, y and z sweeps
+        axes = ((mesh.dx, nx, nz * ny, mode.lines_per_chunk(ny)),
+                (mesh.dy, ny, nz * nx, mode.lines_per_chunk(nx)),
+                (mesh.dz, nz, ny * nx, mode.lines_per_chunk(nx)))
+        # per sweep, each worker's (first item, first line, end line)
+        ranges = [[(lo, lo * per_item, hi * per_item)
+                   for lo, hi in static_ranges(lines // per_item, workers)]
+                  for _, _, lines, per_item in axes]
+        # per worker, its tile's line size and, per sweep, its first item and
+        # its blocks as line ranges
+        layouts = []
+        for (x_lo, xa, xb), (y_lo, ya, yb), (z_lo, za, zb) in zip(*ranges):
+            size = min(max(TILE, nx, ny), max((xb - xa) * nx, (yb - ya) * ny, zb - za))
+            layouts.append((size, (x_lo, _cuts(xa, xb, size // nx)),
+                            (y_lo, _cuts(ya, yb, size // ny, nx)), (z_lo, _cuts(za, zb, size))))
+        self.tiles = [np.empty(size + max((b - a for a, b in x_cuts + y_cuts), default=0))
+                      for size, (_, x_cuts), (_, y_cuts), _ in layouts]
+        self.sweeps = []
+        for s in range(micro.substrate_count):
+            grid = micro.grid_view(s)
+            rows, columns = grid.reshape(nz * ny, nx), grid.reshape(nz, ny * nx)
+            x_blocks, y_blocks, z_blocks = {}, {}, {}
+            for tile, (size, (x_lo, x_cuts), (y_lo, y_cuts), (z_lo, z_cuts)) in zip(self.tiles,
+                                                                                   layouts):
+                x_blocks[x_lo] = []
+                for a, b in x_cuts:
+                    lines = tile[:nx * (b - a)].reshape(nx, b - a)
+                    x_blocks[x_lo].append((((rows[a:b], lines.T),), list(lines),
+                                           tile[size:size + b - a]))
+                y_blocks[y_lo] = []
+                for a, b in y_cuts:
+                    lines = tile[:ny * (b - a)].reshape(ny, b - a)
+                    y_blocks[y_lo].append((_slab_pairs(grid, lines, a, b), list(lines),
+                                           tile[size:size + b - a]))
+                z_blocks[z_lo] = [((), list(columns[:, a:b]), tile[:b - a]) for a, b in z_cuts]
+            self.sweeps.append([(h, n, lines // per_item, blocks) for (h, n, lines, per_item), blocks
+                                in zip(axes, (x_blocks, y_blocks, z_blocks))])
+
+    def fits(self, micro: Microenvironment, mesh: CartesianMesh, workers: int,
+             mode: TraversalMode) -> bool:
+        return (micro.densities is self.densities and mesh is self.mesh
+                and workers == self.workers and mode is self.mode)
+
+
+def _sweep(blocks: dict, n_items: int, n: int, r: float, lam3: float,
            pool: WorkerPool) -> RegionRecord:
-    """Solve every line of `lines`, an (n, outer, middle) array, in place."""
-    n, n_outer, n_middle = lines.shape
+    """Solve every line of one sweep, block by block in each worker's tile."""
     inv, gamma, r = _line_factors(n, r, lam3)
-    columns = lines.reshape(n, n_outer * n_middle)
-    per_item = mode.lines_per_chunk(n_middle)
+    copyto = np.copyto
 
     def body(lo, hi, ctx):
-        _solve_columns(columns, lo * per_item, hi * per_item, inv, gamma, r)
-    return pool.run_static(n_outer * n_middle // per_item, body)
+        for pairs, rows, tmp in blocks[lo]:
+            for native, tile in pairs:
+                copyto(tile, native)
+            _solve_lines(rows, tmp, inv, gamma, r)
+            for native, tile in pairs:
+                copyto(native, tile)
+    return pool.run_static(n_items, body)
 
 
 def lod_step(micro: Microenvironment, mesh: CartesianMesh, dt: float,
              mode: TraversalMode, pool: WorkerPool) -> list[RegionRecord]:
     """One operator-split step: implicit x, y, z sweeps with decay split λ/3 each.
 
-    Returns one dispatch record per sweep per substrate.  The density row
-    holds the y-first layout while its y sweep runs and is native again on
-    return.
+    Returns one dispatch record per sweep per substrate.  The first call for
+    a worker count, mode and mesh builds `micro.sweep_plan`; later calls
+    reuse its tiles and views.
     """
     if dt <= 0.0:
         raise DomainError("diffusion step needs dt > 0")
-    nx, ny, nz = mesh.nx, mesh.ny, mesh.nz
-    slabs = max(1, TILE // (nx * ny))
-    buffer = micro.line_buffer
-    x_first, z_first = buffer.reshape(nx, nz, ny), buffer.reshape(nz, ny, nx)
+    plan = micro.sweep_plan
+    if plan is None or not plan.fits(micro, mesh, pool.workers, mode):
+        plan = micro.sweep_plan = SweepPlan(micro, mesh, pool.workers, mode)
     records = []
-    for s in range(micro.substrate_count):
+    for s, sweeps in enumerate(plan.sweeps):
         lam3 = dt * micro.decay[s] / 3.0
         rate = dt * micro.diffusion[s]
-        density = micro.densities[s]
-        grid, y_first = micro.grid_view(s), density.reshape(ny, nz, nx)
-        for z in range(0, nz, slabs):
-            np.copyto(x_first[:, z:z + slabs], grid[z:z + slabs].transpose(2, 0, 1))
-        records.append(_sweep(x_first, rate / (mesh.dx * mesh.dx), lam3, mode, pool))
-        for z in range(0, nz, slabs):
-            np.copyto(y_first[:, z:z + slabs], x_first[:, z:z + slabs].transpose(2, 1, 0))
-        records.append(_sweep(y_first, rate / (mesh.dy * mesh.dy), lam3, mode, pool))
-        np.copyto(z_first, y_first.transpose(1, 0, 2))
-        records.append(_sweep(z_first, rate / (mesh.dz * mesh.dz), lam3, mode, pool))
-        np.copyto(density, buffer)
+        for h, n, n_items, blocks in sweeps:
+            records.append(_sweep(blocks, n_items, n, rate / (h * h), lam3, pool))
     return records
 
 

@@ -35,9 +35,18 @@ DEFAULT_CELL_CAP = 200000
 def _mix64(x):
     """Finalizing 64-bit avalanche; consecutive inputs give unrelated outputs.
 
-    x is a Python int or a numpy uint64 array, whose arithmetic wraps at 64
-    bits as the masks do, so both give the same values.
+    x is a Python int, masked to 64 bits after every step, or a numpy uint64
+    array, whose arithmetic wraps at 64 bits by itself and so needs no
+    masks; both give the same values.
     """
+    if isinstance(x, np.ndarray):
+        x = x + 0x9E3779B97F4A7C15
+        x ^= x >> 30
+        x *= 0xBF58476D1CE4E5B9
+        x ^= x >> 27
+        x *= 0x94D049BB133111EB
+        x ^= x >> 31
+        return x
     x = (x + 0x9E3779B97F4A7C15) & _MASK
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
@@ -81,6 +90,12 @@ class StorageOrder:
             raise DomainError("resort period must be >= 1")
 
 
+def _division_probabilities(rates: np.ndarray, dt: float) -> np.ndarray:
+    """1 - exp(-rate*dt) per entry, with one `math.exp` per distinct rate."""
+    distinct, which = np.unique(rates, return_inverse=True)
+    return np.array([1.0 - math.exp(-rate * dt) for rate in distinct.tolist()]).take(which)
+
+
 def attempt_divisions(container: CellContainer, seed: int, dt: float,
                       mesh: CartesianMesh, step: int,
                       cap: int = DEFAULT_CELL_CAP) -> range:
@@ -99,11 +114,7 @@ def attempt_divisions(container: CellContainer, seed: int, dt: float,
     rows = (container.division_rates > 0.0).nonzero()[0]
     if not len(rows):
         return range(0)
-    # the probability is computed once per rate
-    rates = container.division_rates[rows]
-    p_divide = np.empty(len(rows))
-    for rate in set(rates.tolist()):
-        p_divide[rates == rate] = 1.0 - math.exp(-rate * dt)
+    p_divide = _division_probabilities(container.division_rates[rows], dt)
     ids = container.ids[rows].astype(np.uint64)
     # `division_draws`, with the placement draws made for the parents only
     base = _draw_base(seed, ids, step)

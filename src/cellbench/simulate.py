@@ -16,8 +16,9 @@ schedules, traversal modes, allocation modes, and storage orders.
 
 from __future__ import annotations
 
-import hashlib
 import time
+# `hashlib.blake2b` is this type; importing `hashlib` would also map OpenSSL's libcrypto
+from _blake2 import blake2b
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,7 +76,7 @@ def state_checksum(container: CellContainer) -> str:
     size = _CHECKSUM_RECORD.itemsize
     acc = 0
     for lo in range(0, len(blob), size):
-        digest = hashlib.blake2b(blob[lo:lo + size], digest_size=16).digest()
+        digest = blake2b(blob[lo:lo + size], digest_size=16).digest()
         acc ^= int.from_bytes(digest, "little")
     return f"{acc:032x}"
 

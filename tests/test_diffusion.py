@@ -17,7 +17,8 @@ from cellbench import (
     compute_gradients,
     lod_step,
 )
-from cellbench.diffusion import _line_factors, _solve_columns
+from cellbench import diffusion
+from cellbench.diffusion import _line_factors, _solve_lines
 
 from conftest import make_container, total_iterations
 
@@ -36,7 +37,7 @@ def line_solve(rows, r, lam3):
     """The sweep kernel on one line per row: factors for the line length, then
     an in-place solve of the transposed rows, one line per column."""
     lines = np.array(rows, dtype=np.float64).T.copy()
-    _solve_columns(lines, 0, lines.shape[1], *_line_factors(lines.shape[0], r, lam3))
+    _solve_lines(list(lines), np.empty(lines.shape[1]), *_line_factors(lines.shape[0], r, lam3))
     return lines.T
 
 
@@ -76,10 +77,10 @@ def test_thomas_matches_dense_oracle():
 
 
 def allocating_solve_columns(lines, lo, hi, inv, gamma, r):
-    """The recurrence `_solve_columns` replaced, one temporary row per step.
+    """The recurrence `_solve_lines` replaced, one temporary row per step.
 
-    `_solve_columns` must apply the same operations in the same order, so
-    its results are compared with this one bit for bit.
+    `_solve_lines` must apply the same operations in the same order, so its
+    results are compared with this one bit for bit.
     """
     d = lines[:, lo:hi]
     n = d.shape[0]
@@ -105,7 +106,7 @@ def test_solve_columns_matches_the_allocating_recurrence(n, width, seed, cuts):
                              [float(f) for f in gamma], r)
     bounds = sorted({0, width, *(c for c in cuts if c < width)})
     for lo, hi in zip(bounds, bounds[1:]):
-        _solve_columns(got, lo, hi, inv, gamma, r0)
+        _solve_lines(list(got[:, lo:hi]), np.empty(hi - lo), inv, gamma, r0)
     assert got.tobytes() == want.tobytes()
 
 
@@ -120,12 +121,12 @@ worker_counts = st.sampled_from([1, 2, 3])
 
 
 def transpose_copy_lod_step(micro, mesh, dt):
-    """The `lod_step` the line buffer replaced, serial and allocating.
+    """A serial, allocating `lod_step` over whole transposed copies.
 
     Each sweep solves a contiguous copy of the grid transposed swept axis
-    first, with `allocating_solve_columns`, and writes it back.  The line
-    layouts of `lod_step` must not change any value, so its densities are
-    compared with this one bit for bit.
+    first, with `allocating_solve_columns`, and writes it back.  The tiles
+    and blocks of `lod_step` must not change any value, so its densities
+    are compared with this one bit for bit.
     """
     axes = (((2, 0, 1), (1, 2, 0), mesh.dx),
             ((1, 0, 2), (1, 0, 2), mesh.dy),
@@ -163,15 +164,34 @@ def test_lod_step_matches_the_transpose_copies(mesh, mode, workers):
     check_lod_step_matches_the_transpose_copies(mesh, mode, workers)
 
 
+@given(mesh=meshes, mode=traversals, workers=worker_counts, tile=st.integers(1, 40))
+def test_lod_step_matches_the_transpose_copies_in_small_tiles(mesh, mode, workers, tile):
+    # a tile of a few lines puts block boundaries, and on the y sweep slab
+    # boundaries and partial slabs, inside every worker's range
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(diffusion, "TILE", tile)
+        check_lod_step_matches_the_transpose_copies(mesh, mode, workers)
+
+
 @pytest.mark.parametrize("shape", [(70, 64, 3), (64, 64, 8), (48, 30, 5)])
 @pytest.mark.parametrize("mode", TraversalMode)
 @pytest.mark.parametrize("workers", [1, 3])
-def test_lod_step_matches_the_transpose_copies_above_one_tile(shape, mode, workers):
-    # the first two copy one z slab per call (a slab fills a tile), the third
-    # two slabs per call with a short last tile; unequal spacings catch an
-    # axis solved with another axis' factors
+def test_lod_step_matches_the_transpose_copies_above_one_tile(shape, mode, workers, monkeypatch):
+    # in 4096-element tiles, the first mesh's y blocks are partial slabs
+    # (a slab is 4480 elements) and its z columns two blocks, the second's
+    # y blocks one whole slab, and the third's two slabs with a short last
+    # block; unequal spacings catch an axis solved with another axis' factors
+    monkeypatch.setattr(diffusion, "TILE", 4096)
     mesh = cb.CartesianMesh(*shape, dx=20.0, dy=25.0, dz=30.0)
     check_lod_step_matches_the_transpose_copies(mesh, mode, workers)
+
+
+@pytest.mark.parametrize("mode", TraversalMode)
+def test_lod_step_matches_the_transpose_copies_above_the_default_tile(mode):
+    # 172,800 voxels at 1 worker: the x and y sweeps run in two blocks of
+    # the default tile each, the y blocks cut between z slabs
+    mesh = cb.CartesianMesh(72, 60, 40, dx=20.0, dy=25.0, dz=30.0)
+    check_lod_step_matches_the_transpose_copies(mesh, mode, 1)
 
 
 def expected_chunks(mesh, mode):
@@ -288,8 +308,8 @@ def test_field_matches_pins(traversal, workers):
 
 
 def test_lod_step_allocates_no_field_sized_temporary():
-    # the sweeps solve their lines in `Microenvironment.line_buffer` and in
-    # the density row itself; a copy of the field would put the peak at 1x
+    # the sweeps solve their lines in the plan's tiles and in the density
+    # itself; a copy of the field would put the peak at 1x
     mesh = cb.CartesianMesh(32, 24, 16)
     micro = random_micro(mesh, diffusion=90000.0, decay=0.4)
     with WorkerPool(1) as pool:
@@ -301,6 +321,45 @@ def test_lod_step_allocates_no_field_sized_temporary():
         finally:
             tracemalloc.stop()
     assert peak < 0.25 * micro.densities[0].nbytes
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_first_lod_step_allocates_one_tile_per_worker(workers):
+    # 393,216 voxels, 3 x TILE, so the old field-sized line buffer would
+    # not fit.  The first step builds the plan: one tile per worker, each at
+    # most TILE float64 of lines plus one scratch row as wide as a block
+    # (TILE / 64 lines); the plan's views and the line factors stay under
+    # 256 KiB
+    mesh = cb.CartesianMesh(64, 64, 96)
+    _line_factors.cache_clear()
+    tracemalloc.start()
+    try:
+        micro = uniform_micro(mesh, diffusion=90000.0, decay=0.4)
+        fields = micro.densities.nbytes + micro.gradient_planes.nbytes
+        with WorkerPool(workers) as pool:
+            lod_step(micro, mesh, 0.1, TraversalMode.OUTER_LOOP, pool)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    tiles = micro.sweep_plan.tiles
+    assert len(tiles) == workers
+    assert all(t.size <= diffusion.TILE + diffusion.TILE // 64 for t in tiles)
+    assert peak - fields <= workers * diffusion.TILE * 8 + 2**18
+
+
+def test_sweep_plan_is_kept_until_the_worker_count_or_mode_changes():
+    mesh = cb.CartesianMesh(6, 5, 4)
+    micro = random_micro(mesh, diffusion=90000.0, decay=0.4)
+    with WorkerPool(2) as pool:
+        lod_step(micro, mesh, 0.1, TraversalMode.OUTER_LOOP, pool)
+        plan = micro.sweep_plan
+        lod_step(micro, mesh, 0.2, TraversalMode.OUTER_LOOP, pool)
+        assert micro.sweep_plan is plan
+        lod_step(micro, mesh, 0.1, TraversalMode.COLLAPSED, pool)
+        assert micro.sweep_plan is not plan
+    with WorkerPool(3) as pool:
+        lod_step(micro, mesh, 0.1, TraversalMode.COLLAPSED, pool)
+    assert len(micro.sweep_plan.tiles) == 3
 
 
 def test_degenerate_single_voxel_axis(pool2):

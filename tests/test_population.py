@@ -24,6 +24,8 @@ from cellbench import (
     update_velocities,
 )
 
+from cellbench.population import _division_probabilities, _mix64
+
 from conftest import check_consistent, make_container
 
 
@@ -48,6 +50,19 @@ def test_draws_spread_out():
     us = [division_draws(1, i, 0)[0] for i in range(1000)]
     assert len({round(u, 6) for u in us}) > 990
     assert 0.4 < sum(us) / len(us) < 0.6
+
+
+def test_mix64_array_path_matches_the_masked_int_path():
+    # the uint64 path drops the masks, relying on numpy's wrapping arithmetic
+    edges = [0, 1, 2**63, 2**64 - 1]
+    ids = edges + np.random.default_rng(4).integers(0, 2**64, 200, dtype=np.uint64).tolist()
+    got = _mix64(np.array(ids, dtype=np.uint64))
+    assert got.dtype == np.uint64
+    assert got.tolist() == [_mix64(i) for i in ids]
+    # the input array is not written
+    x = np.array(edges, dtype=np.uint64)
+    _mix64(x)
+    assert x.tolist() == edges
 
 
 # ---------------------------------------------------------------- division
@@ -157,6 +172,16 @@ def test_capacity_error_fires_before_any_append(small_mesh):
     check_consistent(cont)
 
 
+@pytest.mark.parametrize("rates", [[0.13] * 7, [0.5, 0.13, 0.5, 2.0, 0.13, 1e-9, 2.0, 0.5],
+                                   [3.0], list(np.random.default_rng(2).uniform(0.01, 3.0, 40))])
+def test_division_probabilities_match_one_exp_per_rate_loop(rates):
+    rates, dt = np.array(rates), 0.7
+    want = np.empty(len(rates))
+    for rate in set(rates.tolist()):
+        want[rates == rate] = 1.0 - math.exp(-rate * dt)
+    assert _division_probabilities(rates, dt).tobytes() == want.tobytes()
+
+
 def test_division_rejects_bad_dt(small_mesh):
     cont = populated(small_mesh, rate=1.0)
     with pytest.raises(DomainError):
@@ -169,7 +194,8 @@ def test_daughters_are_clamped_inside(small_mesh):
     for step in range(6):
         attempt_divisions(cont, seed=3, dt=1.0, mesh=small_mesh, step=step,
                           cap=100)
-    assert all(small_mesh.contains(c.position) for c in cont.cells)
+    p = cont.positions
+    assert ((small_mesh.lower_bounds <= p) & (p < small_mesh.upper_bounds)).all()
 
 
 # ---------------------------------------------------------------- storage order

@@ -1,7 +1,11 @@
 """Step-loop orchestration: reproducibility, region records, and checksums."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,8 @@ from cellbench import (
 )
 
 from conftest import total_iterations
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def tiny_config(**over):
@@ -82,6 +88,22 @@ def test_checksum_ignores_storage_order_but_not_state():
     assert state_checksum(result.container) == ref
     result.container.cells[0].velocity[1] += 1e-9
     assert state_checksum(result.container) != ref
+
+
+def test_a_run_does_not_load_openssl():
+    # `state_checksum` takes blake2b from `_blake2`: `hashlib` would also
+    # load `_hashlib` and map OpenSSL's libcrypto.  The run is in a fresh
+    # interpreter, since pytest may import hashlib itself.
+    code = ("import sys, cellbench as cb\n"
+            "print(cb.run_simulation(cb.RunConfig(steps=2, cell_count=20)).checksum)\n"
+            "print('_hashlib' in sys.modules)\n")
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    checksum, loaded = proc.stdout.split()
+    assert len(checksum) == 32
+    assert loaded == "False"
 
 
 def test_worker_count_does_not_change_the_checksum():
