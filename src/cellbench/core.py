@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .errors import ContainerStateError, DomainError, NumericError
 
 #: Positions are clamped this far (um) inside the mesh when pushed past a face.
 POSITION_EPS = 1e-6
@@ -200,8 +200,10 @@ class CellContainer:
     were born or are gone.  They never hold a view of a column, since an
     append may reallocate the columns.  `exchange_plan` holds the cell
     exchange's per-voxel plan (`diffusion.ExchangePlan`), None until the
-    first exchange: it is rebuilt only when the bins were rebuilt, the rows
-    changed or the exchange parameters differ.
+    first exchange: it is rebuilt only when the bins were rebuilt or the
+    exchange parameters differ.  Every reader of the bins calls
+    `require_binned` first, so none reads bins that a move, an append or a
+    `take` since the last rebin has made stale.
     """
 
     #: (attribute, row shape, dtype) of every per-cell column.
@@ -305,6 +307,11 @@ class CellContainer:
             column[:len(rows)] = column[rows]
         self._n = len(rows)
         self.positions_dirty = self.rows_changed = True
+
+    def require_binned(self, action: str) -> None:
+        """Raise `ContainerStateError` unless the bins match the rows and positions."""
+        if self.positions_dirty or self.rows_changed:
+            raise ContainerStateError(f"{action} requires a rebinned container")
 
 
 def rebin_cells(container: CellContainer) -> CellContainer:

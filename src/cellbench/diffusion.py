@@ -296,9 +296,7 @@ class ExchangePlan:
     (secretion + uptake)`, with `f = dt * volume * inv_vol`.
 
     A plan fits the `bin_rows` array it was built from, which `rebin_cells`
-    replaces whenever it rebuilds the bins, and its `key`; while
-    `rows_changed` is set, the rows were added or reordered since the bins
-    were built, and no plan fits.
+    replaces whenever it rebuilds the bins, and its `key`.
     """
 
     __slots__ = ("bins", "key", "chunks")
@@ -338,7 +336,7 @@ class ExchangePlan:
             self.chunks[lo] = chunk, rho, steps
 
     def fits(self, container: CellContainer, key: tuple) -> bool:
-        return container.bin_rows is self.bins and not container.rows_changed and key == self.key
+        return container.bin_rows is self.bins and key == self.key
 
 
 def apply_cell_exchange(micro: Microenvironment, container: CellContainer, dt: float,
@@ -356,12 +354,14 @@ def apply_cell_exchange(micro: Microenvironment, container: CellContainer, dt: f
     The per-cell factors and the rank order are the `ExchangePlan` on
     `container.exchange_plan`, which is kept for as long as the bins, the
     parameters and the worker count: a call whose plan is stale builds a
-    new one before the dispatch, so no worker builds one.  A denominator
+    new one before the dispatch, so no worker builds one.  Stale bins raise
+    `ContainerStateError` before anything is read.  A denominator
     that is not positive raises `DomainError` while the plan is built,
     before any density is written.  A density that leaves the finite range
     raises `NumericError` before it is written, so no later region of the
     step computes with it.
     """
+    container.require_binned("cell exchange")
     if dt <= 0.0:
         raise DomainError("exchange needs dt > 0")
     dens = micro.densities[0]

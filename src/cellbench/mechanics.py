@@ -65,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CartesianMesh, CellContainer
-from .errors import CapacityError, ContainerStateError, DomainError, NumericError
+from .errors import CapacityError, DomainError, NumericError
 from .parallel import RegionRecord, WorkerPool
 from .smallvec import AllocationMode, norm, vector_ops
 
@@ -446,8 +446,7 @@ def update_velocities(container: CellContainer, mesh: CartesianMesh,
     dispatch that can split the rows derives the directed list before it
     starts, and the chunk that holds every cell the forward list.
     """
-    if container.positions_dirty:
-        raise ContainerStateError("velocity update requires a rebinned container")
+    container.require_binned("velocity update")
     kind = schedule.kind
     kernel = PairKernel(container, params,
                         split=kind is not ScheduleKind.CELL_STATIC or pool.workers > 1)

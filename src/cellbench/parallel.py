@@ -1,10 +1,13 @@
 """Fork-join worker pool with per-worker instrumentation records.
 
 The pool mirrors a shared-memory parallel-loop runtime: the calling thread is
-worker 0, helper threads are spawned once and reused, and every parallel
-region is a dispatch-execute-join cycle.  A schedule is a `claim(w)` generator
-of (lo, hi, claims) blocks, and every worker, worker 0 included, runs the
-same claim loop over it.  Two schedules are provided:
+worker 0, and every parallel region is a dispatch-execute-join cycle.  The
+helpers, workers 1 and up, are the threads of one `ThreadPoolExecutor`: they
+start on the first dispatch and are reused until `shutdown`.  A one-worker
+pool starts no thread and does not import `concurrent.futures`.  A schedule
+is a `claim(w)` generator of (lo, hi, claims) blocks, and every worker,
+worker 0 included, runs the same claim loop over it.  Two schedules are
+provided:
 
 * static  -- contiguous even split of the iteration space, remainder items
   going to the lowest-indexed workers, so the analytic chunk model of the
@@ -89,22 +92,23 @@ class WorkerCtx:
 
 
 class WorkerPool:
-    """Persistent fork-join pool; the caller participates as worker 0."""
+    """Persistent fork-join pool; the caller participates as worker 0.
+
+    Helper threads start on the first dispatch and live until `shutdown`,
+    after which a dispatch of more than one worker raises `RuntimeError`.
+    One worker starts no thread: every dispatch runs inline.
+    """
 
     def __init__(self, workers: int):
         if workers < 1:
             raise ValueError("worker count must be >= 1")
         self.workers = workers
-        self._job = None  # the in-flight dispatch's job(w); None between dispatches
-        self._shutdown = False
-        self._threads: list[threading.Thread] = []
+        self._helpers = None
         if workers > 1:
-            self._start = threading.Barrier(workers)
-            self._done = threading.Barrier(workers)
-            for w in range(1, workers):
-                t = threading.Thread(target=self._helper_loop, args=(w,), daemon=True)
-                t.start()
-                self._threads.append(t)
+            # imported here: concurrent.futures loads logging, a cost that
+            # one-worker runs need not pay
+            from concurrent.futures import ThreadPoolExecutor
+            self._helpers = ThreadPoolExecutor(workers - 1)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -116,20 +120,8 @@ class WorkerPool:
         return False
 
     def shutdown(self) -> None:
-        if self._threads and not self._shutdown:
-            self._shutdown = True
-            self._job = None
-            self._start.wait()
-            for t in self._threads:
-                t.join(timeout=10.0)
-
-    def _helper_loop(self, w: int) -> None:
-        while True:
-            self._start.wait()
-            if self._job is None:
-                return
-            self._job(w)
-            self._done.wait()
+        if self._helpers is not None:
+            self._helpers.shutdown()
 
     # -- dispatch ----------------------------------------------------------
 
@@ -164,23 +156,13 @@ class WorkerPool:
 
     def _dispatch(self, body, claim, claim_log: list | None = None) -> RegionRecord:
         stats = [WorkerStats() for _ in range(self.workers)]
-        errors: list = [None] * self.workers
-
-        def job(w: int) -> None:
-            try:
-                self._execute(body, claim(w), WorkerCtx(w, stats[w]))
-            except BaseException as exc:  # re-raised after the join
-                errors[w] = exc
-
         t0 = time.perf_counter()
-        if self._threads:
-            self._job = job
-            self._start.wait()
-            job(0)
-            self._done.wait()
-            self._job = None  # the body may hold large buffers; do not keep it
-        else:
-            job(0)
+        helpers = [self._helpers.submit(self._execute, body, claim(w), WorkerCtx(w, stats[w]))
+                   for w in range(1, self.workers)]
+        try:
+            self._execute(body, claim(0), WorkerCtx(0, stats[0]))
+        finally:
+            errors = [helper.exception() for helper in helpers]  # the join
         elapsed = time.perf_counter() - t0
         for err in errors:
             if err is not None:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CartesianMesh, CellContainer, rebin_cells
-from .errors import CapacityError, ContainerStateError, DomainError
+from .errors import CapacityError, DomainError
 from .mechanics import BLOCK, InteractionParams, PairKernel
 from .smallvec import InPlaceVectorOps
 
@@ -157,8 +157,7 @@ def sort_cells_by_voxel(container: CellContainer) -> CellContainer:
     The CSR bins already list the rows in that order, so the resort is one
     permutation of every column.
     """
-    if container.positions_dirty:
-        raise ContainerStateError("resorting requires a rebinned container")
+    container.require_binned("resorting")
     container.take(container.bin_rows)
     return rebin_cells(container)
 
@@ -173,8 +172,9 @@ def locality_metric(container: CellContainer,
     exists.  The pairs come from the velocity kernel, each once, and count
     for both cells; the distance totals are integer-valued, so they are
     exact in any order.  The per-cell means are summed in storage order by
-    Python's `sum`.
+    Python's `sum`.  Stale bins raise `ContainerStateError`.
     """
+    container.require_binned("locality metric")
     kernel = PairKernel(container, params)
     n = len(container)
     totals = np.zeros(n)

@@ -1,5 +1,11 @@
 """Shared fixtures and hypothesis settings for the test suite."""
 
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, Phase, settings
@@ -18,6 +24,27 @@ settings.register_profile(
     phases=[p for p in Phase if p is not Phase.explain],
 )
 settings.load_profile("cellbench")
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_its_test():
+    """Fail a test that leaves a thread running.  Pool helpers are not
+    daemon threads, so a pool a test forgets to shut down would otherwise
+    live, unnoticed, until the interpreter exits."""
+    before = set(threading.enumerate())
+    yield
+    leaked = [t.name for t in threading.enumerate() if t not in before]
+    if leaked:
+        pytest.fail(f"threads left running: {leaked}")
+
+
+def run_python(code: str, timeout: float = 120.0) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh interpreter that imports this checkout's package."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=timeout)
 
 
 @pytest.fixture

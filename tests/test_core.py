@@ -211,6 +211,47 @@ def test_rebin_of_a_clean_container_returns_at_once(small_mesh):
     check_consistent(cont)
 
 
+def _move_without_rebin(cont):
+    cont.positions[0, 0] += 20.0  # into the next voxel
+    cont.positions_dirty = True
+
+
+BIN_READERS = {
+    "update_velocities": lambda cont, micro, pool: cb.update_velocities(
+        cont, cont.mesh, cb.InteractionParams(),
+        cb.MechanicsSchedule(cb.ScheduleKind.CELL_STATIC), pool),
+    "sort_cells_by_voxel": lambda cont, micro, pool: cb.sort_cells_by_voxel(cont),
+    "apply_cell_exchange": lambda cont, micro, pool: cb.apply_cell_exchange(
+        micro, cont, 0.01, 2.0, 3.0, 38.0, pool=pool),
+    "locality_metric": lambda cont, micro, pool: cb.locality_metric(cont),
+}
+
+
+@pytest.mark.parametrize("change", [
+    lambda cont: cont.add_cells([(70.0, 70.0, 70.0)]),
+    lambda cont: cont.take(np.arange(len(cont))[:0:-1]),  # reordered, row 0 dropped
+    _move_without_rebin,
+], ids=["add_cells", "take", "move"])
+@pytest.mark.parametrize("reader", BIN_READERS.values(), ids=BIN_READERS.keys())
+def test_every_reader_of_the_bins_refuses_stale_bins(small_mesh, pool2, change, reader):
+    cont = make_container(small_mesh, [(10.0, 10.0, 10.0), (22.0, 10.0, 10.0),
+                                       (34.0, 10.0, 10.0), (50.0, 30.0, 10.0)])
+    micro = cb.Microenvironment(small_mesh, [1000.0], [0.0], [38.0])
+    reader(cont, micro, pool2)  # the exchange plan and pair lists now exist
+    change(cont)
+
+    def state():
+        return [a.tobytes() for a in (cont.positions, cont.velocities, cont.ids,
+                                      micro.densities)]
+
+    before = state()
+    with pytest.raises(cb.ContainerStateError, match="requires a rebinned container"):
+        reader(cont, micro, pool2)
+    assert state() == before
+    cb.rebin_cells(cont)
+    reader(cont, micro, pool2)
+
+
 def test_appends_reallocate_logarithmically(small_mesh):
     # daughters arrive a few at a time; capacity doubling keeps the copies of
     # the whole arrays to O(log n), not one per append

@@ -534,15 +534,16 @@ def test_exchange_plan_lives_as_long_as_the_bins(pool2):
     cb.rebin_cells(cont)
     plan, previous = plan_after(), plan
     assert plan is not previous and plan_after() is plan
-    # added or reordered rows make the plan stale until they are binned
+    # added or reordered rows are refused until they are binned, and binning
+    # them rebuilds the bins, and so the plan
     for change in (lambda: cont.add_cells([(70.0, 70.0, 70.0)], radius=8.0),
                    lambda: cont.take(np.arange(len(cont))[::-1])):
         change()
-        stale = plan_after()
-        assert stale is not plan and plan_after() is not stale  # unbinned: built again
+        with pytest.raises(cb.ContainerStateError):  # unbinned: refused
+            plan_after()
         cb.rebin_cells(cont)
-        plan = plan_after()
-        assert plan_after() is plan
+        plan, previous = plan_after(), plan
+        assert plan is not previous and plan_after() is plan
     # so does any parameter, the voxel volume or the worker count
     coarse = uniform_micro(cb.CartesianMesh(4, 4, 4, dx=30.0), 1000.0, 0.0)
     with WorkerPool(1) as pool1:

@@ -163,15 +163,6 @@ def test_voxel_schedule_iterates_empty_voxels_too(small_mesh):
     assert total_iterations(r_cells) == len(cont.cells)
 
 
-def test_update_requires_consistent_binning(small_mesh):
-    cont = clustered_container(small_mesh)
-    cont.add_cells([[33.0, 33.0, 33.0]])  # appended but not rebinned
-    with WorkerPool(1) as pool:
-        with pytest.raises(cb.ContainerStateError):
-            update_velocities(cont, small_mesh, InteractionParams(),
-                              MechanicsSchedule(ScheduleKind.CELL_STATIC), pool)
-
-
 def test_empty_container_is_fine(small_mesh):
     cont = cb.CellContainer(small_mesh)
     with WorkerPool(2) as pool:

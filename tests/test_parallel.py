@@ -17,7 +17,7 @@ from cellbench import (
     vector_ops,
 )
 
-from conftest import total_iterations
+from conftest import run_python, total_iterations
 
 
 # ---------------------------------------------------------------- splits
@@ -184,7 +184,7 @@ def test_body_exceptions_propagate(workers):
         def body(lo, hi, ctx):
             raise RuntimeError(f"boom in {ctx.index}")
 
-        with pytest.raises(RuntimeError, match="boom"):
+        with pytest.raises(RuntimeError, match="boom in 0"):  # worker 0's error first
             pool.run_static(workers * 2, body)
 
         # the pool survives a failed region and can dispatch again
@@ -203,3 +203,33 @@ def test_shutdown_is_idempotent():
     pool = WorkerPool(2)
     pool.shutdown()
     pool.shutdown()
+
+
+def test_a_pool_keeps_its_helpers_until_shutdown():
+    before = set(threading.enumerate())
+    pool = WorkerPool(4)
+    helpers = set()
+    try:
+        assert set(threading.enumerate()) == before  # none before the first dispatch
+        for _ in range(100):
+            pool.run_static(8, lambda lo, hi, ctx: None)
+            helpers |= set(threading.enumerate()) - before
+    finally:
+        pool.shutdown()
+    assert 1 <= len(helpers) <= 3  # reused, never replaced
+    assert not any(t.is_alive() for t in helpers)
+
+
+def test_dispatch_after_shutdown_raises():
+    # a pool that waited here for its helpers would hang the suite, so the
+    # dispatch runs in a child process with a timeout
+    code = ("import cellbench as cb\n"
+            "pool = cb.WorkerPool(2)\n"
+            "pool.shutdown()\n"
+            "try:\n"
+            "    pool.run_static(2, lambda lo, hi, ctx: None)\n"
+            "except RuntimeError as exc:\n"
+            "    print(exc)\n")
+    proc = run_python(code, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "shutdown" in proc.stdout

@@ -1,11 +1,7 @@
 """Step-loop orchestration: reproducibility, region records, and checksums."""
 
 import dataclasses
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,9 +18,7 @@ from cellbench import (
     state_checksum,
 )
 
-from conftest import total_iterations
-
-SRC = Path(__file__).resolve().parent.parent / "src"
+from conftest import run_python, total_iterations
 
 
 def tiny_config(**over):
@@ -90,20 +84,19 @@ def test_checksum_ignores_storage_order_but_not_state():
     assert state_checksum(result.container) != ref
 
 
-def test_a_run_does_not_load_openssl():
+def test_a_one_worker_run_loads_neither_openssl_nor_an_executor():
     # `state_checksum` takes blake2b from `_blake2`: `hashlib` would also
-    # load `_hashlib` and map OpenSSL's libcrypto.  The run is in a fresh
-    # interpreter, since pytest may import hashlib itself.
+    # load `_hashlib` and map OpenSSL's libcrypto.  Only a pool of more than
+    # one worker imports `concurrent.futures`, which loads `logging`.  The
+    # run is in a fresh interpreter, since pytest may import either itself.
     code = ("import sys, cellbench as cb\n"
             "print(cb.run_simulation(cb.RunConfig(steps=2, cell_count=20)).checksum)\n"
-            "print('_hashlib' in sys.modules)\n")
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
-                          capture_output=True, text=True, timeout=120)
+            "print('_hashlib' in sys.modules, 'concurrent.futures' in sys.modules)\n")
+    proc = run_python(code)
     assert proc.returncode == 0, proc.stderr
-    checksum, loaded = proc.stdout.split()
+    checksum, *loaded = proc.stdout.split()
     assert len(checksum) == 32
-    assert loaded == "False"
+    assert loaded == ["False", "False"]
 
 
 def test_worker_count_does_not_change_the_checksum():
