@@ -13,6 +13,12 @@ package error (`ContainerStateError`, `InconsistentTraceError`,
 `UndefinedMetricError`): a broken invariant of the program, not of the
 input.  Each error prints one line on stderr; `sweep` prints every row
 first, and a divergence outranks the first error a cell raised.
+
+`run`, `sweep` and each side of `verify` build their config in one step:
+config-file lines, then `--set` pairs, then the command's own flags (`--out`;
+sweep's `--workers`, `--repeats` and `--strategies`; the side's `--workers-a`
+or `--workers-b`), validated once.  `verify` writes no file and takes no
+`--out`.
 """
 
 from __future__ import annotations
@@ -69,19 +75,18 @@ def _parse_sets(pairs: list[str]) -> dict:
     return entries
 
 
-def _load(args) -> RunConfig:
-    overrides = _parse_sets(args.set)
+def _load(args, flags: dict) -> RunConfig:
+    """The command's config: file lines, then `--set` pairs, then the config
+    keys of the flags it was given, built and validated once."""
+    overrides = {**_parse_sets(args.set),
+                 **{key: value for key, value in flags.items() if value is not None}}
     if args.config:
-        cfg = load_config(args.config, overrides)
-    else:
-        cfg = build_config(overrides)
-    if getattr(args, "out", None):
-        cfg = replace(cfg, out=args.out)
-    return cfg
+        return load_config(args.config, overrides)
+    return build_config(overrides)
 
 
 def _cmd_run(args) -> int:
-    cfg = _load(args)
+    cfg = _load(args, {"out": args.out})
     out = ensure_out_dir(cfg.out)
     result = run_simulation(cfg)
     run_id = run_id_for(cfg.strategy, cfg.workers)
@@ -105,9 +110,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    matrix = {"sweep.workers": args.workers, "sweep.repeats": args.repeats,
-              "sweep.strategies": args.strategies}
-    cfg = build_config({k: v for k, v in matrix.items() if v is not None}, base=_load(args))
+    cfg = _load(args, {"out": args.out, "sweep.workers": args.workers,
+                       "sweep.repeats": args.repeats, "sweep.strategies": args.strategies})
     out = ensure_out_dir(cfg.out)
     result = sweep(cfg)
     write_efficiency_csv(os.path.join(out, "efficiency.csv"), result.efficiency_rows)
@@ -134,15 +138,13 @@ def _cmd_sweep(args) -> int:
     return EXIT_VERIFY if failed else EXIT_OK
 
 
-def _side(base: RunConfig, literal: str, workers: str | None) -> RunConfig:
-    cfg = replace(base, strategy=parse_strategy_literal(literal))
-    return cfg if workers is None else build_config({"workers": workers}, base=cfg)
+def _side(args, literal: str, workers: str | None) -> RunConfig:
+    return replace(_load(args, {"workers": workers}), strategy=parse_strategy_literal(literal))
 
 
 def _cmd_verify(args) -> int:
-    cfg = _load(args)
-    cfg_a = _side(cfg, args.strategy_a, args.workers_a)
-    cfg_b = _side(cfg, args.strategy_b, args.workers_b)
+    cfg_a = _side(args, args.strategy_a, args.workers_a)
+    cfg_b = _side(args, args.strategy_b, args.workers_b)
     report = verify_equivalence(cfg_a, cfg_b)
     print(f"A {args.strategy_a} (workers={cfg_a.workers})  checksum {report.checksum_a}")
     print(f"B {args.strategy_b} (workers={cfg_b.workers})  checksum {report.checksum_b}")
@@ -177,11 +179,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, out=True):
         p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override one config entry (repeatable)")
-        p.add_argument("--out", help="output directory (overrides config)")
+        if out:
+            p.add_argument("--out", help="output directory (overrides config)")
 
     p_run = sub.add_parser("run", help="run one simulation and write reports")
     common(p_run)
@@ -198,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(fn=_cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="check two strategies for bit-identity")
-    common(p_verify)
+    common(p_verify, out=False)
     p_verify.add_argument("-A", "--strategy-a", required=True,
                           help="strategy literal, e.g. temp/outer/cell_static/append")
     p_verify.add_argument("-B", "--strategy-b", required=True)

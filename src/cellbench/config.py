@@ -2,16 +2,19 @@
 
 The format is deliberately primitive -- one `key = value` per line, `#`
 comments, no sections, no nesting -- so configs stay diff-friendly and any
-tool can generate them.  CLI `--set key=value` pairs override file entries.
+tool can generate them.  A command merges file entries, then CLI
+`--set key=value` pairs, then its own flags into one dict, and
+`build_config` turns that dict into a `RunConfig` and validates it once.
 
 Strategy literals name one point of the optimization space in a single
 slash-joined token, e.g. ``temp/outer/cell_static/append`` or
 ``inplace/collapsed/nonempty_voxel(16)/sorted(50)``: allocation mode,
 solver/gradient traversal, mechanics schedule, and cell storage order.  Each
 part is spelled by its enum value, with ``(n)`` for the schedule grain or the
-resort period.  `STRATEGY_PARTS` and `CONFIG_KEYS` are the one place that
-spells a part or a key: parsing, `StrategyConfig.literal()` and
-`format_config` all read them.
+resort period.  `STRATEGY_PARTS` is the one place that spells a part, and
+each `RunConfig` field declares its own key; `CONFIG_KEYS` is built from
+both, and parsing, `StrategyConfig.literal()` and `format_config` all read
+them.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import enum
 import math
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields
 from functools import partial, reduce
 from typing import Any, Callable, NamedTuple
 
@@ -120,41 +123,67 @@ def parse_strategy_literal(text: str) -> StrategyConfig:
     })
 
 
+def _numbers(convert: Callable[[str], Any]) -> Callable[[str], tuple]:
+    """Parser of a comma- or space-separated list of numbers."""
+    return lambda text: tuple(convert(p) for p in text.replace(",", " ").split())
+
+
+def _literals(text: str) -> tuple:
+    """Parser of a semicolon-separated list of strategy literals."""
+    return tuple(s.strip() for s in text.split(";") if s.strip())
+
+
+def _joined(sep: str) -> Callable[[tuple], str]:
+    return lambda values: sep.join(str(v) for v in values)
+
+
+def _setting(key: str, default, parse: Callable[[str], Any] | None = None,
+             fmt: Callable[[Any], str] = str):
+    """A `RunConfig` field read and written as config key `key`; `parse`
+    defaults to the parser of the field's declared type."""
+    return field(default=default, metadata={"key": key, "parse": parse, "format": fmt})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a run needs; identical configs give identical results."""
+    """Everything a run needs; identical configs give identical results.
 
-    nx: int = 16
-    ny: int = 16
-    nz: int = 16
-    dx: float = 20.0
-    dy: float = 20.0
-    dz: float = 20.0
-    diffusion: float = 100000.0
-    decay: float = 0.1
-    initial_density: float = 38.0
-    secretion: float = 1.0
-    uptake: float = 5.0
-    saturation: float = 38.0
-    cell_count: int = 500
-    cell_radius: float = 8.0
-    division_rate: float = 0.0
-    cell_cap: int = DEFAULT_CELL_CAP
-    seed_box: tuple = ()  # (x0,y0,z0,x1,y1,z1) um; empty = whole mesh
-    repulsion: float = 10.0
-    adhesion: float = 0.4
-    adhesion_multiplier: float = 1.25
-    dt_mechanics: float = 0.1
-    dt_diffusion: float = 0.1
-    steps: int = 100
-    seed: int = 42
-    workers: int = 1
+    Each field but `strategy` names its config key; `strategy` is set by
+    the `strategy.<part>` keys, one per `STRATEGY_PARTS` entry.
+    """
+
+    nx: int = _setting("mesh.nx", 16)
+    ny: int = _setting("mesh.ny", 16)
+    nz: int = _setting("mesh.nz", 16)
+    dx: float = _setting("mesh.dx", 20.0)
+    dy: float = _setting("mesh.dy", 20.0)
+    dz: float = _setting("mesh.dz", 20.0)
+    diffusion: float = _setting("substrate.diffusion", 100000.0)
+    decay: float = _setting("substrate.decay", 0.1)
+    initial_density: float = _setting("substrate.initial", 38.0)
+    secretion: float = _setting("substrate.secretion", 1.0)
+    uptake: float = _setting("substrate.uptake", 5.0)
+    saturation: float = _setting("substrate.saturation", 38.0)
+    cell_count: int = _setting("cells.count", 500)
+    cell_radius: float = _setting("cells.radius", 8.0)
+    division_rate: float = _setting("cells.division_rate", 0.0)
+    cell_cap: int = _setting("cells.cap", DEFAULT_CELL_CAP)
+    # (x0,y0,z0,x1,y1,z1) um; empty = whole mesh
+    seed_box: tuple = _setting("cells.box", (), _numbers(float), _joined(","))
+    repulsion: float = _setting("forces.repulsion", 10.0)
+    adhesion: float = _setting("forces.adhesion", 0.4)
+    adhesion_multiplier: float = _setting("forces.multiplier", 1.25)
+    dt_mechanics: float = _setting("dt.mechanics", 0.1)
+    dt_diffusion: float = _setting("dt.diffusion", 0.1)
+    steps: int = _setting("steps", 100)
+    seed: int = _setting("seed", 42)
+    workers: int = _setting("workers", 1)
     strategy: StrategyConfig = StrategyConfig()
-    sweep_workers: tuple = (1, 2, 4, 8)
-    sweep_repeats: int = 5
-    sweep_strategies: tuple = ()
-    timings: str = "full"
-    out: str = "runs"
+    sweep_workers: tuple = _setting("sweep.workers", (1, 2, 4, 8), _numbers(int), _joined(","))
+    sweep_repeats: int = _setting("sweep.repeats", 5)
+    sweep_strategies: tuple = _setting("sweep.strategies", (), _literals, _joined(";"))
+    timings: str = _setting("timings", "full")
+    out: str = _setting("out", "runs")
 
     def __post_init__(self):
         for f in fields(self):
@@ -230,61 +259,27 @@ class RunConfig:
         return InteractionParams(self.repulsion, self.adhesion, self.adhesion_multiplier)
 
 
-def _numbers(convert: Callable[[str], Any]) -> Callable[[str], tuple]:
-    """Parser of a comma- or space-separated list of numbers."""
-    return lambda text: tuple(convert(p) for p in text.replace(",", " ").split())
-
-
-def _joined(sep: str) -> Callable[[tuple], str]:
-    return lambda values: sep.join(str(v) for v in values)
-
-
 class _Key(NamedTuple):
     field: str  # RunConfig field, or strategy.<part>
     parse: Callable[[str], Any]
-    format: Callable[[Any], str] = str
+    format: Callable[[Any], str]
+
+
+def _config_keys() -> dict:
+    keys = {}
+    for f in fields(RunConfig):
+        if f.name == "strategy":
+            keys.update({f"strategy.{part}": _Key(f"strategy.{part}", parse, fmt)
+                         for part, (parse, fmt) in STRATEGY_PARTS.items()})
+        else:
+            parse = f.metadata["parse"] or {"int": int, "float": float, "str": str}[f.type]
+            keys[f.metadata["key"]] = _Key(f.name, parse, f.metadata["format"])
+    return keys
 
 
 #: key -> (field, parser, formatter) of every config key, in the order
-#: `format_config` writes them.
-CONFIG_KEYS = {
-    "mesh.nx": _Key("nx", int),
-    "mesh.ny": _Key("ny", int),
-    "mesh.nz": _Key("nz", int),
-    "mesh.dx": _Key("dx", float),
-    "mesh.dy": _Key("dy", float),
-    "mesh.dz": _Key("dz", float),
-    "substrate.diffusion": _Key("diffusion", float),
-    "substrate.decay": _Key("decay", float),
-    "substrate.initial": _Key("initial_density", float),
-    "substrate.secretion": _Key("secretion", float),
-    "substrate.uptake": _Key("uptake", float),
-    "substrate.saturation": _Key("saturation", float),
-    "cells.count": _Key("cell_count", int),
-    "cells.radius": _Key("cell_radius", float),
-    "cells.division_rate": _Key("division_rate", float),
-    "cells.cap": _Key("cell_cap", int),
-    "cells.box": _Key("seed_box", _numbers(float), _joined(",")),
-    "forces.repulsion": _Key("repulsion", float),
-    "forces.adhesion": _Key("adhesion", float),
-    "forces.multiplier": _Key("adhesion_multiplier", float),
-    "dt.mechanics": _Key("dt_mechanics", float),
-    "dt.diffusion": _Key("dt_diffusion", float),
-    "steps": _Key("steps", int),
-    "seed": _Key("seed", int),
-    "workers": _Key("workers", int),
-    **{f"strategy.{part}": _Key(f"strategy.{part}", parse, fmt)
-       for part, (parse, fmt) in STRATEGY_PARTS.items()},
-    "sweep.workers": _Key("sweep_workers", _numbers(int), _joined(",")),
-    "sweep.repeats": _Key("sweep_repeats", int),
-    "sweep.strategies": _Key(
-        "sweep_strategies",
-        lambda text: tuple(s.strip() for s in text.split(";") if s.strip()),
-        _joined(";"),
-    ),
-    "timings": _Key("timings", str),
-    "out": _Key("out", str),
-}
+#: `format_config` writes them: `RunConfig` field order.
+CONFIG_KEYS = _config_keys()
 
 
 def parse_config_text(text: str) -> dict:
@@ -301,24 +296,21 @@ def parse_config_text(text: str) -> dict:
     return entries
 
 
-def build_config(entries: dict, base: RunConfig | None = None) -> RunConfig:
-    """Apply key/value entries on top of a base config (defaults if omitted)."""
-    cfg = base or RunConfig()
+def build_config(entries: dict) -> RunConfig:
+    """The config that key/value `entries` make of the defaults, validated once."""
     plain: dict = {}
-    strategy_updates: dict = {}
+    strategy: dict = {}
     for key, value in entries.items():
         if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
         name, parse, _ = CONFIG_KEYS[key]
         converted = _convert(key, parse, value)
         if name.startswith("strategy."):
-            strategy_updates[name.split(".", 1)[1]] = converted
+            strategy[name.split(".", 1)[1]] = converted
         else:
             plain[name] = converted
-    if strategy_updates:
-        plain["strategy"] = replace(cfg.strategy, **strategy_updates)
     try:
-        return replace(cfg, **plain)
+        return RunConfig(**plain, strategy=StrategyConfig(**strategy))
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
@@ -326,16 +318,13 @@ def build_config(entries: dict, base: RunConfig | None = None) -> RunConfig:
 
 
 def load_config(path: str, overrides: dict | None = None) -> RunConfig:
+    """The config of a file's lines with `overrides` on top, built once."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
-    entries = parse_config_text(text)
-    cfg = build_config(entries)
-    if overrides:
-        cfg = build_config(overrides, base=cfg)
-    return cfg
+    return build_config({**parse_config_text(text), **(overrides or {})})
 
 
 def format_config(cfg: RunConfig) -> str:

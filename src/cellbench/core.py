@@ -191,9 +191,11 @@ class CellContainer:
     bin array scales with the cell count, not the voxel count.
 
     The bins depend only on the voxels, ids and order of the rows, so they
-    are kept while no cell changes voxel: `add_cells` and `take` mark the
-    rows changed, and `rebin_cells` rebuilds only after such a change or a
-    voxel change.  `candidates` holds the velocity kernel's pair lists
+    are kept while no cell changes voxel.  `positions_dirty` is the one
+    staleness flag: every writer of positions or rows sets it, and
+    `add_cells` and `take` also mark the voxel of each row they write unknown
+    (-1), which no recomputed voxel equals, so `rebin_cells` rebuilds the
+    bins after them.  `candidates` holds the velocity kernel's pair lists
     (`mechanics.PairLists`) for the container's whole life: on first use
     after each rebuild of the bins they compare the voxel of each id with
     their own record and patch themselves for the cells that changed voxel,
@@ -220,7 +222,6 @@ class CellContainer:
         self.bin_rows = np.zeros(0, dtype=np.intp)
         self.next_id = 0
         self.positions_dirty = False
-        self.rows_changed = False
         self.candidates = None
         self.exchange_plan = None
 
@@ -295,22 +296,25 @@ class CellContainer:
         self._voxel[lo:hi] = -1
         self._n = hi
         self.next_id = new_ids.stop
-        self.positions_dirty = self.rows_changed = True
+        self.positions_dirty = True
         return new_ids
 
     def take(self, rows) -> None:
         """Keep the given storage rows, in the given order; a permutation of
-        all rows reorders storage.  The bins are stale until the next rebin."""
+        all rows reorders storage.  The bins are stale until the next rebin,
+        and until then every row's voxel, and so its `Cell.voxel_index`,
+        reads -1."""
         rows = np.asarray(rows, dtype=np.intp)
         for name, _, _ in self._COLUMNS:
             column = getattr(self, name)
             column[:len(rows)] = column[rows]
         self._n = len(rows)
-        self.positions_dirty = self.rows_changed = True
+        self._voxel[:self._n] = -1
+        self.positions_dirty = True
 
     def require_binned(self, action: str) -> None:
         """Raise `ContainerStateError` unless the bins match the rows and positions."""
-        if self.positions_dirty or self.rows_changed:
+        if self.positions_dirty:
             raise ContainerStateError(f"{action} requires a rebinned container")
 
 
@@ -320,18 +324,19 @@ def rebin_cells(container: CellContainer) -> CellContainer:
     Serial; the single place where the spatial index is brought back in sync
     with positions after moves, divisions or reorders.  Every voxel is
     recomputed, so a position outside the mesh always raises.  A container
-    with neither `positions_dirty` nor `rows_changed` set is returned at
-    once: whoever writes positions must set `positions_dirty`, as
-    `integrate_positions` does.  If no row was added or reordered since the
-    last rebin and no cell changed voxel, the bins are kept.  Otherwise the
+    without `positions_dirty` set is returned at once: whoever writes
+    positions must set it, as `integrate_positions` does.  The bins are kept
+    exactly when the rows are the ones binned and every recomputed voxel
+    equals the recorded one; a row that `add_cells` or `take` wrote records
+    -1, which never does, and a `take` of no rows leaves fewer.  Otherwise the
     bins come from one sort of the rows by (voxel, id) into a new `bin_rows`
     array, which tells the pair lists in `candidates` that they are stale.
     """
-    if not (container.positions_dirty or container.rows_changed):
+    if not container.positions_dirty:
         return container
     voxels = container.mesh.voxels_of(container.positions)
     n = len(voxels)
-    if not container.rows_changed and (voxels == container.voxels).all():
+    if n == len(container.bin_rows) and (voxels == container.voxels).all():
         container.positions_dirty = False
         return container
     container._voxel[:n] = voxels
@@ -343,5 +348,5 @@ def rebin_cells(container: CellContainer) -> CellContainer:
     container.nonempty_voxels = binned[starts]
     container.bin_ptr = np.concatenate((starts, [n]))
     container.bin_rows = rows
-    container.positions_dirty = container.rows_changed = False
+    container.positions_dirty = False
     return container

@@ -25,7 +25,6 @@ from .config import STRATEGY_PARTS, RunConfig, StrategyConfig, parse_strategy_li
 from .errors import ConfigError
 from .metrics import (
     RegionTiming,
-    UndefinedMetricError,
     aggregate_timings,
     communication_efficiency,
     computation_scalability,
@@ -96,20 +95,15 @@ def efficiency_rows(result: RunResult, run_id: str,
             {region: base.region_totals(region) for region in REGIONS})
     rows = []
     for region, timing in _active_timings(totals).items():
-        try:
-            lb = load_balance(timing)
-            comm = communication_efficiency(timing)
-            comp = (f"{computation_scalability(base_timings[region], timing):.6f}"
-                    if region in base_timings else "")
-        except UndefinedMetricError:
-            continue
+        comp = (f"{computation_scalability(base_timings[region], timing):.6f}"
+                if region in base_timings else "")
         rows.append({
             "run_id": run_id,
             "region": region,
             "workers": timing.workers,
             **axes,
-            "lb": f"{lb:.6f}",
-            "comm_eff": f"{comm:.6f}",
+            "lb": f"{load_balance(timing):.6f}",
+            "comm_eff": f"{communication_efficiency(timing):.6f}",
             "par_eff": f"{parallel_efficiency(timing):.6f}",
             "comp_scal": comp,
             "mean_busy_s": f"{timing.total_busy / timing.workers:.9f}",

@@ -135,6 +135,49 @@ def test_resolved_config_reproduces_the_run(cfg_file, tmp_path, capsys):
     assert (out / "config.resolved.txt").read_bytes() == resolved
 
 
+VERIFY_SIDES = ["-A", "inplace/outer/cell_static/append",
+                "-B", "temp/outer/cell_static/append"]
+
+
+# each file line alone is a config error; the later layer repairs it, and
+# only the merged config is validated
+@pytest.mark.parametrize("line, argv, field, value", [
+    ("cells.count = 300000", ["run", "--set", "cells.count=10"], "cell_count", 10),
+    ("dt.diffusion = 0.07", ["run", "--set", "dt.mechanics=0.14"], "dt_mechanics", 0.14),
+    ("sweep.workers = 1,1", ["sweep", "--workers", "1,2", "--repeats", "1"],
+     "sweep_workers", (1, 2)),
+    ("", ["sweep", "--set", "sweep.repeats=0", "--repeats", "1", "--workers", "1"],
+     "sweep_repeats", 1),
+    ("workers = 300", ["verify", *VERIFY_SIDES, "--workers-a", "1", "--workers-b", "2"],
+     "workers", 1),
+], ids=["set-count", "set-dt", "sweep-workers", "flag-over-set", "verify-workers"])
+def test_each_command_validates_only_its_merged_config(tmp_path, capsys, monkeypatch,
+                                                       line, argv, field, value):
+    path = tmp_path / "layered.cfg"
+    path.write_text(f"{CFG_TEXT}{line}\n")
+    built = []
+
+    def spy(*args):
+        built.append(load_config(*args))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "load_config", spy)
+    out = [] if argv[0] == "verify" else ["--out", str(tmp_path / "o")]
+    assert run_cli(*argv, "--config", str(path), *out) == 0
+    assert capsys.readouterr().err == ""
+    assert getattr(built[0], field) == value
+    assert len(built) == (2 if argv[0] == "verify" else 1)
+
+
+def test_verify_takes_no_out_dir(cfg_file, tmp_path, capsys):
+    # verify writes no file, so an --out would be dropped without a word
+    with pytest.raises(SystemExit) as exc:
+        run_cli("verify", "--config", cfg_file, *VERIFY_SIDES, "--out", str(tmp_path / "o"))
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --out" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_unusable_out_dir_fails_before_any_run(cfg_file, tmp_path, capsys, command):
     blocker = tmp_path / "file"

@@ -193,6 +193,16 @@ def test_load_config_with_overrides(tmp_path):
     assert cfg.cell_count == 10
 
 
+def test_load_config_builds_once_with_the_overrides(tmp_path):
+    # the file alone is refused; only the merged config is validated
+    path = tmp_path / "broken.cfg"
+    path.write_text("cells.count = 300000\ndt.diffusion = 0.07\n")
+    with pytest.raises(ConfigError):
+        load_config(str(path))
+    cfg = load_config(str(path), overrides={"cells.count": "10", "dt.mechanics": "0.14"})
+    assert (cfg.cell_count, cfg.dt_mechanics, cfg.substeps) == (10, 0.14, 2)
+
+
 # ---------------------------------------------------------------- validation
 
 def test_substep_ratio_must_be_integral():

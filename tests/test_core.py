@@ -189,6 +189,23 @@ def test_rebin_after_a_permutation_rebuilds_the_bins(small_mesh):
     check_consistent(cont)
 
 
+def test_take_leaves_voxels_unknown_until_the_rebin(small_mesh):
+    cont = make_container(small_mesh, [(10.0, 10.0, 10.0), (70.0, 70.0, 70.0)])
+    kept = cont.voxels[1]
+    cont.take([1])
+    assert [c.voxel_index for c in cont.cells] == [-1]
+    with pytest.raises(cb.ContainerStateError):
+        cont.require_binned("reading")
+    cb.rebin_cells(cont)
+    assert cont.voxels.tolist() == [kept]
+    check_consistent(cont)
+    # no row is left to hold a -1, yet the bins of the one cell must go
+    cont.take([])
+    cb.rebin_cells(cont)
+    assert cont.nonempty_voxels.tolist() == [] and cont.bin_rows.tolist() == []
+    check_consistent(cont)
+
+
 def test_rebin_still_rejects_a_position_outside_the_mesh(small_mesh):
     cont = make_container(small_mesh, [(10.0, 10.0, 10.0)])
     cont.positions[0] = (-1.0, 10.0, 10.0)
